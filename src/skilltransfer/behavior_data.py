@@ -94,6 +94,19 @@ CONTEXT_FIELDS: tuple[str, ...] = (
     "person_facing",
 )
 
+#: Every possible context, interned and indexed by its code: bit ``i`` of
+#: the code is the field ``CONTEXT_FIELDS[i]``.
+CONTEXTS: tuple[StimulusContext, ...] = tuple(
+    StimulusContext(**{f: bool(code >> i & 1) for i, f in enumerate(CONTEXT_FIELDS)})
+    for code in range(1 << len(CONTEXT_FIELDS))
+)
+
+
+def context_code(context: StimulusContext) -> int:
+    """Index of ``context`` in :data:`CONTEXTS`."""
+    return sum(getattr(context, f) << i for i, f in enumerate(CONTEXT_FIELDS))
+
+
 #: Stimulus fields a behavior needs before it can occur. Behaviors not
 #: listed are possible in any context. LOCATION never appears as an event;
 #: it is read off the context when windows are aggregated.
@@ -300,6 +313,11 @@ def to_dataset(logs: Sequence[SessionLog], window: int) -> DataSet:
     return DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), rows=tuple(rows))
 
 
+def train_size(n: int, ratio: float) -> int:
+    """Rows of an ``n``-row class that :func:`split` puts on the train side."""
+    return int(ratio * n + 0.5)
+
+
 def split(
     data: DataSet, ratio: float = 0.5, seed: int = 0
 ) -> tuple[DataSet, DataSet]:
@@ -323,7 +341,7 @@ def split(
     train_indices: list[int] = []
     for label in sorted(by_class):
         indices = by_class[label]
-        take = int(ratio * len(indices) + 0.5)
+        take = train_size(len(indices), ratio)
         shuffled = rng.permutation(len(indices))
         train_indices.extend(indices[j] for j in shuffled[:take])
     chosen = frozenset(train_indices)
@@ -347,19 +365,22 @@ def record_to_json(record: BehaviorRecord) -> str:
 
 
 def record_from_json(line: str) -> BehaviorRecord:
+    """Parse one JSONL line; the context is the shared instance from :data:`CONTEXTS`."""
     payload = json.loads(line)
-    context = StimulusContext(**{f: bool(payload["context"][f]) for f in CONTEXT_FIELDS})
+    flags = payload["context"]
+    code = sum(bool(flags[f]) << i for i, f in enumerate(CONTEXT_FIELDS))
     return BehaviorRecord(
         player=PlayerId(payload["player"]),
         tick=int(payload["tick"]),
-        context=context,
+        context=CONTEXTS[code],
         behavior=AttributeId.from_column(payload["behavior"]),
     )
 
 
 def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
-    text = "".join(record_to_json(r) + "\n" for r in log.records)
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in log.records:
+            handle.write(record_to_json(record) + "\n")
 
 
 def read_session_jsonl(
@@ -375,11 +396,8 @@ def read_session_jsonl(
     supplied if they matter downstream. Player is inferred from the first
     record unless given explicitly.
     """
-    records = tuple(
-        record_from_json(line)
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    )
+    with open(path, encoding="utf-8") as handle:
+        records = tuple(record_from_json(line) for line in handle if line.strip())
     if player is None:
         if not records:
             raise ValueError(f"{path}: empty session file and no player given")

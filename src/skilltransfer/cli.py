@@ -25,6 +25,7 @@ from . import __version__
 from .behavior_data import (
     PlayerId,
     to_dataset,
+    train_size,
     validate_session,
     write_dataset_csv,
     write_session_jsonl,
@@ -37,8 +38,7 @@ from .config import (
     serialize_config,
 )
 from .errors import ConfigError, DataValidationError
-from .game_domain import run_session
-from .seeds import ROLE_EXPERT, ROLE_LEARNER, STREAM_SESSION, derive_seed
+from .game_domain import simulate_pair
 from .transfer_loop import (
     TransferConfig,
     TransferTrace,
@@ -84,18 +84,24 @@ def _echo(quiet: bool, line: str) -> None:
         click.echo(line)
 
 
+def _require_split_rows(config: ExperimentConfig) -> None:
+    """Refuse a config whose sessions cannot fill a train/test split per player."""
+    ticks = config.scenario.ticks_per_session
+    window = config.dataset.window
+    rows = ticks // window
+    train = train_size(rows, config.dataset.split_ratio)
+    if rows < 2 or train < 2 or rows - train < 1:
+        raise ConfigError(
+            "scenario.ticks_per_session, dataset.window, dataset.split_ratio: "
+            f"{ticks} ticks in windows of {window} make {rows} row(s) per player, "
+            f"split {train} train / {rows - train} test; at least 2 train rows "
+            "and 1 test row per player are needed"
+        )
+
+
 def _simulate_sessions(config: ExperimentConfig):
     expert, learner = resolve_profiles(config)
-    logs = [
-        run_session(
-            config.scenario, expert, PlayerId.ID1,
-            derive_seed(config.seed, STREAM_SESSION, 0, ROLE_EXPERT),
-        ),
-        run_session(
-            config.scenario, learner, PlayerId.ID2,
-            derive_seed(config.seed, STREAM_SESSION, 0, ROLE_LEARNER),
-        ),
-    ]
+    logs = simulate_pair(expert, learner, config.scenario, config.seed, 0)
     for log in logs:
         violations = validate_session(log)
         if violations:
@@ -166,6 +172,7 @@ def simulate(config_path: str, seed: int | None, out: str | None, quiet: bool) -
 def dataset(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Write the aggregated classification table."""
     config = _load(config_path, seed, out)
+    _require_split_rows(config)
     logs = _simulate_sessions(config)
     data = to_dataset(logs, config.dataset.window)
     run_dir = _prepare_run_dir(config)
@@ -179,6 +186,7 @@ def dataset(config_path: str, seed: int | None, out: str | None, quiet: bool) ->
 def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Learn the identity classifier and report held-out accuracy."""
     config = _load(config_path, seed, out)
+    _require_split_rows(config)
     expert, learner = resolve_profiles(config)
     result = run_identification(
         expert,
@@ -220,6 +228,7 @@ def _transfer_config(config: ExperimentConfig) -> TransferConfig:
 def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Run the transfer loop; write its trace and behavior curves."""
     config = _load(config_path, seed, out)
+    _require_split_rows(config)
     expert, learner = resolve_profiles(config)
     trace = run_transfer(expert, learner, _transfer_config(config), config.seed)
     if not trace.iterations:

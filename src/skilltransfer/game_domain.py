@@ -2,17 +2,24 @@
 
 A scenario is a bundle of independent per-tick stimulus probabilities. A
 player profile maps each condition key to a categorical distribution over
-behaviors. Sessions are simulated one tick at a time: sample a context,
-pick the condition governing it, then draw a behavior, rejecting draws
-the context makes infeasible.
+behaviors. Each tick samples a context, picks the condition governing it,
+then draws a behavior from that condition's distribution restricted to
+the behaviors the context makes feasible and renormalized.
 
 Condition precedence: stimulus-driven keys (obstacle, person facing,
 climbable, horse, soldier, civilian) govern whenever any of their
 stimuli is present; one of them is picked uniformly at random. Only when
 no stimulus is active does the location key (indoor or outdoor) govern
-the tick. The ``default`` key is never selected directly; it is the
-fallback distribution used when rejection sampling exhausts its budget,
-so every profile must give it at least one always-feasible behavior.
+the tick. The ``default`` key is never selected directly; when a
+governing key puts no mass at all on a feasible behavior, the tick is
+drawn from the default distribution restricted the same way, so every
+profile must give it at least one always-feasible behavior.
+
+Each profile carries a table of these restricted distributions, one
+inverse CDF per (governing key, context code), built once on first use.
+``run_session`` draws whole blocks of ticks from it; ``sample_context``
+and ``choose_behavior`` are one-tick views of the same draw. The random
+stream layout is documented in :mod:`skilltransfer.seeds`.
 """
 
 from __future__ import annotations
@@ -20,23 +27,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .behavior_data import (
     CONTEXT_FIELDS,
+    CONTEXTS,
     EVENT_ATTRIBUTES,
+    FEASIBILITY_REQUIREMENTS,
     UNCONDITIONAL_BEHAVIORS,
     AttributeId,
     BehaviorRecord,
     PlayerId,
     SessionLog,
     StimulusContext,
-    is_feasible,
+    context_code,
 )
 from .errors import ConfigError
-from .seeds import derive_rng
+from .seeds import ROLE_EXPERT, ROLE_LEARNER, STREAM_SESSION, derive_rng, derive_seed
 
 
 class ConditionKey(Enum):
@@ -162,14 +173,9 @@ class PlayerProfile:
             copied[key] = dict(sorted(dist.items(), key=lambda kv: kv[0].value))
         object.__setattr__(self, "distributions", copied)
 
-    def distribution(self, key: ConditionKey) -> Distribution:
-        return dict(self.distributions[key])
-
-
-def sample_context(scenario: Scenario, rng: np.random.Generator) -> StimulusContext:
-    """Draw one context; fields are independent Bernoulli variables."""
-    values = {f: bool(rng.random() < scenario.probability(f)) for f in CONTEXT_FIELDS}
-    return StimulusContext(**values)
+    @cached_property
+    def _table(self) -> _BehaviorTable:
+        return _BehaviorTable(self)
 
 
 def active_keys(context: StimulusContext) -> tuple[ConditionKey, ...]:
@@ -186,21 +192,97 @@ def active_keys(context: StimulusContext) -> tuple[ConditionKey, ...]:
     return (ConditionKey.INDOOR if context.location_indoor else ConditionKey.OUTDOOR,)
 
 
-def _sample_categorical(dist: Distribution, rng: np.random.Generator) -> AttributeId:
-    # Items are kept sorted by attribute position, so the cumulative walk
-    # is deterministic for a given generator state.
-    u = rng.random()
-    acc = 0.0
-    behavior = None
-    for behavior, p in dist.items():
-        acc += p
-        if u < acc:
-            return behavior
-    assert behavior is not None
-    return behavior  # float round-off pushed the total a hair under u
+#: Keys that can govern a tick, in behavior-table order.
+_GOVERNING: tuple[ConditionKey, ...] = tuple(
+    k for k in ConditionKey if k is not ConditionKey.DEFAULT
+)
+_N_CODES = len(CONTEXTS)
+#: Uniforms one tick reads: the context fields, the key pick, the behavior.
+_DRAWS_PER_TICK = len(CONTEXT_FIELDS) + 2
+#: Ticks drawn per block; the stream layout makes the output independent of it.
+_CHUNK = 4096
+_CODE_WEIGHTS = 1 << np.arange(len(CONTEXT_FIELDS))
+_EVENT_INDEX = {b: i for i, b in enumerate(EVENT_ATTRIBUTES)}
+
+#: Per context code: how many keys govern it, and their behavior-table rows
+#: (key position in ``_GOVERNING`` times ``_N_CODES`` plus the code), padded.
+_ACTIVE = tuple(active_keys(c) for c in CONTEXTS)
+_N_ACTIVE = np.array([len(keys) for keys in _ACTIVE])
+_ACTIVE_ROWS = np.array(
+    [
+        [_GOVERNING.index(k) * _N_CODES + code for k in keys]
+        + [0] * (len(STIMULUS_KEY_FIELDS) - len(keys))
+        for code, keys in enumerate(_ACTIVE)
+    ]
+)
+#: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
+#: is feasible there: the code holds every stimulus bit the behavior needs.
+_NEEDED_BITS = np.array(
+    [
+        sum(1 << CONTEXT_FIELDS.index(f) for f in FEASIBILITY_REQUIREMENTS.get(b, ()))
+        for b in EVENT_ATTRIBUTES
+    ]
+)
+_FEASIBLE = (np.arange(_N_CODES)[:, None] & _NEEDED_BITS) == _NEEDED_BITS
 
 
-_REJECTION_BUDGET = 100
+class _BehaviorTable:
+    """Feasibility-restricted behavior distributions of one profile.
+
+    Row ``k * _N_CODES + code`` of ``cdf`` holds the inverse CDF over
+    ``EVENT_ATTRIBUTES`` of governing key ``_GOVERNING[k]`` under context
+    ``code``, restricted to the feasible behaviors and renormalized. A key
+    with no feasible mass there uses the default key restricted the same
+    way; a row where the default has none either is ``dead``.
+    """
+
+    __slots__ = ("profile_id", "cdf", "dead")
+
+    def __init__(self, profile: PlayerProfile) -> None:
+        def masked(key: ConditionKey) -> np.ndarray:  # (code, behavior)
+            probs = np.zeros(len(EVENT_ATTRIBUTES))
+            for behavior, p in profile.distributions[key].items():
+                probs[_EVENT_INDEX[behavior]] = p
+            return probs * _FEASIBLE
+
+        rows = np.array([masked(k) for k in _GOVERNING])
+        rows = np.where(
+            rows.sum(axis=2, keepdims=True) > 0.0, rows, masked(ConditionKey.DEFAULT)
+        )
+        cumulative = np.cumsum(rows, axis=2).reshape(-1, len(EVENT_ATTRIBUTES))
+        total = cumulative[:, -1:]
+        dead = total[:, 0] == 0.0
+        # Dividing by the last cumulative sum makes every entry from the last
+        # feasible behavior on exactly 1.0, so a uniform in [0, 1) never lands
+        # past it.
+        self.cdf = cumulative / np.where(dead[:, None], 1.0, total)
+        self.dead = dead
+        self.profile_id = profile.profile_id
+
+    def draw(self, codes: np.ndarray, u_key: np.ndarray, u_behavior: np.ndarray) -> np.ndarray:
+        """Behavior indices into ``EVENT_ATTRIBUTES``, one per tick."""
+        # u_key < 1, and for n_active <= 6 the float64 product stays below
+        # n_active, so the pick is always one of the active keys.
+        pick = (u_key * _N_ACTIVE[codes]).astype(np.intp)
+        rows = _ACTIVE_ROWS[codes, pick]
+        if self.dead[rows].any():
+            raise ConfigError(
+                f"profile {self.profile_id!r}: default condition has no feasible "
+                "behavior for the current context"
+            )
+        return (u_behavior[:, None] >= self.cdf[rows]).sum(axis=1)
+
+
+def _context_codes(scenario: Scenario, u: np.ndarray) -> np.ndarray:
+    """Context codes of the rows of ``u``; column i is the draw of CONTEXT_FIELDS[i]."""
+    p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
+    return (u < p) @ _CODE_WEIGHTS
+
+
+def sample_context(scenario: Scenario, rng: np.random.Generator) -> StimulusContext:
+    """Draw one context; fields are independent Bernoulli variables."""
+    u = rng.random((1, len(CONTEXT_FIELDS)))
+    return CONTEXTS[int(_context_codes(scenario, u)[0])]
 
 
 def choose_behavior(
@@ -208,30 +290,12 @@ def choose_behavior(
 ) -> AttributeId:
     """Draw one behavior for ``context`` from ``profile``.
 
-    Picks one active condition key uniformly, then rejection-samples its
-    distribution until the draw is feasible in the full context. After
-    ``_REJECTION_BUDGET`` failures the draw falls back to the default
-    key's distribution restricted to feasible behaviors.
+    Picks one active condition key uniformly, then draws from its
+    distribution restricted to the behaviors feasible in ``context``.
     """
-    keys = active_keys(context)
-    key = keys[int(rng.integers(len(keys)))]
-    dist = profile.distributions[key]
-    for _ in range(_REJECTION_BUDGET):
-        behavior = _sample_categorical(dist, rng)
-        if is_feasible(behavior, context):
-            return behavior
-    fallback = {
-        behavior: p
-        for behavior, p in profile.distributions[ConditionKey.DEFAULT].items()
-        if is_feasible(behavior, context)
-    }
-    if not fallback:
-        raise ConfigError(
-            f"profile {profile.profile_id!r}: default condition has no feasible "
-            "behavior for the current context"
-        )
-    total = sum(fallback.values())
-    return _sample_categorical({b: p / total for b, p in fallback.items()}, rng)
+    u_key, u_behavior = rng.random((2, 1))
+    codes = np.array([context_code(context)])
+    return EVENT_ATTRIBUTES[int(profile._table.draw(codes, u_key, u_behavior)[0])]
 
 
 def run_session(
@@ -239,15 +303,44 @@ def run_session(
 ) -> SessionLog:
     """Simulate one full session; bit-identical for identical arguments."""
     rng = derive_rng(seed)
-    records = []
-    for tick in range(scenario.ticks_per_session):
-        context = sample_context(scenario, rng)
-        behavior = choose_behavior(profile, context, rng)
-        records.append(
-            BehaviorRecord(player=player, tick=tick, context=context, behavior=behavior)
+    table = profile._table
+    records: list[BehaviorRecord] = []
+    ticks = scenario.ticks_per_session
+    for start in range(0, ticks, _CHUNK):
+        u = rng.random((min(_CHUNK, ticks - start), _DRAWS_PER_TICK))
+        codes = _context_codes(scenario, u[:, : len(CONTEXT_FIELDS)])
+        behaviors = table.draw(codes, u[:, -2], u[:, -1])
+        records.extend(
+            map(
+                BehaviorRecord,
+                repeat(player),
+                range(start, start + len(u)),
+                map(CONTEXTS.__getitem__, codes.tolist()),
+                map(EVENT_ATTRIBUTES.__getitem__, behaviors.tolist()),
+            )
         )
     return SessionLog(
         player=player, seed=seed, scenario_id=scenario.scenario_id, records=tuple(records)
+    )
+
+
+def simulate_pair(
+    expert: PlayerProfile,
+    learner: PlayerProfile,
+    scenario: Scenario,
+    seed: int,
+    iteration: int,
+) -> tuple[SessionLog, SessionLog]:
+    """One session per player on their ``(STREAM_SESSION, iteration, role)`` streams."""
+    return (
+        run_session(
+            scenario, expert, PlayerId.ID1,
+            derive_seed(seed, STREAM_SESSION, iteration, ROLE_EXPERT),
+        ),
+        run_session(
+            scenario, learner, PlayerId.ID2,
+            derive_seed(seed, STREAM_SESSION, iteration, ROLE_LEARNER),
+        ),
     )
 
 

@@ -14,6 +14,23 @@ Path layout used by the pipeline:
 where role is 1 for the expert and 2 for the learner, and iteration is 0
 for the one-shot identification commands and 1-based inside the transfer
 loop.
+
+Session stream layout. ``run_session`` keeps one ``derive_rng(seed)``
+Philox stream per session and reads it as consecutive row-major
+``(chunk, 9)`` float64 blocks, one row per tick:
+
+    columns 0-6   context Bernoullis, field i present when u < p_i, in
+                  ``CONTEXT_FIELDS`` order
+    column 7      governing key, ``floor(u * n_active)`` into the active
+                  keys: the stimulus keys present, in ``STIMULUS_KEY_FIELDS``
+                  order, or the single location key when none is
+    column 8      behavior, inverse CDF over ``EVENT_ATTRIBUTES`` order of
+                  the key's feasibility-restricted distribution
+
+Every tick reads exactly nine doubles, so a session of T ticks is the
+first T ticks of any longer session with the same seed, whatever the
+block size. ``sample_context`` reads columns 0-6 and ``choose_behavior``
+columns 7-8 of one tick, in that order.
 """
 
 from __future__ import annotations

@@ -50,16 +50,9 @@ from .game_domain import (
     Scenario,
     boost_scenario,
     profile_from_json,
-    run_session,
+    simulate_pair,
 )
-from .seeds import (
-    ROLE_EXPERT,
-    ROLE_LEARNER,
-    STREAM_LEARN,
-    STREAM_SESSION,
-    STREAM_SPLIT,
-    derive_seed,
-)
+from .seeds import STREAM_LEARN, STREAM_SPLIT, derive_seed
 
 _LOG_FLOOR = 1e-300
 _DIFFERENCE_EPS = 1e-9
@@ -163,17 +156,7 @@ def run_identification(
     documented stream paths, so repeated calls are bit-identical.
     """
     learn = learn or LearnConfig()
-    logs = [
-        run_session(
-            scenario, expert, PlayerId.ID1,
-            derive_seed(seed, STREAM_SESSION, iteration, ROLE_EXPERT),
-        ),
-        run_session(
-            scenario, learner, PlayerId.ID2,
-            derive_seed(seed, STREAM_SESSION, iteration, ROLE_LEARNER),
-        ),
-    ]
-    data = to_dataset(logs, window)
+    data = to_dataset(simulate_pair(expert, learner, scenario, seed, iteration), window)
     train, test = split(data, split_ratio, derive_seed(seed, STREAM_SPLIT, iteration))
     dag = learn_structure(
         train, replace(learn, seed=derive_seed(seed, STREAM_LEARN, iteration))

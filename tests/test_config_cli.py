@@ -302,6 +302,28 @@ def test_invalid_config_exits_two(tmp_path):
     assert "cannot read" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"scenario": {"ticks_per_session": 0}},
+        {"scenario": {"ticks_per_session": 7}},
+        {"dataset": {"window": 5000}},
+    ],
+)
+def test_too_few_rows_to_split_exits_two(tmp_path, document):
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({**document, "output_dir": str(tmp_path / "runs")}), encoding="utf-8"
+    )
+    for command in ("dataset", "identify", "transfer"):
+        result = _invoke([command, "--config", path])
+        assert result.exit_code == 2, (command, result.stderr)
+        assert result.stderr.startswith("error: config:")
+        assert "scenario.ticks_per_session" in result.stderr
+        assert "dataset.window" in result.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 def test_report_without_a_trace_exits_two(quick_config):
     result = _invoke(["report", "--config", quick_config])
     assert result.exit_code == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -10,14 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from skilltransfer.behavior_data import (
     CONTEXT_FIELDS,
+    CONTEXTS,
+    EVENT_ATTRIBUTES,
     AttributeId,
+    BehaviorRecord,
     PlayerId,
     StimulusContext,
+    context_code,
+    is_feasible,
 )
 from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
+    _CHUNK,
+    _FEASIBLE,
     ConditionKey,
     PlayerProfile,
     Scenario,
@@ -33,6 +42,7 @@ from skilltransfer.game_domain import (
     scenario_to_json,
     table1_profiles,
 )
+from skilltransfer.seeds import derive_rng
 
 MOVE = AttributeId.MOVEMENT
 
@@ -197,6 +207,78 @@ def test_same_seed_replays_the_same_session(base_scenario, table1_pair):
     assert first == second
     different = run_session(scenario, learner, PlayerId.ID2, seed=322)
     assert first != different
+
+
+def test_context_codes_and_the_feasibility_table_agree_with_the_context():
+    for code, context in enumerate(CONTEXTS):
+        assert context_code(context) == code
+        assert _FEASIBLE[code].tolist() == [is_feasible(b, context) for b in EVENT_ATTRIBUTES]
+
+
+def test_a_sole_feasible_behavior_is_drawn_however_small_its_mass():
+    # Riding is infeasible without a horse, so fighting carries all of the
+    # obstacle key's feasible mass; the default key (movement) never fires.
+    profile = _flat_profile(
+        obstacle={AttributeId.RIDING_HRS: 0.999, AttributeId.FIGHTING: 0.001}
+    )
+    scenario = _scenario(ticks_per_session=2000, obstacle_present=1.0)
+    log = run_session(scenario, profile, PlayerId.ID1, seed=11)
+    assert {r.behavior for r in log.records} == {AttributeId.FIGHTING}
+
+
+def test_a_short_session_is_a_prefix_of_a_longer_one(base_scenario, table1_pair):
+    expert, _ = table1_pair
+    ticks = _CHUNK + 7  # straddles a block boundary
+    short = run_session(
+        replace(base_scenario, ticks_per_session=ticks), expert, PlayerId.ID1, seed=5
+    )
+    long = run_session(
+        replace(base_scenario, ticks_per_session=2 * ticks), expert, PlayerId.ID1, seed=5
+    )
+    assert short.records == long.records[:ticks]
+
+
+def test_one_tick_views_replay_the_session(base_scenario, table1_pair):
+    _, learner = table1_pair
+    scenario = replace(base_scenario, ticks_per_session=300)
+    log = run_session(scenario, learner, PlayerId.ID2, seed=9)
+    rng = derive_rng(9)
+    replayed = []
+    for tick in range(300):
+        context = sample_context(scenario, rng)
+        behavior = choose_behavior(learner, context, rng)
+        replayed.append(BehaviorRecord(PlayerId.ID2, tick, context, behavior))
+    assert log.records == tuple(replayed)
+
+
+def test_a_drawn_dead_row_is_a_config_error():
+    profile = _flat_profile(
+        obstacle={AttributeId.RIDING_HRS: 1.0},
+        default={AttributeId.RIDING_HRS: 1.0},
+    )
+    with pytest.raises(ConfigError, match="default"):
+        run_session(
+            _scenario(obstacle_present=1.0, horse_available=0.0),
+            profile, PlayerId.ID1, seed=0,
+        )
+    # The same profile is usable where its dead rows are never drawn: indoor
+    # and outdoor ticks move, and a horse makes riding feasible.
+    for scenario in (_scenario(), _scenario(obstacle_present=1.0, horse_available=1.0)):
+        assert len(run_session(scenario, profile, PlayerId.ID1, seed=0).records) == 10
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_event_marginals_match_the_oracle(base_scenario, table1_pair, which):
+    profile = table1_pair[which]
+    ticks = 50_000
+    scenario = replace(base_scenario, ticks_per_session=ticks)
+    log = run_session(scenario, profile, PlayerId.ID1, seed=2024)
+    counts = Counter(r.behavior for r in log.records)
+    expected = oracles.event_tick_probability(profile, scenario)
+    for behavior in EVENT_ATTRIBUTES:
+        p = expected.get(behavior, 0.0)
+        sigma = math.sqrt(p * (1.0 - p) / ticks)
+        assert abs(counts[behavior] / ticks - p) <= 4.0 * sigma, behavior
 
 
 # --- profile validation ----------------------------------------------------------
