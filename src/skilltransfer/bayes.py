@@ -8,8 +8,11 @@ is exact: a classification query instantiates every attribute, so the
 class posterior is the factorized joint evaluated once per class value
 and normalized in log space.
 
-All variables and values are plain strings here; enum-typed callers
-convert at the boundary.
+Learning and scoring read the integer code matrix of a
+:class:`~skilltransfer.behavior_data.DataSet` directly. Variables are
+named by strings, and the inference queries (:func:`class_posterior`,
+:func:`classify`) and the JSON form take value strings, because those
+are the edges where rows come from or go to a reader.
 """
 
 from __future__ import annotations
@@ -179,11 +182,8 @@ class _FamilyScorer:
         self.variables = data.columns
         self.index = {name: i for i, name in enumerate(data.columns)}
         self.cards = np.array([len(data.domains[c]) for c in data.columns], dtype=np.int64)
-        codes = np.empty((data.n_rows, len(data.columns)), dtype=np.int64)
-        for j, name in enumerate(data.columns):
-            lookup = {v: k for k, v in enumerate(data.domains[name])}
-            codes[:, j] = [lookup[row[j]] for row in data.rows]
-        self.codes = codes
+        # Widened once: family indices overflow int8 arithmetic.
+        self.codes = data.codes.astype(np.int64)
         self.n = data.n_rows
         self._log_n = math.log(self.n)
         self._cache: dict[tuple[str, frozenset[str]], float] = {}
@@ -354,9 +354,12 @@ def learn_structure(data: DataSet, config: LearnConfig) -> Dag:
     smallest edge set. Deterministic for identical inputs.
     """
     if CLASS_COLUMN in data.columns:
-        class_values = data.column_values(CLASS_COLUMN)
-        for label in data.domains[CLASS_COLUMN]:
-            if class_values.count(label) < 2:
+        domain = data.domains[CLASS_COLUMN]
+        sizes = np.bincount(
+            data.codes[:, data.column_index(CLASS_COLUMN)], minlength=len(domain)
+        )
+        for label, size in zip(domain, sizes):
+            if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
     scorer = _FamilyScorer(data)
     climber = _Climber(scorer, config.max_parents)
@@ -471,16 +474,38 @@ def classify(
 
 
 def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> float:
-    """Fraction of test rows whose class is predicted correctly."""
+    """Fraction of test rows whose class is predicted correctly.
+
+    Rows with the same attribute values get the same prediction, so each
+    distinct attribute row goes through :func:`classify` once and scores
+    the number of its copies that carry the predicted label.
+    """
     if test.n_rows == 0:
         raise ValueError("empty test set")
-    test.column_index(class_node)  # reject datasets without the label column
+    label_at = test.column_index(class_node)  # rejects datasets without the label column
+    names = [c for c in test.columns if c != class_node]
+    attributes = np.delete(test.codes, label_at, axis=1)
+    labels = test.codes[:, label_at].astype(np.intp)
+    label_domain = test.domains[class_node]
+
+    # Sort the rows so equal attribute rows are adjacent (the label is the
+    # least significant key), then number the runs of equal attributes.
+    order = np.lexsort([labels, *attributes.T])
+    ranked = attributes[order]
+    starts = np.ones(test.n_rows, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.cumsum(starts) - 1
+    per_label = np.bincount(
+        group * len(label_domain) + labels[order],
+        minlength=int(group[-1] + 1) * len(label_domain),
+    ).reshape(-1, len(label_domain))
+
     hits = 0
-    for i in range(test.n_rows):
-        row = test.row_mapping(i)
-        label = row.pop(class_node)
-        if classify(net, row, class_node) == label:
-            hits += 1
+    for counts, values in zip(per_label.tolist(), ranked[starts].tolist()):
+        row = {n: test.domains[n][k] for n, k in zip(names, values)}
+        predicted = classify(net, row, class_node)
+        if predicted in label_domain:
+            hits += counts[label_domain.index(predicted)]
     return hits / test.n_rows
 
 

@@ -15,7 +15,10 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from .seeds import derive_rng
 
@@ -212,39 +215,87 @@ def validate_session(log: SessionLog) -> list[Violation]:
     return violations
 
 
-@dataclass(frozen=True)
 class DataSet:
-    """Immutable categorical table.
+    """Immutable categorical table stored as one integer code matrix.
 
-    Cells are value strings; every cell must belong to its column's
-    declared domain. The standard classification table uses
-    ``DATASET_COLUMNS`` and ``DOMAINS``, but the type itself is generic
-    so that small synthetic tables can be built in tests.
+    ``codes`` is a read-only ``int8`` array of shape ``(n_rows,
+    len(columns))``; entry ``[i, j]`` is the position of row ``i``'s
+    value in ``domains[columns[j]]``. Value strings exist only at the
+    edges: ``rows=`` encodes string rows once (rejecting out-of-domain
+    cells), and :attr:`rows` decodes them back on demand. Internal
+    callers that already hold codes pass ``codes=`` instead. The
+    standard classification table uses ``DATASET_COLUMNS`` and
+    ``DOMAINS``, but the type itself is generic so that small synthetic
+    tables can be built in tests. Equality compares by value.
     """
 
-    columns: tuple[str, ...]
-    domains: Mapping[str, tuple[str, ...]]
-    rows: tuple[tuple[str, ...], ...]
+    __slots__ = ("columns", "domains", "codes", "_rows")
 
-    def __post_init__(self) -> None:
-        if len(set(self.columns)) != len(self.columns):
+    def __init__(
+        self,
+        columns: Sequence[str],
+        domains: Mapping[str, tuple[str, ...]],
+        rows: Sequence[Sequence[str]] | None = None,
+        *,
+        codes: np.ndarray | None = None,
+    ) -> None:
+        columns = tuple(columns)
+        if len(set(columns)) != len(columns):
             raise ValueError("duplicate column names")
-        for name in self.columns:
-            if name not in self.domains:
+        for name in columns:
+            if name not in domains:
                 raise ValueError(f"no domain declared for column {name!r}")
-            if len(self.domains[name]) < 2:
+            if len(domains[name]) < 2:
                 raise ValueError(f"domain of {name!r} needs at least two values")
-        allowed = {name: frozenset(self.domains[name]) for name in self.columns}
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValueError(f"row {i} has {len(row)} cells, expected {len(self.columns)}")
-            for name, value in zip(self.columns, row):
-                if value not in allowed[name]:
-                    raise ValueError(f"row {i}: {value!r} not in domain of {name!r}")
+            if len(domains[name]) > _MAX_DOMAIN:
+                raise ValueError(
+                    f"domain of {name!r} has {len(domains[name])} values, "
+                    f"at most {_MAX_DOMAIN} fit the int8 codes"
+                )
+        if (rows is None) == (codes is None):
+            raise ValueError("give exactly one of rows and codes")
+        if rows is not None:
+            matrix = _encode_rows(columns, domains, rows)
+        else:
+            matrix = _checked_codes(columns, domains, codes)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "codes", matrix)
+        object.__setattr__(self, "_rows", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DataSet is immutable; cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DataSet):
+            return NotImplemented
+        return (
+            self.columns == other.columns
+            and self.domains == other.domains
+            and np.array_equal(self.codes, other.codes)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DataSet(columns={self.columns!r}, n_rows={self.n_rows})"
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """Decoded value-string rows, built on first use and cached."""
+        if self._rows is None:
+            domains = [self.domains[name] for name in self.columns]
+            rows = tuple(
+                tuple(domain[k] for domain, k in zip(domains, row))
+                for row in self.codes.tolist()
+            )
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[0]
 
     def column_index(self, name: str) -> int:
         try:
@@ -253,42 +304,92 @@ class DataSet:
             raise ValueError(f"no such column: {name!r}") from None
 
     def column_values(self, name: str) -> tuple[str, ...]:
-        i = self.column_index(name)
-        return tuple(row[i] for row in self.rows)
+        domain = self.domains[name]
+        return tuple(domain[k] for k in self.codes[:, self.column_index(name)].tolist())
 
     def row_mapping(self, index: int) -> dict[str, str]:
         """Row as a column -> value mapping."""
-        return dict(zip(self.columns, self.rows[index]))
+        return {
+            name: self.domains[name][k]
+            for name, k in zip(self.columns, self.codes[index].tolist())
+        }
 
 
-def _movement_flavor(record: BehaviorRecord) -> str:
+#: Largest domain an ``int8`` code column can index.
+_MAX_DOMAIN = int(np.iinfo(np.int8).max) + 1
+
+
+def _encode_rows(
+    columns: tuple[str, ...],
+    domains: Mapping[str, tuple[str, ...]],
+    rows: Sequence[Sequence[str]],
+) -> np.ndarray:
+    lookups = [{value: k for k, value in enumerate(domains[name])} for name in columns]
+    flat: list[int] = []
+    for i, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ValueError(f"row {i} has {len(row)} cells, expected {len(columns)}")
+        for name, lookup, value in zip(columns, lookups, row):
+            code = lookup.get(value)
+            if code is None:
+                raise ValueError(f"row {i}: {value!r} not in domain of {name!r}")
+            flat.append(code)
+    return np.array(flat, dtype=np.int8).reshape(len(rows), len(columns))
+
+
+def _checked_codes(
+    columns: tuple[str, ...], domains: Mapping[str, tuple[str, ...]], codes: np.ndarray
+) -> np.ndarray:
+    raw = np.asarray(codes)
+    if raw.ndim != 2 or raw.shape[1] != len(columns):
+        raise ValueError(f"codes must have shape (n_rows, {len(columns)}), got {raw.shape}")
+    if raw.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got dtype {raw.dtype}")
+    sizes = np.array([len(domains[name]) for name in columns])
+    bad = ((raw < 0) | (raw >= sizes)).any(axis=0)
+    if bad.any():
+        name = columns[int(np.argmax(bad))]
+        raise ValueError(f"codes of column {name!r} outside [0, {len(domains[name])})")
+    return raw.astype(np.int8)
+
+
+#: Column positions of the attributes ``to_dataset`` does not read off as
+#: occurred/absent, and the codes it writes into them.
+_LOCATION = AttributeId.LOCATION.value - 1
+_MOVEMENT = AttributeId.MOVEMENT.value - 1
+_INDOOR, _OUTDOOR = (DOMAINS[AttributeId.LOCATION.column].index(v) for v in ("indoor", "outdoor"))
+_NONE, _WALK, _RUN = (DOMAINS[AttributeId.MOVEMENT.column].index(v) for v in ("none", "walk", "run"))
+_OCCURRED_CODE = DOMAINS[AttributeId.FIGHTING.column].index(OCCURRED)
+_read_indoor = attrgetter("context.location_indoor")
+_read_position = attrgetter("behavior.value")
+
+
+def _window_codes(log: SessionLog, window: int) -> np.ndarray:
+    """Code rows for the full windows of one log."""
+    n_windows = len(log.records) // window
+    n = n_windows * window
+    records = log.records[:n]
+    indoor = np.fromiter(map(_read_indoor, records), dtype=bool, count=n)
+    # AttributeId values are 1-based column positions.
+    position = np.fromiter(map(_read_position, records), dtype=np.intp, count=n) - 1
+    occurred = np.zeros((n_windows, len(ATTRIBUTE_COLUMNS)), dtype=bool)
+    occurred[np.arange(n) // window, position] = True
+
+    codes = np.empty((n_windows, len(DATASET_COLUMNS)), dtype=np.int8)
+    codes[:, : len(ATTRIBUTE_COLUMNS)] = np.where(occurred, _OCCURRED_CODE, 1 - _OCCURRED_CODE)
+    indoor_ticks = indoor.reshape(n_windows, window).sum(axis=1)
+    codes[:, _LOCATION] = np.where(indoor_ticks * 2 >= window, _INDOOR, _OUTDOOR)
     # A movement event indoors reads as walking, outdoors as running.
-    if record.behavior is not AttributeId.MOVEMENT:
-        return "none"
-    return "walk" if record.context.location_indoor else "run"
-
-
-def _window_row(window: Sequence[BehaviorRecord], player: PlayerId) -> tuple[str, ...]:
-    seen = {record.behavior for record in window}
-    indoor_ticks = sum(1 for record in window if record.context.location_indoor)
-    location = "indoor" if indoor_ticks * 2 >= len(window) else "outdoor"
-    flavor_counts = {"walk": 0, "run": 0, "none": 0}
-    for record in window:
-        flavor_counts[_movement_flavor(record)] += 1
+    moved = (position == _MOVEMENT).reshape(n_windows, window)
+    walk = (moved & indoor.reshape(n_windows, window)).sum(axis=1)
+    run = moved.sum(axis=1) - walk
+    still = window - walk - run
     # Ties break in listed order: walk beats run beats none.
-    top = max(flavor_counts.values())
-    movement = next(f for f in ("walk", "run", "none") if flavor_counts[f] == top)
-
-    cells: list[str] = []
-    for attribute in sorted(AttributeId, key=lambda a: a.value):
-        if attribute is AttributeId.LOCATION:
-            cells.append(location)
-        elif attribute is AttributeId.MOVEMENT:
-            cells.append(movement)
-        else:
-            cells.append(OCCURRED if attribute in seen else ABSENT)
-    cells.append(player.value)
-    return tuple(cells)
+    codes[:, _MOVEMENT] = np.where(
+        (walk >= run) & (walk >= still), _WALK, np.where(run >= still, _RUN, _NONE)
+    )
+    codes[:, -1] = DOMAINS[CLASS_COLUMN].index(log.player.value)
+    return codes
 
 
 def to_dataset(logs: Sequence[SessionLog], window: int) -> DataSet:
@@ -306,11 +407,8 @@ def to_dataset(logs: Sequence[SessionLog], window: int) -> DataSet:
     logs = list(logs)
     if not logs:
         raise ValueError("no session logs given")
-    rows: list[tuple[str, ...]] = []
-    for log in logs:
-        for start in range(0, len(log.records) - window + 1, window):
-            rows.append(_window_row(log.records[start : start + window], log.player))
-    return DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), rows=tuple(rows))
+    codes = np.concatenate([_window_codes(log, window) for log in logs])
+    return DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), codes=codes)
 
 
 def train_size(n: int, ratio: float) -> int:
@@ -329,26 +427,24 @@ def split(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be inside (0, 1), got {ratio}")
-    class_index = data.column_index(CLASS_COLUMN)
-    by_class: dict[str, list[int]] = {}
-    for i, row in enumerate(data.rows):
-        by_class.setdefault(row[class_index], []).append(i)
-    for label, indices in sorted(by_class.items()):
-        if len(indices) < 2:
-            raise ValueError(f"class {label!r} has {len(indices)} rows, need at least 2")
+    labels = data.codes[:, data.column_index(CLASS_COLUMN)]
+    domain = data.domains[CLASS_COLUMN]
+    sizes = np.bincount(labels, minlength=len(domain))
+    present = sorted((domain[code], code) for code in np.flatnonzero(sizes).tolist())
+    for label, code in present:
+        if sizes[code] < 2:
+            raise ValueError(f"class {label!r} has {sizes[code]} rows, need at least 2")
 
     rng = derive_rng(seed)
-    train_indices: list[int] = []
-    for label in sorted(by_class):
-        indices = by_class[label]
-        take = train_size(len(indices), ratio)
+    train = np.zeros(data.n_rows, dtype=bool)
+    for _, code in present:
+        indices = np.flatnonzero(labels == code)
         shuffled = rng.permutation(len(indices))
-        train_indices.extend(indices[j] for j in shuffled[:take])
-    chosen = frozenset(train_indices)
-    train_rows = tuple(row for i, row in enumerate(data.rows) if i in chosen)
-    test_rows = tuple(row for i, row in enumerate(data.rows) if i not in chosen)
-    make = lambda rows: DataSet(columns=data.columns, domains=dict(data.domains), rows=rows)
-    return make(train_rows), make(test_rows)
+        train[indices[shuffled[: train_size(len(indices), ratio)]]] = True
+    make = lambda mask: DataSet(
+        columns=data.columns, domains=dict(data.domains), codes=data.codes[mask]
+    )
+    return make(train), make(~train)
 
 
 # --- persistence ---------------------------------------------------------

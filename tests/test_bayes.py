@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -403,6 +404,34 @@ def test_perfectly_informative_attribute_scores_one():
     dag = learn_structure(data, LearnConfig())
     net = fit_cpts(dag, data)
     assert accuracy(net, data) == 1.0
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_accuracy_is_the_per_row_classify_hit_fraction(seed, uniform):
+    rng = np.random.default_rng(500 + seed)
+    payload = oracles.random_net_payload(rng, int(rng.integers(2, 8)))
+    if uniform:
+        # Every row is an exact tie between the two classes.
+        for entry in payload["cpts"].values():
+            entry["rows"] = {key: [0.5, 0.5] for key in entry["rows"]}
+    net = bayesnet_from_json(json.dumps(payload))
+    # A small pool drawn with replacement gives many duplicate rows, some
+    # with both labels; columns come in an order other than the net's.
+    pool = [oracles.random_evidence(rng, payload) for _ in range(6)]
+    columns = tuple(payload["nodes"][i] for i in rng.permutation(len(payload["nodes"])))
+    rows = []
+    for _ in range(int(rng.integers(1, 60))):
+        row = dict(pool[int(rng.integers(len(pool)))], ID=CLASSES[int(rng.integers(2))])
+        rows.append(tuple(row[c] for c in columns))
+    test = DataSet(columns=columns, domains=net.domains, rows=tuple(rows))
+
+    hits = 0
+    for i in range(test.n_rows):
+        row = test.row_mapping(i)
+        label = row.pop("ID")
+        hits += classify(net, row) == label
+    assert accuracy(net, test) == hits / test.n_rows
 
 
 def test_accuracy_needs_rows_and_a_class_column():

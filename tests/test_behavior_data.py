@@ -6,6 +6,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,7 @@ def _log(records, player=PlayerId.ID1) -> SessionLog:
 
 
 MOVE = AttributeId.MOVEMENT
+BINARY_DOMAIN = (OCCURRED, ABSENT)
 
 
 # --- validate_session -------------------------------------------------------
@@ -208,6 +210,104 @@ def test_simulated_windows_always_pass_domain_validation(seed, ticks):
     ]
     data = to_dataset(logs, window=3)
     assert data.columns == DATASET_COLUMNS
+
+
+def _reference_row(window, player) -> tuple[str, ...]:
+    """One window as value strings, by the per-record rules to_dataset documents."""
+    seen = {record.behavior for record in window}
+    indoor_ticks = sum(1 for record in window if record.context.location_indoor)
+    location = "indoor" if indoor_ticks * 2 >= len(window) else "outdoor"
+    flavor_counts = {"walk": 0, "run": 0, "none": 0}
+    for record in window:
+        if record.behavior is not MOVE:
+            flavor_counts["none"] += 1
+        else:
+            flavor_counts["walk" if record.context.location_indoor else "run"] += 1
+    top = max(flavor_counts.values())
+    movement = next(f for f in ("walk", "run", "none") if flavor_counts[f] == top)
+    cells = []
+    for attribute in sorted(AttributeId, key=lambda a: a.value):
+        if attribute is AttributeId.LOCATION:
+            cells.append(location)
+        elif attribute is MOVE:
+            cells.append(movement)
+        else:
+            cells.append(OCCURRED if attribute in seen else ABSENT)
+    return tuple(cells) + (player.value,)
+
+
+# Movement is drawn half the time so walk/run/none ties come up often;
+# LOCATION and infeasible pairs are ones validate_session would reject.
+_behaviors = st.one_of(st.just(MOVE), st.sampled_from(list(AttributeId)))
+_records = st.lists(
+    st.tuples(_behaviors, st.booleans(), st.booleans()), min_size=0, max_size=40
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    streams=st.lists(
+        st.tuples(st.sampled_from(list(PlayerId)), _records), min_size=1, max_size=3
+    ),
+    window=st.integers(min_value=1, max_value=8),
+)
+def test_to_dataset_matches_the_per_window_reference(streams, window):
+    logs = [
+        _log(
+            [
+                _record(t, behavior, player, location_indoor=indoor, person_facing=facing)
+                for t, (behavior, indoor, facing) in enumerate(stream)
+            ],
+            player=player,
+        )
+        for player, stream in streams
+    ]
+    want = tuple(
+        _reference_row(log.records[start : start + window], log.player)
+        for log in logs
+        for start in range(0, len(log.records) - window + 1, window)
+    )
+    assert to_dataset(logs, window).rows == want
+
+
+# --- DataSet ----------------------------------------------------------------
+
+def test_dataset_from_rows_equals_the_one_from_codes():
+    rows = _synthetic_rows(3)
+    from_rows = DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), rows=rows)
+    codes = [[DOMAINS[c].index(v) for c, v in zip(DATASET_COLUMNS, row)] for row in rows]
+    from_codes = DataSet(
+        columns=DATASET_COLUMNS, domains=dict(DOMAINS), codes=np.array(codes)
+    )
+    assert from_rows == from_codes
+    assert from_codes.rows == rows
+    assert from_codes.codes.dtype == np.int8
+    assert not from_codes.codes.flags.writeable
+    assert from_rows != DataSet(
+        columns=DATASET_COLUMNS, domains=dict(DOMAINS), codes=from_codes.codes[1:]
+    )
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 127])
+def test_dataset_rejects_out_of_range_codes(bad):
+    codes = np.zeros((4, 2), dtype=np.int64)
+    codes[3, 1] = bad
+    domains = {"a": BINARY_DOMAIN, "b": BINARY_DOMAIN}
+    with pytest.raises(ValueError, match="column 'b' outside"):
+        DataSet(columns=("a", "b"), domains=domains, codes=codes)
+
+
+def test_dataset_rejects_bad_code_shapes_and_oversized_domains():
+    domains = {"a": BINARY_DOMAIN, "b": BINARY_DOMAIN}
+    with pytest.raises(ValueError, match="shape"):
+        DataSet(columns=("a", "b"), domains=domains, codes=np.zeros((3, 3), dtype=int))
+    with pytest.raises(ValueError, match="integers"):
+        DataSet(columns=("a", "b"), domains=domains, codes=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="exactly one"):
+        DataSet(columns=("a", "b"), domains=domains)
+    wide = {"a": tuple(str(i) for i in range(200))}
+    with pytest.raises(ValueError, match="int8"):
+        DataSet(columns=("a",), domains=wide, rows=(("0",),))
 
 
 # --- split ------------------------------------------------------------------
