@@ -449,15 +449,28 @@ def split(
 
 # --- persistence ---------------------------------------------------------
 
+def _json_fragment(value: object) -> str:
+    return json.dumps(value, separators=(", ", ": "))
+
+
+#: Pre-rendered JSON for every value a record line can hold but its tick.
+_CONTEXT_JSON = {c: _json_fragment({f: getattr(c, f) for f in CONTEXT_FIELDS}) for c in CONTEXTS}
+_PLAYER_JSON = {p: _json_fragment(p.value) for p in PlayerId}
+_BEHAVIOR_JSON = {a: _json_fragment(a.column) for a in AttributeId}
+
+
 def record_to_json(record: BehaviorRecord) -> str:
-    """One session record as a single JSON line (no trailing newline)."""
-    payload = {
-        "tick": record.tick,
-        "player": record.player.value,
-        "context": {f: getattr(record.context, f) for f in CONTEXT_FIELDS},
-        "behavior": record.behavior.column,
-    }
-    return json.dumps(payload, separators=(", ", ": "))
+    """One session record as a single JSON line (no trailing newline).
+
+    Same text as ``json.dumps`` of the ``tick``/``player``/``context``/
+    ``behavior`` object with ``", "`` and ``": "`` separators, assembled
+    from pre-rendered parts.
+    """
+    return (
+        f'{{"tick": {record.tick:d}, "player": {_PLAYER_JSON[record.player]}, '
+        f'"context": {_CONTEXT_JSON[record.context]}, '
+        f'"behavior": {_BEHAVIOR_JSON[record.behavior]}}}'
+    )
 
 
 def record_from_json(line: str) -> BehaviorRecord:
