@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bayes import LearnConfig
-from .behavior_data import CONTEXT_FIELDS
+from .behavior_data import CONTEXT_FIELDS, DOMAINS
 from .errors import ConfigError
 from .game_domain import (
     PlayerProfile,
@@ -34,6 +34,11 @@ DEFAULT_STOP_THRESHOLD = 0.55
 DEFAULT_MAX_ITERATIONS = 50
 DEFAULT_SEED = 0
 DEFAULT_OUTPUT_DIR = "runs"
+
+#: Largest learning.smoothing whose CPT rows still sum to a finite value:
+#: a row holds at most one cell per value of the widest domain, each cell
+#: the smoothing plus a count, so half the float range per cell is safe.
+MAX_SMOOTHING = sys.float_info.max / (2 * max(len(d) for d in DOMAINS.values()))
 
 BUILTIN_PROFILES = "table1"
 FILE_PROFILES = "file"
@@ -237,7 +242,7 @@ def parse_config(text: str) -> ExperimentConfig:
     learning = LearnConfig(
         max_parents=r.integer(learning_obj, "max_parents", "learning.", 3, low=1),
         smoothing=r.number(
-            learning_obj, "smoothing", "learning.", 1.0, 0.0, math.inf, low_open=True
+            learning_obj, "smoothing", "learning.", 1.0, 0.0, MAX_SMOOTHING, low_open=True
         ),
         restarts=r.integer(learning_obj, "restarts", "learning.", 5, low=0),
     )

@@ -25,6 +25,7 @@ from skilltransfer.config import (
     DEFAULT_SPLIT_RATIO,
     DEFAULT_STOP_THRESHOLD,
     DEFAULT_WINDOW,
+    MAX_SMOOTHING,
     ExperimentConfig,
     load_config,
     parse_config,
@@ -322,6 +323,29 @@ def test_too_few_rows_to_split_exits_two(tmp_path, document):
         assert "scenario.ticks_per_session" in result.stderr
         assert "dataset.window" in result.stderr
     assert not (tmp_path / "runs").exists()
+
+
+def test_smoothing_too_large_for_finite_cpt_rows_exits_two(tmp_path):
+    # 1e308 once overflowed the CPT row sums and exited 4; the largest
+    # accepted value still fits a finite, normalized table.
+    results = {}
+    for smoothing in (1e308, MAX_SMOOTHING):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "scenario": {"ticks_per_session": 100},
+                    "learning": {"smoothing": smoothing},
+                    "output_dir": str(tmp_path / "runs"),
+                }
+            ),
+            encoding="utf-8",
+        )
+        results[smoothing] = _invoke(["identify", "--config", path])
+    rejected, largest = results[1e308], results[MAX_SMOOTHING]
+    assert rejected.exit_code == 2
+    assert rejected.stderr.startswith("error: config: learning.smoothing:")
+    assert largest.exit_code == 0, largest.stderr
 
 
 def test_report_without_a_trace_exits_two(quick_config):
