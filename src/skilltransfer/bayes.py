@@ -206,7 +206,11 @@ class _FamilyScorer:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        counts = self.family_counts(node, parents)
+        # A fixed parent order fixes the count layout, and with it the
+        # float summation order; otherwise the score of a family would
+        # depend on the order of a set of strings, which changes with
+        # the process's hash seed.
+        counts = self.family_counts(node, sorted(parents))
         row_totals = counts.sum(axis=1, keepdims=True)
         mask = counts > 0
         log_likelihood = float(

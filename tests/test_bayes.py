@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from skilltransfer.bayes import (
     read_bayesnet,
     write_bayesnet,
 )
-from skilltransfer.behavior_data import ABSENT, OCCURRED, DataSet
+from skilltransfer import bayes
+from skilltransfer.behavior_data import ABSENT, OCCURRED, DataSet, to_dataset
+from skilltransfer.game_domain import simulate_pair
 
 BINARY = (OCCURRED, ABSENT)
 CLASSES = ("ID1", "ID2")
@@ -211,6 +215,24 @@ def test_structure_search_is_deterministic_and_order_free():
         rows=tuple(data.rows[i] for i in order),
     )
     assert learn_structure(shuffled, LearnConfig(seed=4)) == first
+
+
+def test_local_score_ignores_the_order_of_the_parents(base_scenario, table1_pair):
+    # Structure search passes parent sets in set order, which follows the
+    # string hash seed; a score that depended on it made the learned
+    # network differ between processes.
+    scenario = replace(base_scenario, ticks_per_session=20_000)
+    data = to_dataset(simulate_pair(*table1_pair, scenario, 2, 0), 5)
+    others = lambda node: [c for c in data.columns if c != node]
+    for node in data.columns:
+        for size in (2, 3):
+            for parents in itertools.combinations(others(node), size):
+                # A fresh scorer each time: its cache ignores parent order.
+                scores = {
+                    bayes._FamilyScorer(data).local_score(node, list(order))
+                    for order in itertools.permutations(parents)
+                }
+                assert len(scores) == 1, (node, parents, scores)
 
 
 def test_class_column_needs_rows_for_both_labels():
