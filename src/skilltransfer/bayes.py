@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -481,35 +482,28 @@ def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> fl
     """Fraction of test rows whose class is predicted correctly.
 
     Rows with the same attribute values get the same prediction, so each
-    distinct attribute row goes through :func:`classify` once and scores
-    the number of its copies that carry the predicted label.
+    distinct attribute row goes through :func:`classify` once, and every
+    copy of it that carries the predicted label counts as a hit.
     """
     if test.n_rows == 0:
         raise ValueError("empty test set")
     label_at = test.column_index(class_node)  # rejects datasets without the label column
     names = [c for c in test.columns if c != class_node]
-    attributes = np.delete(test.codes, label_at, axis=1)
-    labels = test.codes[:, label_at].astype(np.intp)
     label_domain = test.domains[class_node]
-
-    # Sort the rows so equal attribute rows are adjacent (the label is the
-    # least significant key), then number the runs of equal attributes.
-    order = np.lexsort([labels, *attributes.T])
-    ranked = attributes[order]
-    starts = np.ones(test.n_rows, dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.cumsum(starts) - 1
-    per_label = np.bincount(
-        group * len(label_domain) + labels[order],
-        minlength=int(group[-1] + 1) * len(label_domain),
-    ).reshape(-1, len(label_domain))
-
+    # Codes are below 128, so each byte of a row's int8 codes is one code.
+    width = len(test.columns)
+    buffer = test.codes.tobytes()
+    copies = Counter(buffer[i : i + width] for i in range(0, len(buffer), width))
+    predictions: dict[bytes, str] = {}
     hits = 0
-    for counts, values in zip(per_label.tolist(), ranked[starts].tolist()):
-        row = {n: test.domains[n][k] for n, k in zip(names, values)}
-        predicted = classify(net, row, class_node)
-        if predicted in label_domain:
-            hits += counts[label_domain.index(predicted)]
+    for row, count in copies.items():
+        attributes = row[:label_at] + row[label_at + 1 :]
+        predicted = predictions.get(attributes)
+        if predicted is None:
+            evidence = {n: test.domains[n][k] for n, k in zip(names, attributes)}
+            predicted = predictions[attributes] = classify(net, evidence, class_node)
+        if predicted == label_domain[row[label_at]]:
+            hits += count
     return hits / test.n_rows
 
 

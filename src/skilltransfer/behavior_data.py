@@ -345,11 +345,10 @@ def _checked_codes(
         raise ValueError(f"codes must have shape (n_rows, {len(columns)}), got {raw.shape}")
     if raw.dtype.kind not in "iu":
         raise ValueError(f"codes must be integers, got dtype {raw.dtype}")
-    sizes = np.array([len(domains[name]) for name in columns])
-    bad = ((raw < 0) | (raw >= sizes)).any(axis=0)
-    if bad.any():
-        name = columns[int(np.argmax(bad))]
-        raise ValueError(f"codes of column {name!r} outside [0, {len(domains[name])})")
+    for j, name in enumerate(columns):
+        column = raw[:, j].astype(np.intp)
+        if (column < 0).any() or (column >= len(domains[name])).any():
+            raise ValueError(f"codes of column {name!r} outside [0, {len(domains[name])})")
     return raw.astype(np.int8)
 
 
@@ -373,7 +372,7 @@ def _window_codes(log: SessionLog, window: int) -> np.ndarray:
     # AttributeId values are 1-based column positions.
     position = np.fromiter(map(_read_position, records), dtype=np.intp, count=n) - 1
     occurred = np.zeros((n_windows, len(ATTRIBUTE_COLUMNS)), dtype=bool)
-    occurred[np.arange(n) // window, position] = True
+    occurred[np.repeat(np.arange(n_windows), window), position] = True
 
     codes = np.empty((n_windows, len(DATASET_COLUMNS)), dtype=np.int8)
     codes[:, : len(ATTRIBUTE_COLUMNS)] = np.where(occurred, _OCCURRED_CODE, 1 - _OCCURRED_CODE)
