@@ -304,8 +304,8 @@ class DataSet:
             raise ValueError(f"no such column: {name!r}") from None
 
     def column_values(self, name: str) -> tuple[str, ...]:
-        domain = self.domains[name]
-        return tuple(domain[k] for k in self.codes[:, self.column_index(name)].tolist())
+        codes = self.codes[:, self.column_index(name)]
+        return tuple(self.domains[name][k] for k in codes.tolist())
 
     def row_mapping(self, index: int) -> dict[str, str]:
         """Row as a column -> value mapping."""
@@ -345,6 +345,9 @@ def _checked_codes(
         raise ValueError(f"codes must have shape (n_rows, {len(columns)}), got {raw.shape}")
     if raw.dtype.kind not in "iu":
         raise ValueError(f"codes must be integers, got dtype {raw.dtype}")
+    # Compared one column at a time in intp, the dtype the later stages
+    # use: int8 comparison kernels would be one more set of numpy code
+    # pages resident for the whole run.
     for j, name in enumerate(columns):
         column = raw[:, j].astype(np.intp)
         if (column < 0).any() or (column >= len(domains[name])).any():
@@ -356,8 +359,8 @@ def _checked_codes(
 #: occurred/absent, and the codes it writes into them.
 _LOCATION = AttributeId.LOCATION.value - 1
 _MOVEMENT = AttributeId.MOVEMENT.value - 1
-_INDOOR, _OUTDOOR = (DOMAINS[AttributeId.LOCATION.column].index(v) for v in ("indoor", "outdoor"))
-_NONE, _WALK, _RUN = (DOMAINS[AttributeId.MOVEMENT.column].index(v) for v in ("none", "walk", "run"))
+_INDOOR, _OUTDOOR = map(DOMAINS[AttributeId.LOCATION.column].index, ("indoor", "outdoor"))
+_NONE, _WALK, _RUN = map(DOMAINS[AttributeId.MOVEMENT.column].index, ("none", "walk", "run"))
 _OCCURRED_CODE = DOMAINS[AttributeId.FIGHTING.column].index(OCCURRED)
 _read_indoor = attrgetter("context.location_indoor")
 _read_position = attrgetter("behavior.value")
