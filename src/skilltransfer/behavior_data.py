@@ -285,12 +285,10 @@ class DataSet:
     def rows(self) -> tuple[tuple[str, ...], ...]:
         """Decoded value-string rows, built on first use and cached."""
         if self._rows is None:
-            domains = [self.domains[name] for name in self.columns]
-            rows = tuple(
-                tuple(domain[k] for domain, k in zip(domains, row))
-                for row in self.codes.tolist()
-            )
-            object.__setattr__(self, "_rows", rows)
+            cells = np.empty(self.codes.shape, dtype=object)
+            for j, name in enumerate(self.columns):
+                cells[:, j] = np.array(self.domains[name], dtype=object)[self.codes[:, j]]
+            object.__setattr__(self, "_rows", tuple(map(tuple, cells.tolist())))
         return self._rows
 
     @property
@@ -429,7 +427,7 @@ def split(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be inside (0, 1), got {ratio}")
-    labels = data.codes[:, data.column_index(CLASS_COLUMN)]
+    labels = data.codes[:, data.column_index(CLASS_COLUMN)].astype(np.intp)
     domain = data.domains[CLASS_COLUMN]
     sizes = np.bincount(labels, minlength=len(domain))
     present = sorted((domain[code], code) for code in np.flatnonzero(sizes).tolist())
