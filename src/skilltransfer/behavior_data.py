@@ -1,10 +1,14 @@
 """Behavior vocabulary, session logs, and dataset construction.
 
-Raw play is a stream of (stimulus context, chosen behavior) records, one
-per game tick. This module defines that vocabulary, validates record
-streams, and aggregates them into the categorical table that the network
-classifier consumes: fixed-width windows of ticks become one row each,
-with the player identity in the class column.
+Raw play is a stream of (stimulus context, chosen behavior) events, one
+per game tick. A :class:`SessionLog` stores that stream as four integer
+columns: tick, player index, context code and behavior value.
+:class:`BehaviorRecord` values exist only at the edges, where a caller
+indexes or iterates a log's records or reads and writes one JSONL line.
+This module defines the vocabulary, validates logs, and aggregates them
+into the categorical table that the network classifier consumes:
+fixed-width windows of ticks become one row each, with the player
+identity in the class column.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +58,10 @@ class AttributeId(Enum):
 class PlayerId(Enum):
     ID1 = "ID1"  # expert
     ID2 = "ID2"  # learner
+
+
+#: Players by index: a session log's ``players`` column holds these positions.
+PLAYERS: tuple[PlayerId, ...] = tuple(PlayerId)
 
 
 #: Dataset columns in fixed order: the ten attributes by position, then class.
@@ -105,9 +114,12 @@ CONTEXTS: tuple[StimulusContext, ...] = tuple(
 )
 
 
+_CODE_OF_CONTEXT = {context: code for code, context in enumerate(CONTEXTS)}
+
+
 def context_code(context: StimulusContext) -> int:
     """Index of ``context`` in :data:`CONTEXTS`."""
-    return sum(getattr(context, f) << i for i, f in enumerate(CONTEXT_FIELDS))
+    return _CODE_OF_CONTEXT[context]
 
 
 #: Stimulus fields a behavior needs before it can occur. Behaviors not
@@ -140,6 +152,24 @@ def is_feasible(behavior: AttributeId, context: StimulusContext) -> bool:
     return all(getattr(context, f) for f in FEASIBILITY_REQUIREMENTS.get(behavior, ()))
 
 
+def _feasibility_table() -> np.ndarray:
+    codes = np.arange(len(CONTEXTS))
+    table = np.zeros((max(a.value for a in AttributeId) + 1, len(CONTEXTS)), dtype=bool)
+    for behavior in EVENT_ATTRIBUTES:
+        needed = sum(
+            1 << CONTEXT_FIELDS.index(f) for f in FEASIBILITY_REQUIREMENTS.get(behavior, ())
+        )
+        table[behavior.value] = codes & needed == needed
+    table.flags.writeable = False
+    return table
+
+
+#: Entry ``[v, code]``: whether the behavior whose ``AttributeId`` value is
+#: ``v`` can occur under context ``CONTEXTS[code]``, as :func:`is_feasible`
+#: defines it. The unused row 0 and the LOCATION row are all False.
+FEASIBILITY: np.ndarray = _feasibility_table()
+
+
 @dataclass(frozen=True, slots=True)
 class BehaviorRecord:
     """One tick of play: who did what under which stimuli."""
@@ -150,14 +180,172 @@ class BehaviorRecord:
     behavior: AttributeId
 
 
-@dataclass(frozen=True, slots=True)
-class SessionLog:
-    """An ordered record stream from a single session of one player."""
+_ATTRIBUTE_OF_VALUE = {a.value: a for a in AttributeId}
+_PLAYER_INDEX = {p: i for i, p in enumerate(PLAYERS)}
 
-    player: PlayerId
-    seed: int
-    scenario_id: str
-    records: tuple[BehaviorRecord, ...]
+
+def _record(tick: int, player: int, context: int, behavior: int) -> BehaviorRecord:
+    """The record of one row of a log's columns."""
+    return BehaviorRecord(
+        PLAYERS[player], tick, CONTEXTS[context], _ATTRIBUTE_OF_VALUE[behavior]
+    )
+
+
+class SessionRecords(Sequence):
+    """Read-only :class:`BehaviorRecord` view of a log's four columns.
+
+    Records are decoded on indexing and iteration and never stored, so
+    ``len`` and slicing (which gives another view) decode nothing. A view
+    equals a tuple of the same records and a view over equal columns.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SessionRecords(*(column[index] for column in self._columns))
+        return _record(*(int(column[index]) for column in self._columns))
+
+    def __iter__(self):
+        return map(_record, *(column.tolist() for column in self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SessionRecords):
+            return all(map(np.array_equal, self._columns, other._columns))
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SessionRecords(<{len(self)} records>)"
+
+
+#: Name, stored dtype and valid codes of each column, in constructor order.
+_COLUMNS: tuple[tuple[str, type, range | None], ...] = (
+    ("ticks", np.int64, None),
+    ("players", np.int8, range(len(PLAYERS))),
+    ("contexts", np.uint8, range(len(CONTEXTS))),
+    ("behaviors", np.int8, range(1, max(a.value for a in AttributeId) + 1)),
+)
+
+
+def _checked_columns(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    checked = []
+    for (name, dtype, valid), column in zip(_COLUMNS, columns):
+        raw = np.asarray(column)
+        if raw.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {raw.shape}")
+        if raw.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got dtype {raw.dtype}")
+        if valid is not None:
+            # Compared in intp, like DataSet codes, to keep one set of
+            # comparison kernels resident.
+            wide = raw.astype(np.intp)
+            if (wide < valid.start).any() or (wide >= valid.stop).any():
+                raise ValueError(f"{name} codes outside [{valid.start}, {valid.stop})")
+        array = raw.astype(dtype)
+        array.flags.writeable = False
+        checked.append(array)
+    lengths = [len(array) for array in checked]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns {[c[0] for c in _COLUMNS]} have unequal lengths {lengths}")
+    return checked
+
+
+def _stacked(rows: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """The columns of (tick, player, context, behavior) rows, as a ``(4, n)`` array."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(_COLUMNS)).T
+
+
+class SessionLog:
+    """One session of one player, stored as four integer columns.
+
+    The columns are read-only arrays of one length, one entry per tick
+    record in stream order:
+
+    - ``ticks`` (``int64``): the tick number;
+    - ``players`` (``int8``): the record's player, an index into
+      :data:`PLAYERS`;
+    - ``contexts`` (``uint8``): the stimulus context, a code into
+      :data:`CONTEXTS` (bit 0 is ``location_indoor``);
+    - ``behaviors`` (``int8``): the behavior's ``AttributeId`` value.
+
+    The simulator and the JSONL reader pass the columns by keyword, and
+    they are checked for equal lengths and in-range codes. ``records=``
+    encodes :class:`BehaviorRecord` values once, for tests and hand-built
+    logs; :attr:`records` is a :class:`SessionRecords` view that decodes
+    them back on demand. The columns may hold what a clean session would
+    not (repeated ticks, another player's records, infeasible behaviors);
+    :func:`validate_session` reports those. Equality compares by value.
+    """
+
+    __slots__ = (
+        "player", "seed", "scenario_id", "ticks", "players", "contexts", "behaviors", "records"
+    )
+
+    def __init__(
+        self,
+        player: PlayerId,
+        seed: int,
+        scenario_id: str,
+        records: Sequence[BehaviorRecord] | None = None,
+        *,
+        ticks: np.ndarray | None = None,
+        players: np.ndarray | None = None,
+        contexts: np.ndarray | None = None,
+        behaviors: np.ndarray | None = None,
+    ) -> None:
+        columns = (ticks, players, contexts, behaviors)
+        given = sum(column is not None for column in columns)
+        if (records is None) == (given == 0) or 0 < given < len(columns):
+            raise ValueError("give either records or all four columns")
+        if records is not None:
+            columns = _stacked(
+                [
+                    (r.tick, _PLAYER_INDEX[r.player], _CODE_OF_CONTEXT[r.context], r.behavior.value)
+                    for r in records
+                ]
+            )
+        columns = _checked_columns(columns)
+        for name, value in zip(
+            self.__slots__,
+            (player, seed, scenario_id, *columns, SessionRecords(*columns)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"SessionLog is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # Pickle and copy through the constructor, which re-checks the
+        # columns and makes them read-only again.
+        columns = {name: getattr(self, name) for name, _, _ in _COLUMNS}
+        return partial(SessionLog, self.player, self.seed, self.scenario_id, **columns), ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SessionLog):
+            return NotImplemented
+        return (
+            (self.player, self.seed, self.scenario_id)
+            == (other.player, other.seed, other.scenario_id)
+            and self.records == other.records
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"SessionLog(player={self.player!r}, seed={self.seed!r}, "
+            f"scenario_id={self.scenario_id!r}, n_ticks={len(self.ticks)})"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,49 +357,43 @@ class Violation:
     message: str
 
 
+#: ``infeasible_behavior`` message of each behavior value.
+_INFEASIBLE_MESSAGE = {
+    a.value: f"{a.column} requires "
+    f"{', '.join(FEASIBILITY_REQUIREMENTS.get(a, ())) or 'an event attribute'}"
+    for a in AttributeId
+}
+
+
 def validate_session(log: SessionLog) -> list[Violation]:
     """Check a session log against its structural and feasibility rules.
 
     Violations are data, not exceptions: the caller decides whether a
     dirty log is fatal. Each violation names the offending tick and the
     rule it broke (``tick_order``, ``player_mismatch``,
-    ``infeasible_behavior``).
+    ``infeasible_behavior``), in tick-stream order and, within one
+    record, in that rule order.
     """
+    ticks = log.ticks
+    unordered = np.zeros(len(ticks), dtype=bool)
+    unordered[1:] = ticks[1:] <= ticks[:-1]
+    mismatched = log.players != _PLAYER_INDEX[log.player]
+    infeasible = ~FEASIBILITY[log.behaviors, log.contexts]
     violations: list[Violation] = []
-    previous_tick: int | None = None
-    for record in log.records:
-        if previous_tick is not None and record.tick <= previous_tick:
-            violations.append(
-                Violation(
-                    tick=record.tick,
-                    rule="tick_order",
-                    message=f"tick {record.tick} does not increase past {previous_tick}",
-                )
+    for i in np.flatnonzero(unordered | mismatched | infeasible).tolist():
+        tick = int(ticks[i])
+        if unordered[i]:
+            message = f"tick {tick} does not increase past {int(ticks[i - 1])}"
+            violations.append(Violation(tick=tick, rule="tick_order", message=message))
+        if mismatched[i]:
+            message = (
+                f"record belongs to {PLAYERS[int(log.players[i])].value}, "
+                f"log belongs to {log.player.value}"
             )
-        previous_tick = record.tick
-        if record.player is not log.player:
-            violations.append(
-                Violation(
-                    tick=record.tick,
-                    rule="player_mismatch",
-                    message=(
-                        f"record belongs to {record.player.value}, "
-                        f"log belongs to {log.player.value}"
-                    ),
-                )
-            )
-        if not is_feasible(record.behavior, record.context):
-            needs = FEASIBILITY_REQUIREMENTS.get(record.behavior, ())
-            violations.append(
-                Violation(
-                    tick=record.tick,
-                    rule="infeasible_behavior",
-                    message=(
-                        f"{record.behavior.column} requires "
-                        f"{', '.join(needs) if needs else 'an event attribute'}"
-                    ),
-                )
-            )
+            violations.append(Violation(tick=tick, rule="player_mismatch", message=message))
+        if infeasible[i]:
+            message = _INFEASIBLE_MESSAGE[int(log.behaviors[i])]
+            violations.append(Violation(tick=tick, rule="infeasible_behavior", message=message))
     return violations
 
 
@@ -360,18 +542,16 @@ _MOVEMENT = AttributeId.MOVEMENT.value - 1
 _INDOOR, _OUTDOOR = map(DOMAINS[AttributeId.LOCATION.column].index, ("indoor", "outdoor"))
 _NONE, _WALK, _RUN = map(DOMAINS[AttributeId.MOVEMENT.column].index, ("none", "walk", "run"))
 _OCCURRED_CODE = DOMAINS[AttributeId.FIGHTING.column].index(OCCURRED)
-_read_indoor = attrgetter("context.location_indoor")
-_read_position = attrgetter("behavior.value")
+_INDOOR_BIT = 1 << CONTEXT_FIELDS.index("location_indoor")
 
 
 def _window_codes(log: SessionLog, window: int) -> np.ndarray:
     """Code rows for the full windows of one log."""
-    n_windows = len(log.records) // window
+    n_windows = len(log.ticks) // window
     n = n_windows * window
-    records = log.records[:n]
-    indoor = np.fromiter(map(_read_indoor, records), dtype=bool, count=n)
+    indoor = (log.contexts[:n] & _INDOOR_BIT).astype(bool)
     # AttributeId values are 1-based column positions.
-    position = np.fromiter(map(_read_position, records), dtype=np.intp, count=n) - 1
+    position = log.behaviors[:n].astype(np.intp) - 1
     occurred = np.zeros((n_windows, len(ATTRIBUTE_COLUMNS)), dtype=bool)
     occurred[np.repeat(np.arange(n_windows), window), position] = True
 
@@ -453,43 +633,79 @@ def _json_fragment(value: object) -> str:
     return json.dumps(value, separators=(", ", ": "))
 
 
-#: Pre-rendered JSON for every value a record line can hold but its tick.
-_CONTEXT_JSON = {c: _json_fragment({f: getattr(c, f) for f in CONTEXT_FIELDS}) for c in CONTEXTS}
-_PLAYER_JSON = {p: _json_fragment(p.value) for p in PlayerId}
-_BEHAVIOR_JSON = {a: _json_fragment(a.column) for a in AttributeId}
+#: Pre-rendered JSON for every value a record line can hold but its tick,
+#: indexed by player index, context code and behavior value.
+_PLAYER_JSON = tuple(_json_fragment(p.value) for p in PLAYERS)
+_CONTEXT_JSON = tuple(_json_fragment({f: getattr(c, f) for f in CONTEXT_FIELDS}) for c in CONTEXTS)
+_BEHAVIOR_JSON = {a.value: _json_fragment(a.column) for a in AttributeId}
 
 
-def record_to_json(record: BehaviorRecord) -> str:
-    """One session record as a single JSON line (no trailing newline).
+def _json_line(tick: int, player: int, context: int, behavior: int) -> str:
+    """The JSONL line of one row of a log's columns (no trailing newline).
 
     Same text as ``json.dumps`` of the ``tick``/``player``/``context``/
     ``behavior`` object with ``", "`` and ``": "`` separators, assembled
     from pre-rendered parts.
     """
     return (
-        f'{{"tick": {record.tick:d}, "player": {_PLAYER_JSON[record.player]}, '
-        f'"context": {_CONTEXT_JSON[record.context]}, '
-        f'"behavior": {_BEHAVIOR_JSON[record.behavior]}}}'
+        f'{{"tick": {tick:d}, "player": {_PLAYER_JSON[player]}, '
+        f'"context": {_CONTEXT_JSON[context]}, "behavior": {_BEHAVIOR_JSON[behavior]}}}'
+    )
+
+
+#: Decoding lookups: the seven ``bool`` flags (``CONTEXT_FIELDS`` order) to
+#: the context code, the player string to its index, the upper-cased
+#: column name to the behavior value.
+_read_flags = itemgetter(*CONTEXT_FIELDS)
+_CODE_OF_FLAGS = {
+    tuple(getattr(c, f) for f in CONTEXT_FIELDS): code for code, c in enumerate(CONTEXTS)
+}
+_PLAYER_INDEX_OF_VALUE = {p.value: i for i, p in enumerate(PLAYERS)}
+_BEHAVIOR_VALUE_OF_NAME = {a.name: a.value for a in AttributeId}
+
+
+def _parse_line(line: str) -> tuple[int, int, int, int]:
+    """Tick, player index, context code and behavior value of one JSONL line.
+
+    Context flags are read by truthiness. A malformed line raises
+    ``ValueError``, ``KeyError``, ``TypeError`` or ``AttributeError``.
+    """
+    payload = json.loads(line)
+    context = _CODE_OF_FLAGS[tuple(map(bool, _read_flags(payload["context"])))]
+    player = payload["player"]
+    try:
+        player_index = _PLAYER_INDEX_OF_VALUE[player]
+    except (KeyError, TypeError):
+        raise ValueError(f"{player!r} is not a valid PlayerId") from None
+    tick = int(payload["tick"])
+    column = payload["behavior"]
+    try:
+        behavior = _BEHAVIOR_VALUE_OF_NAME[column.upper()]
+    except KeyError:
+        raise ValueError(f"unknown attribute column: {column!r}") from None
+    return tick, player_index, context, behavior
+
+
+def record_to_json(record: BehaviorRecord) -> str:
+    """One session record as a single JSON line (no trailing newline)."""
+    return _json_line(
+        record.tick,
+        _PLAYER_INDEX[record.player],
+        _CODE_OF_CONTEXT[record.context],
+        record.behavior.value,
     )
 
 
 def record_from_json(line: str) -> BehaviorRecord:
     """Parse one JSONL line; the context is the shared instance from :data:`CONTEXTS`."""
-    payload = json.loads(line)
-    flags = payload["context"]
-    code = sum(bool(flags[f]) << i for i, f in enumerate(CONTEXT_FIELDS))
-    return BehaviorRecord(
-        player=PlayerId(payload["player"]),
-        tick=int(payload["tick"]),
-        context=CONTEXTS[code],
-        behavior=AttributeId.from_column(payload["behavior"]),
-    )
+    return _record(*_parse_line(line))
 
 
 def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
+    columns = (log.ticks, log.players, log.contexts, log.behaviors)
     with open(path, "w", encoding="utf-8") as handle:
-        for record in log.records:
-            handle.write(record_to_json(record) + "\n")
+        for line in map(_json_line, *(column.tolist() for column in columns)):
+            handle.write(line + "\n")
 
 
 def read_session_jsonl(
@@ -506,12 +722,13 @@ def read_session_jsonl(
     record unless given explicitly.
     """
     with open(path, encoding="utf-8") as handle:
-        records = tuple(record_from_json(line) for line in handle if line.strip())
+        rows = [_parse_line(line) for line in handle if line.strip()]
     if player is None:
-        if not records:
+        if not rows:
             raise ValueError(f"{path}: empty session file and no player given")
-        player = records[0].player
-    return SessionLog(player=player, seed=seed, scenario_id=scenario_id, records=records)
+        player = PLAYERS[rows[0][1]]
+    columns = {name: column for (name, _, _), column in zip(_COLUMNS, _stacked(rows))}
+    return SessionLog(player=player, seed=seed, scenario_id=scenario_id, **columns)
 
 
 def dataset_to_csv(data: DataSet) -> str:

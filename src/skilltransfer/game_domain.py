@@ -17,9 +17,12 @@ profile must give it at least one always-feasible behavior.
 
 Each profile carries a table of these restricted distributions, one
 inverse CDF per (governing key, context code), built once on first use.
-``run_session`` draws whole blocks of ticks from it; ``sample_context``
-and ``choose_behavior`` are one-tick views of the same draw. The random
-stream layout is documented in :mod:`skilltransfer.seeds`.
+``run_session`` draws whole blocks of ticks from it and writes their
+context codes and behavior values straight into the columns of the
+:class:`~skilltransfer.behavior_data.SessionLog`; no per-tick record
+object is built. ``sample_context`` and ``choose_behavior`` are one-tick
+views of the same draw. The random stream layout is documented in
+:mod:`skilltransfer.seeds`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +39,10 @@ from .behavior_data import (
     CONTEXT_FIELDS,
     CONTEXTS,
     EVENT_ATTRIBUTES,
-    FEASIBILITY_REQUIREMENTS,
+    FEASIBILITY,
+    PLAYERS,
     UNCONDITIONAL_BEHAVIORS,
     AttributeId,
-    BehaviorRecord,
     PlayerId,
     SessionLog,
     StimulusContext,
@@ -203,6 +205,8 @@ _DRAWS_PER_TICK = len(CONTEXT_FIELDS) + 2
 _CHUNK = 4096
 _CODE_WEIGHTS = 1 << np.arange(len(CONTEXT_FIELDS))
 _EVENT_INDEX = {b: i for i, b in enumerate(EVENT_ATTRIBUTES)}
+#: ``AttributeId`` value of each ``EVENT_ATTRIBUTES`` index.
+_EVENT_VALUES = np.array([b.value for b in EVENT_ATTRIBUTES], dtype=np.int8)
 
 #: Per context code: how many keys govern it, and their behavior-table rows
 #: (key position in ``_GOVERNING`` times ``_N_CODES`` plus the code), padded.
@@ -216,14 +220,8 @@ _ACTIVE_ROWS = np.array(
     ]
 )
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
-#: is feasible there: the code holds every stimulus bit the behavior needs.
-_NEEDED_BITS = np.array(
-    [
-        sum(1 << CONTEXT_FIELDS.index(f) for f in FEASIBILITY_REQUIREMENTS.get(b, ()))
-        for b in EVENT_ATTRIBUTES
-    ]
-)
-_FEASIBLE = (np.arange(_N_CODES)[:, None] & _NEEDED_BITS) == _NEEDED_BITS
+#: is feasible there: the event rows of ``FEASIBILITY``, transposed.
+_FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
 
 
 class _BehaviorTable:
@@ -304,23 +302,23 @@ def run_session(
     """Simulate one full session; bit-identical for identical arguments."""
     rng = derive_rng(seed)
     table = profile._table
-    records: list[BehaviorRecord] = []
     ticks = scenario.ticks_per_session
+    contexts = np.empty(ticks, dtype=np.uint8)
+    behaviors = np.empty(ticks, dtype=np.int8)
     for start in range(0, ticks, _CHUNK):
         u = rng.random((min(_CHUNK, ticks - start), _DRAWS_PER_TICK))
+        stop = start + len(u)
         codes = _context_codes(scenario, u[:, : len(CONTEXT_FIELDS)])
-        behaviors = table.draw(codes, u[:, -2], u[:, -1])
-        records.extend(
-            map(
-                BehaviorRecord,
-                repeat(player),
-                range(start, start + len(u)),
-                map(CONTEXTS.__getitem__, codes.tolist()),
-                map(EVENT_ATTRIBUTES.__getitem__, behaviors.tolist()),
-            )
-        )
+        contexts[start:stop] = codes
+        behaviors[start:stop] = _EVENT_VALUES[table.draw(codes, u[:, -2], u[:, -1])]
     return SessionLog(
-        player=player, seed=seed, scenario_id=scenario.scenario_id, records=tuple(records)
+        player=player,
+        seed=seed,
+        scenario_id=scenario.scenario_id,
+        ticks=np.arange(ticks),
+        players=np.full(ticks, PLAYERS.index(player)),
+        contexts=contexts,
+        behaviors=behaviors,
     )
 
 
