@@ -2,11 +2,19 @@
 
 Structure search is greedy hill climbing over single-edge moves (add,
 delete, reverse) scored by the decomposable BIC criterion, with random
-restarts. The score of a candidate move only depends on the families it
-touches, so local scores are cached per (node, parents) pair. Inference
-is exact: a classification query instantiates every attribute, so the
-class posterior is the factorized joint evaluated once per class value
-and normalized in log space.
+restarts. BIC is a sum of per-family local scores, so a move's score
+delta reads only the families it touches: the scorer caches local
+scores per (node, parent set), and the climber caches each move's delta
+until a step changes one of the families it reads. A step changes one
+family (add, delete) or two (reverse), so only those are scored again.
+Acyclicity is tested against one descendant bitmask per node, recomputed
+once per step, instead of a graph search per candidate move. Moves are
+scanned in a fixed order, adds by column then deletes and reverses by
+edge name, and an exact tie goes to the first, so the learned graph does
+not depend on how the deltas were cached. Inference is exact: a
+classification query instantiates every attribute, so the class
+posterior is the factorized joint evaluated once per class value and
+normalized in log space.
 
 Learning and scoring read the integer code matrix of a
 :class:`~skilltransfer.behavior_data.DataSet` directly. Variables are
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import insort
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -175,6 +184,9 @@ class _FamilyScorer:
     The BIC local score of node X with parents U is the maximized
     multinomial log likelihood of X given U minus
     0.5 * ln(N) * |U configurations| * (|X| - 1).
+
+    Nodes are indices into :attr:`variables` and a parent set is a bitmask
+    over them; the one cache is keyed by ``(node index, parent mask)``.
     """
 
     def __init__(self, data: DataSet):
@@ -183,42 +195,50 @@ class _FamilyScorer:
         self.variables = data.columns
         self.index = {name: i for i, name in enumerate(data.columns)}
         self.cards = np.array([len(data.domains[c]) for c in data.columns], dtype=np.int64)
-        # Widened once: family indices overflow int8 arithmetic.
-        self.codes = data.codes.astype(np.int64)
+        # Widened once, because family indices overflow int8 arithmetic,
+        # and stored column by column, because a family reads whole columns.
+        self.codes = data.codes.astype(np.int64, order="F")
         self.n = data.n_rows
         self._log_n = math.log(self.n)
-        self._cache: dict[tuple[str, frozenset[str]], float] = {}
+        self._name_order = sorted(range(len(self.variables)), key=self.variables.__getitem__)
+        self._cache: dict[tuple[int, int], float] = {}
 
     def family_counts(self, node: str, parents: Sequence[str]) -> np.ndarray:
         """Count matrix with one row per parent assignment."""
-        child = self.index[node]
+        return self._counts(self.index[node], [self.index[p] for p in parents])
+
+    def _counts(self, child: int, parents: Sequence[int]) -> np.ndarray:
         r = int(self.cards[child])
         idx = self.codes[:, child].copy()
         stride = r
-        for parent in reversed(parents):
-            j = self.index[parent]
+        for j in reversed(parents):
             idx += self.codes[:, j] * stride
             stride *= int(self.cards[j])
         counts = np.bincount(idx, minlength=stride)
         return counts.reshape(stride // r, r)
 
     def local_score(self, node: str, parents: Sequence[str]) -> float:
-        key = (node, frozenset(parents))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        # A fixed parent order fixes the count layout, and with it the
-        # float summation order; otherwise the score of a family would
-        # depend on the order of a set of strings, which changes with
-        # the process's hash seed.
-        counts = self.family_counts(node, sorted(parents))
-        row_totals = counts.sum(axis=1, keepdims=True)
-        mask = counts > 0
-        log_likelihood = float(
-            (counts[mask] * (np.log(counts[mask]) - np.log(np.broadcast_to(row_totals, counts.shape)[mask]))).sum()
-        )
-        q = counts.shape[0]
-        r = counts.shape[1]
+        mask = 0
+        for parent in parents:
+            mask |= 1 << self.index[parent]
+        return self.family_score(self.index[node], mask)
+
+    def family_score(self, child: int, parents: int) -> float:
+        """Local score of node ``child`` with the parent bitmask ``parents``."""
+        key = (child, parents)
+        score = self._cache.get(key)
+        if score is not None:
+            return score
+        # Parents in name order fix the count layout, and with it the
+        # float summation order, so that a family has one score whatever
+        # the order in which a caller names its parents.
+        counts = self._counts(child, [j for j in self._name_order if parents >> j & 1])
+        q, r = counts.shape
+        # The nonzero cells and their row totals, in row-major order.
+        at = np.flatnonzero(counts)
+        seen = counts.ravel()[at]
+        totals = counts.sum(axis=1)[at // r]
+        log_likelihood = float((seen * (np.log(seen) - np.log(totals))).sum())
         penalty = 0.5 * self._log_n * q * (r - 1)
         score = log_likelihood - penalty
         self._cache[key] = score
@@ -234,101 +254,156 @@ def bic_score(dag: Dag, data: DataSet) -> float:
     return sum(scorer.local_score(n, dag.parents_of(n)) for n in dag.nodes)
 
 
-def _has_path(children: Mapping[str, set[str]], source: str, target: str) -> bool:
-    if source == target:
-        return True
-    stack = [source]
-    seen = {source}
-    while stack:
-        node = stack.pop()
-        for child in children[node]:
-            if child == target:
-                return True
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return False
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _descendants(children: list[int]) -> list[int]:
+    """Descendant bitmask of each node of a DAG given by child bitmasks."""
+    desc = [0] * len(children)
+    pending = (1 << len(children)) - 1
+    # A node's mask is final once its children's are; on a DAG each pass
+    # over the pending nodes settles at least one of them.
+    while pending:
+        before = pending
+        for x in _bits(pending):
+            if not children[x] & pending:
+                reach = children[x]
+                for c in _bits(children[x]):
+                    reach |= desc[c]
+                desc[x] = reach
+                pending ^= 1 << x
+        if pending == before:
+            raise ValueError("graph contains a cycle")
+    return desc
 
 
 class _Climber:
-    """One greedy ascent from a starting edge set."""
+    """One greedy ascent from a starting edge set.
+
+    Nodes are indices into ``scorer.variables`` and ``parents[v]`` is the
+    bitmask of v's parents. Each step takes the best legal move if its
+    score delta beats ``_IMPROVEMENT_EPS``. Exact ties go to the first
+    move in a fixed order: adds u -> v by (u, v) in variable order, then
+    deletes, then reverses, both over the edges sorted by name.
+
+    Deltas are cached per family. ``toggle[v][u]`` is the delta of adding
+    or deleting u -> v and lives until ``parents[v]`` changes;
+    ``flip[(u, v)]`` is the delta of reversing u -> v and lives until
+    ``parents[u]`` or ``parents[v]`` changes. A delta is computed the
+    first time a scan finds its move legal, so the scorer sees only the
+    families a full rescan would score, and after a step only the one or
+    two families the step changed are scored again.
+
+    The cycle test reads one descendant bitmask per node, recomputed once
+    per step: adding u -> v is legal unless u is v or a descendant of v,
+    and reversing u -> v is legal unless v is a descendant of another
+    child of u.
+    """
 
     def __init__(self, scorer: _FamilyScorer, max_parents: int):
         self.scorer = scorer
         self.max_parents = max_parents
         self.nodes = scorer.variables
 
+    def _edge_name(self, edge: tuple[int, int]) -> tuple[str, str]:
+        return self.nodes[edge[0]], self.nodes[edge[1]]
+
     def climb(self, edges: set[tuple[str, str]]) -> tuple[frozenset[tuple[str, str]], float]:
-        parents: dict[str, set[str]] = {n: set() for n in self.nodes}
-        children: dict[str, set[str]] = {n: set() for n in self.nodes}
+        family = self.scorer.family_score
+        index = self.scorer.index
+        n = len(self.nodes)
+        parents = [0] * n
+        children = [0] * n
         for p, c in edges:
-            parents[c].add(p)
-            children[p].add(c)
-        score = sum(
-            self.scorer.local_score(n, tuple(parents[n])) for n in self.nodes
-        )
+            parents[index[c]] |= 1 << index[p]
+            children[index[p]] |= 1 << index[c]
+        current = [family(v, parents[v]) for v in range(n)]
+        score = sum(current)
+        listed = sorted(((index[p], index[c]) for p, c in edges), key=self._edge_name)
+        toggle: list[dict[int, float]] = [{} for _ in range(n)]
+        flip: dict[tuple[int, int], float] = {}
         while True:
-            move = self._best_move(parents, children)
+            move = self._best_move(parents, children, current, listed, toggle, flip)
             if move is None:
-                return frozenset((p, c) for c in parents for p in parents[c]), score
-            kind, (u, v), delta = move
-            if kind == "add":
-                parents[v].add(u)
-                children[u].add(v)
-            elif kind == "delete":
-                parents[v].discard(u)
-                children[u].discard(v)
-            else:  # reverse u -> v into v -> u
-                parents[v].discard(u)
-                children[u].discard(v)
-                parents[u].add(v)
-                children[v].add(u)
+                return frozenset(map(self._edge_name, listed)), score
+            reverse, u, v, delta = move
+            if parents[v] >> u & 1:
+                listed.remove((u, v))
+            else:
+                insort(listed, (u, v), key=self._edge_name)
+            parents[v] ^= 1 << u
+            children[u] ^= 1 << v
+            changed = (u, v) if reverse else (v,)
+            if reverse:
+                insort(listed, (v, u), key=self._edge_name)
+                parents[u] |= 1 << v
+                children[v] |= 1 << u
+            for x in changed:
+                current[x] = family(x, parents[x])
+                toggle[x] = {}
+            flip = {e: d for e, d in flip.items() if e[0] not in changed and e[1] not in changed}
             score += delta
 
     def _best_move(
-        self, parents: dict[str, set[str]], children: dict[str, set[str]]
-    ) -> tuple[str, tuple[str, str], float] | None:
-        local = self.scorer.local_score
-        best: tuple[str, tuple[str, str], float] | None = None
+        self,
+        parents: list[int],
+        children: list[int],
+        current: list[float],
+        listed: list[tuple[int, int]],
+        toggle: list[dict[int, float]],
+        flip: dict[tuple[int, int], float],
+    ) -> tuple[bool, int, int, float] | None:
+        """The best move as (is a reverse, u, v, delta), or None."""
+        family = self.scorer.family_score
+        n = len(parents)
+        desc = _descendants(children)
+        full = (1 << n) - 1
+        # closed[v]: the u for which adding u -> v is not legal.
+        closed = [
+            parents[v] | desc[v] | 1 << v if parents[v].bit_count() < self.max_parents else full
+            for v in range(n)
+        ]
+        best: tuple[bool, int, int, float] | None = None
         best_delta = _IMPROVEMENT_EPS
 
-        # Moves are enumerated in a fixed lexicographic order so equal
-        # scores always resolve the same way.
-        for u in self.nodes:
-            for v in self.nodes:
-                if u == v or u in parents[v] or v in parents[u]:
+        for u in range(n):
+            for v in range(n):
+                if closed[v] >> u & 1:
                     continue
-                if len(parents[v]) >= self.max_parents:
-                    continue
-                if _has_path(children, v, u):
-                    continue
-                before = local(v, tuple(parents[v]))
-                after = local(v, tuple(parents[v] | {u}))
-                delta = after - before
+                delta = toggle[v].get(u)
+                if delta is None:
+                    delta = toggle[v][u] = family(v, parents[v] | 1 << u) - current[v]
                 if delta > best_delta:
-                    best, best_delta = ("add", (u, v), delta), delta
+                    best, best_delta = (False, u, v, delta), delta
 
-        for u, v in sorted((p, c) for c in parents for p in parents[c]):
-            delta = local(v, tuple(parents[v] - {u})) - local(v, tuple(parents[v]))
+        for u, v in listed:
+            delta = toggle[v].get(u)
+            if delta is None:
+                delta = toggle[v][u] = family(v, parents[v] ^ 1 << u) - current[v]
             if delta > best_delta:
-                best, best_delta = ("delete", (u, v), delta), delta
+                best, best_delta = (False, u, v, delta), delta
 
-        for u, v in sorted((p, c) for c in parents for p in parents[c]):
-            if len(parents[u]) >= self.max_parents:
+        for u, v in listed:
+            if parents[u].bit_count() >= self.max_parents:
                 continue
-            children[u].discard(v)
-            reachable = _has_path(children, u, v)
-            children[u].add(v)
-            if reachable:
+            if any(desc[c] >> v & 1 for c in _bits(children[u] & ~(1 << v))):
                 continue
-            delta = (
-                local(v, tuple(parents[v] - {u}))
-                - local(v, tuple(parents[v]))
-                + local(u, tuple(parents[u] | {v}))
-                - local(u, tuple(parents[u]))
-            )
+            delta = flip.get((u, v))
+            if delta is None:
+                # The delete delta of u -> v, already cached by the scan
+                # above; the sum keeps the order (a - b) + c - d.
+                delta = flip[(u, v)] = (
+                    toggle[v][u] + family(u, parents[u] | 1 << v) - current[u]
+                )
             if delta > best_delta:
-                best, best_delta = ("reverse", (u, v), delta), delta
+                best, best_delta = (True, u, v, delta), delta
 
         return best
 
