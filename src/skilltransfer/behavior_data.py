@@ -449,6 +449,11 @@ class DataSet:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"DataSet is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        # Pickle and copy through the constructor, which re-checks the
+        # codes and makes them read-only again.
+        return partial(DataSet, codes=self.codes), (self.columns, self.domains)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DataSet):
             return NotImplemented

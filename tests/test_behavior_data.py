@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from collections import Counter
 from dataclasses import replace
 
@@ -286,6 +288,13 @@ def test_dataset_from_rows_equals_the_one_from_codes():
     assert from_rows != DataSet(
         columns=DATASET_COLUMNS, domains=dict(DOMAINS), codes=from_codes.codes[1:]
     )
+
+
+def test_dataset_survives_pickling_and_copying():
+    data = _synthetic_dataset(3)
+    for clone in (pickle.loads(pickle.dumps(data)), copy.copy(data), copy.deepcopy(data)):
+        assert clone == data
+        assert not clone.codes.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [-1, 2, 127])
