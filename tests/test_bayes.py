@@ -235,6 +235,169 @@ def test_local_score_ignores_the_order_of_the_parents(base_scenario, table1_pair
                 assert len(scores) == 1, (node, parents, scores)
 
 
+def _reference_local_score(scorer, node, parents) -> float:
+    """The scorer's miss path as it was, with the row totals broadcast."""
+    counts = scorer.family_counts(node, sorted(parents))
+    row_totals = counts.sum(axis=1, keepdims=True)
+    mask = counts > 0
+    log_likelihood = float(
+        (counts[mask] * (np.log(counts[mask]) - np.log(np.broadcast_to(row_totals, counts.shape)[mask]))).sum()
+    )
+    q, r = counts.shape
+    return log_likelihood - 0.5 * math.log(scorer.n) * q * (r - 1)
+
+
+def test_local_score_is_bit_identical_to_the_broadcast_reference(base_scenario, table1_pair):
+    scenario = replace(base_scenario, ticks_per_session=20_000)
+    data = to_dataset(simulate_pair(*table1_pair, scenario, 3, 0), 5)
+    scorer = bayes._FamilyScorer(data)
+    for node in data.columns:
+        others = [c for c in data.columns if c != node]
+        for size in range(4):
+            for parents in itertools.combinations(others, size):
+                want = _reference_local_score(scorer, node, parents)
+                assert scorer.local_score(node, parents) == want, (node, parents)
+
+
+def _has_path(children, source, target) -> bool:
+    if source == target:
+        return True
+    stack = [source]
+    seen = {source}
+    while stack:
+        node = stack.pop()
+        for child in children[node]:
+            if child == target:
+                return True
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return False
+
+
+def _reference_best_move(scorer, max_parents, parents, children):
+    """One full rescan of every move, in the climber's tie order."""
+    local = scorer.local_score
+    best = None
+    best_delta = bayes._IMPROVEMENT_EPS
+    for u in scorer.variables:
+        for v in scorer.variables:
+            if u == v or u in parents[v] or v in parents[u]:
+                continue
+            if len(parents[v]) >= max_parents:
+                continue
+            if _has_path(children, v, u):
+                continue
+            delta = local(v, tuple(parents[v] | {u})) - local(v, tuple(parents[v]))
+            if delta > best_delta:
+                best, best_delta = ("add", (u, v), delta), delta
+    for u, v in sorted((p, c) for c in parents for p in parents[c]):
+        delta = local(v, tuple(parents[v] - {u})) - local(v, tuple(parents[v]))
+        if delta > best_delta:
+            best, best_delta = ("delete", (u, v), delta), delta
+    for u, v in sorted((p, c) for c in parents for p in parents[c]):
+        if len(parents[u]) >= max_parents:
+            continue
+        children[u].discard(v)
+        reachable = _has_path(children, u, v)
+        children[u].add(v)
+        if reachable:
+            continue
+        delta = (
+            local(v, tuple(parents[v] - {u}))
+            - local(v, tuple(parents[v]))
+            + local(u, tuple(parents[u] | {v}))
+            - local(u, tuple(parents[u]))
+        )
+        if delta > best_delta:
+            best, best_delta = ("reverse", (u, v), delta), delta
+    return best
+
+
+def _reference_climb(scorer, max_parents, edges):
+    """The climber as a full rescan with a path search per candidate."""
+    parents = {n: set() for n in scorer.variables}
+    children = {n: set() for n in scorer.variables}
+    for p, c in edges:
+        parents[c].add(p)
+        children[p].add(c)
+    score = sum(scorer.local_score(n, tuple(parents[n])) for n in scorer.variables)
+    while True:
+        move = _reference_best_move(scorer, max_parents, parents, children)
+        if move is None:
+            return frozenset((p, c) for c in parents for p in parents[c]), score
+        kind, (u, v), delta = move
+        if kind == "add":
+            parents[v].add(u)
+            children[u].add(v)
+        else:
+            parents[v].discard(u)
+            children[u].discard(v)
+        if kind == "reverse":
+            parents[u].add(v)
+            children[v].add(u)
+        score += delta
+
+
+@st.composite
+def _climb_cases(draw):
+    """A small table, a parent bound, and a start from _random_start.
+
+    Column order differs from name order, and some columns duplicate an
+    earlier one, so that moves tie exactly and the tie order decides.
+    """
+    k = draw(st.integers(min_value=2, max_value=7))
+    names = draw(
+        st.permutations([f"x{i}" for i in range(k)]).filter(lambda p: list(p) != sorted(p))
+    )
+    n = draw(st.integers(min_value=20, max_value=150))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    columns: list[np.ndarray] = []
+    for j in range(k):
+        kind = draw(st.sampled_from(("noise", "copy", "noisy copy"))) if j else "noise"
+        if kind == "noise":
+            columns.append(rng.integers(0, draw(st.integers(min_value=2, max_value=3)), size=n))
+            continue
+        source = columns[draw(st.integers(min_value=0, max_value=j - 1))]
+        if kind == "copy":
+            columns.append(source.copy())
+        else:
+            flips = rng.random(n) < 0.2
+            columns.append(np.where(flips, rng.integers(0, source.max() + 1, size=n), source))
+    domains = {
+        name: tuple(f"v{i}" for i in range(max(2, int(column.max()) + 1)))
+        for name, column in zip(names, columns)
+    }
+    data = DataSet(columns=names, domains=domains, codes=np.stack(columns, axis=1))
+    max_parents = draw(st.integers(min_value=1, max_value=4))
+    start = set()
+    if draw(st.booleans()):
+        start_rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        start = bayes._random_start(data.columns, max_parents, start_rng)
+    return data, max_parents, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_climb_cases())
+def test_climb_matches_the_full_rescan_reference(case):
+    data, max_parents, start = case
+    reference_scorer = bayes._FamilyScorer(data)
+    want_edges, want_score = _reference_climb(reference_scorer, max_parents, start)
+    scorer = bayes._FamilyScorer(data)
+    edges, score = bayes._Climber(scorer, max_parents).climb(set(start))
+    assert edges == want_edges
+    assert score == want_score
+    # Every family the climber scores, the full rescan scores too.
+    assert set(scorer._cache) <= set(reference_scorer._cache)
+
+
+def test_climb_rejects_a_cyclic_start():
+    data = _table({"a": np.array([0, 1, 1]), "b": np.array([1, 0, 1])})
+    climber = bayes._Climber(bayes._FamilyScorer(data), 2)
+    with pytest.raises(ValueError, match="cycle"):
+        climber.climb({("a", "b"), ("b", "a")})
+
+
 def test_class_column_needs_rows_for_both_labels():
     data = _table({"ID": np.zeros(10, dtype=int), "a": np.zeros(10, dtype=int)})
     with pytest.raises(ValueError, match="ID2"):
