@@ -31,6 +31,7 @@ from bisect import insort
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -544,13 +545,8 @@ def classify(
 ) -> str:
     """Most probable class value; exact ties go to the earlier domain value."""
     posterior = class_posterior(net, row, class_node)
-    best = None
-    best_p = -1.0
-    for value in net.domains[class_node]:
-        if posterior[value] > best_p:
-            best, best_p = value, posterior[value]
-    assert best is not None
-    return best
+    # max keeps the first of equal maxima.
+    return max(net.domains[class_node], key=posterior.__getitem__)
 
 
 def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> float:
@@ -589,16 +585,9 @@ def bayesnet_to_json(net: BayesNet) -> str:
     cpts = {}
     for node in net.dag.nodes:
         cpt = net.cpts[node]
-        rows = {}
-        parent_domains = [net.domains[p] for p in cpt.parents]
-        for index in range(cpt.table.shape[0]):
-            values = []
-            rest = index
-            for domain in reversed(parent_domains):
-                values.append(domain[rest % len(domain)])
-                rest //= len(domain)
-            key = ",".join(reversed(values))
-            rows[key] = [float(p) for p in cpt.table[index]]
+        # Parent assignments in row order: the first parent varies slowest.
+        assignments = product(*(net.domains[p] for p in cpt.parents))
+        rows = {",".join(key): [float(p) for p in row] for key, row in zip(assignments, cpt.table)}
         cpts[node] = {"parents": list(cpt.parents), "rows": rows}
     payload = {
         "nodes": list(net.dag.nodes),
@@ -619,10 +608,7 @@ def bayesnet_from_json(text: str) -> BayesNet:
         entry = payload["cpts"][node]
         parents = tuple(entry["parents"])
         parent_domains = [domains[p] for p in parents]
-        n_rows = 1
-        for domain in parent_domains:
-            n_rows *= len(domain)
-        table = np.zeros((n_rows, len(domains[node])))
+        table = np.zeros((math.prod(map(len, parent_domains)), len(domains[node])))
         for key, row in entry["rows"].items():
             values = key.split(",") if key else []
             index = 0

@@ -4,11 +4,15 @@ Raw play is a stream of (stimulus context, chosen behavior) events, one
 per game tick. A :class:`SessionLog` stores that stream as four integer
 columns: tick, player index, context code and behavior value.
 :class:`BehaviorRecord` values exist only at the edges, where a caller
-indexes or iterates a log's records or reads and writes one JSONL line.
-This module defines the vocabulary, validates logs, and aggregates them
-into the categorical table that the network classifier consumes:
-fixed-width windows of ticks become one row each, with the player
-identity in the class column.
+indexes or iterates a log's records. This module defines the vocabulary,
+validates logs, and aggregates them into the categorical table that the
+network classifier consumes: fixed-width windows of ticks become one row
+each, with the player identity in the class column.
+
+The JSONL and CSV readers accept whatever their general parsers
+(``json.loads`` per line, ``csv.reader``) accept. A line in the form the
+writers emit decodes by table lookup; any other line goes through the
+general parser, so both paths give the same values and the same errors.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
@@ -260,11 +266,6 @@ def _checked_columns(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
     return checked
 
 
-def _stacked(rows: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """The columns of (tick, player, context, behavior) rows, as a ``(4, n)`` array."""
-    return np.array(rows, dtype=np.int64).reshape(len(rows), len(_COLUMNS)).T
-
-
 class SessionLog:
     """One session of one player, stored as four integer columns.
 
@@ -308,12 +309,11 @@ class SessionLog:
         if (records is None) == (given == 0) or 0 < given < len(columns):
             raise ValueError("give either records or all four columns")
         if records is not None:
-            columns = _stacked(
-                [
-                    (r.tick, _PLAYER_INDEX[r.player], _CODE_OF_CONTEXT[r.context], r.behavior.value)
-                    for r in records
-                ]
-            )
+            rows = [
+                (r.tick, _PLAYER_INDEX[r.player], _CODE_OF_CONTEXT[r.context], r.behavior.value)
+                for r in records
+            ]
+            columns = np.array(rows, dtype=np.int64).reshape(len(rows), len(_COLUMNS)).T
         columns = _checked_columns(columns)
         for name, value in zip(
             self.__slots__,
@@ -488,17 +488,6 @@ class DataSet:
         except ValueError:
             raise ValueError(f"no such column: {name!r}") from None
 
-    def column_values(self, name: str) -> tuple[str, ...]:
-        codes = self.codes[:, self.column_index(name)]
-        return tuple(self.domains[name][k] for k in codes.tolist())
-
-    def row_mapping(self, index: int) -> dict[str, str]:
-        """Row as a column -> value mapping."""
-        return {
-            name: self.domains[name][k]
-            for name, k in zip(self.columns, self.codes[index].tolist())
-        }
-
 
 #: Largest domain an ``int8`` code column can index.
 _MAX_DOMAIN = int(np.iinfo(np.int8).max) + 1
@@ -658,15 +647,11 @@ def _json_line(tick: int, player: int, context: int, behavior: int) -> str:
     )
 
 
-#: Decoding lookups: the seven ``bool`` flags (``CONTEXT_FIELDS`` order) to
-#: the context code, the player string to its index, the upper-cased
-#: column name to the behavior value.
+#: The context code of the seven ``bool`` flags, in ``CONTEXT_FIELDS`` order.
 _read_flags = itemgetter(*CONTEXT_FIELDS)
 _CODE_OF_FLAGS = {
     tuple(getattr(c, f) for f in CONTEXT_FIELDS): code for code, c in enumerate(CONTEXTS)
 }
-_PLAYER_INDEX_OF_VALUE = {p.value: i for i, p in enumerate(PLAYERS)}
-_BEHAVIOR_VALUE_OF_NAME = {a.name: a.value for a in AttributeId}
 
 
 def _parse_line(line: str) -> tuple[int, int, int, int]:
@@ -677,33 +662,9 @@ def _parse_line(line: str) -> tuple[int, int, int, int]:
     """
     payload = json.loads(line)
     context = _CODE_OF_FLAGS[tuple(map(bool, _read_flags(payload["context"])))]
-    player = payload["player"]
-    try:
-        player_index = _PLAYER_INDEX_OF_VALUE[player]
-    except (KeyError, TypeError):
-        raise ValueError(f"{player!r} is not a valid PlayerId") from None
+    player = _PLAYER_INDEX[PlayerId(payload["player"])]
     tick = int(payload["tick"])
-    column = payload["behavior"]
-    try:
-        behavior = _BEHAVIOR_VALUE_OF_NAME[column.upper()]
-    except KeyError:
-        raise ValueError(f"unknown attribute column: {column!r}") from None
-    return tick, player_index, context, behavior
-
-
-def record_to_json(record: BehaviorRecord) -> str:
-    """One session record as a single JSON line (no trailing newline)."""
-    return _json_line(
-        record.tick,
-        _PLAYER_INDEX[record.player],
-        _CODE_OF_CONTEXT[record.context],
-        record.behavior.value,
-    )
-
-
-def record_from_json(line: str) -> BehaviorRecord:
-    """Parse one JSONL line; the context is the shared instance from :data:`CONTEXTS`."""
-    return _record(*_parse_line(line))
+    return tick, player, context, AttributeId.from_column(payload["behavior"]).value
 
 
 def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
@@ -711,6 +672,28 @@ def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in map(_json_line, *(column.tolist() for column in columns)):
             handle.write(line + "\n")
+
+
+#: A canonical line up to its first comma. A tick of at most eighteen
+#: digits fits ``int64``; a longer one takes the general path.
+_CANONICAL_HEAD = re.compile(r'\{"tick": (?:0|-?[1-9][0-9]{0,17})')
+_TICK_AT = len('{"tick": ')
+
+
+@cache
+def _line_table() -> tuple[dict[str, int], dict[tuple[int, int, int], int], np.ndarray]:
+    """Key indices of every (player index, context code, behavior value) triple.
+
+    Returns the key of each canonical line's text after its first comma
+    (newline included), the key of each triple, and the ``(3, n_keys)``
+    array whose column ``k`` is key ``k``'s triple. Built on first use.
+    """
+    triples = list(product(range(len(PLAYERS)), range(len(CONTEXTS)), sorted(_BEHAVIOR_JSON)))
+    lines = (_json_line(0, *triple) for triple in triples)
+    suffixes = {line[line.index(",") + 1 :] + "\n": key for key, line in enumerate(lines)}
+    table = np.array(triples).T
+    table.flags.writeable = False
+    return suffixes, {triple: key for key, triple in enumerate(triples)}, table
 
 
 def read_session_jsonl(
@@ -722,30 +705,88 @@ def read_session_jsonl(
 ) -> SessionLog:
     """Load a session log from a JSONL file.
 
-    The line format carries only records, so seed and scenario id must be
+    Blank lines are skipped, and any other line that :func:`_parse_line`
+    accepts is read: a line exactly as :func:`write_session_jsonl` writes
+    it decodes by table lookup, any other through ``json.loads``. The
+    line format carries only records, so seed and scenario id must be
     supplied if they matter downstream. Player is inferred from the first
     record unless given explicitly.
     """
+    suffix_keys, triple_keys, table = _line_table()
+    ticks: list[int] = []
+    keys: list[int] = []
     with open(path, encoding="utf-8") as handle:
-        rows = [_parse_line(line) for line in handle if line.strip()]
+        for line in handle:
+            head, _, tail = line.partition(",")
+            key = suffix_keys.get(tail)
+            if key is not None and _CANONICAL_HEAD.fullmatch(head):
+                tick = int(head[_TICK_AT:])
+            elif line.strip():
+                tick, *triple = _parse_line(line)
+                key = triple_keys[tuple(triple)]
+            else:
+                continue
+            ticks.append(tick)
+            keys.append(key)
     if player is None:
-        if not rows:
+        if not keys:
             raise ValueError(f"{path}: empty session file and no player given")
-        player = PLAYERS[rows[0][1]]
-    columns = {name: column for (name, _, _), column in zip(_COLUMNS, _stacked(rows))}
+        player = PLAYERS[table[0, keys[0]]]
+    stacked = (np.array(ticks, dtype=np.int64), *table[:, keys])
+    columns = {name: column for (name, _, _), column in zip(_COLUMNS, stacked)}
     return SessionLog(player=player, seed=seed, scenario_id=scenario_id, **columns)
 
 
 def dataset_to_csv(data: DataSet) -> str:
+    """The table as CSV text; ``csv.writer`` renders each distinct row once."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(data.columns)
-    writer.writerows(data.rows)
-    return buffer.getvalue()
+
+    def render(cells: Sequence[str]) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow(cells)
+        return buffer.getvalue()
+
+    # Codes are below 128, so each byte of a row's int8 codes is one code.
+    width, raw = len(data.columns), data.codes.tobytes()
+    rows = [raw[i * width : (i + 1) * width] for i in range(data.n_rows)]
+    values = [data.domains[name] for name in data.columns]
+    lines = {row: render([d[k] for d, k in zip(values, row)]) for row in dict.fromkeys(rows)}
+    return render(data.columns) + "".join(map(lines.__getitem__, rows))
 
 
 def write_dataset_csv(data: DataSet, path: str | Path) -> None:
     Path(path).write_text(dataset_to_csv(data), encoding="utf-8")
+
+
+def _plain_csv_codes(
+    body: str, columns: Sequence[str], domains: Mapping[str, Sequence[str]]
+) -> np.ndarray | None:
+    """Codes of a CSV body that ``csv.reader`` would split on commas alone.
+
+    ``None`` when a line needs the reader or its cells do not encode. Each
+    distinct line is encoded once.
+    """
+    if '"' in body or "\r" in body or "\0" in body:
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    lookups = [{value: k for k, value in enumerate(domains[name])} for name in columns]
+    limit = csv.field_size_limit()
+    distinct: dict[str, int] = dict.fromkeys(lines)
+    table = []
+    for line in distinct:
+        cells = line.split(",")
+        codes = [lookup.get(cell) for lookup, cell in zip(lookups, cells)]
+        # A blank line reads as a row of no cells; the size limit is csv.reader's.
+        if not line or len(line) >= limit or len(cells) != len(columns) or None in codes:
+            return None
+        distinct[line] = len(table)
+        table.append(codes)
+    matrix = np.array(table, dtype=np.intp).reshape(len(table), len(columns))
+    return matrix[list(map(distinct.__getitem__, lines))]
 
 
 def read_dataset_csv(
@@ -754,22 +795,26 @@ def read_dataset_csv(
     """Load a dataset written by :func:`write_dataset_csv`.
 
     Domains default to the standard schema; pass them explicitly for
-    non-standard tables (CSV does not carry domain declarations).
+    non-standard tables (CSV does not carry domain declarations). A body
+    of plain lines, as :func:`dataset_to_csv` writes for the standard
+    schema, is encoded one distinct line at a time; any other body is
+    read whole by ``csv.reader``, which gives the same table or error.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        rows = tuple(tuple(row) for row in reader)
+        body = handle.read()
     if domains is None:
         domains = DOMAINS
     missing = [name for name in header if name not in domains]
-    if missing:
-        raise ValueError(f"{path}: no domain known for columns {missing}")
-    return DataSet(
-        columns=tuple(header),
-        domains={name: tuple(domains[name]) for name in header},
-        rows=rows,
-    )
+    codes = None if missing else _plain_csv_codes(body, header, domains)
+    rows = None
+    if codes is None:
+        # Parsed before the header check, so a malformed body raises first.
+        rows = tuple(tuple(row) for row in csv.reader(io.StringIO(body, newline="")))
+        if missing:
+            raise ValueError(f"{path}: no domain known for columns {missing}")
+    domains = {name: tuple(domains[name]) for name in header}
+    return DataSet(columns=tuple(header), domains=domains, rows=rows, codes=codes)

@@ -291,7 +291,10 @@ def report(
     source = Path(trace_path) if trace_path else run_dir / "trace.json"
     if not source.is_file():
         raise ConfigError([f"trace: file not found: {source} (run `transfer` first?)"])
-    trace = trace_from_json(source.read_text(encoding="utf-8"))
+    try:
+        trace = trace_from_json(source.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataValidationError(f"trace {source}: {type(exc).__name__}: {exc}") from exc
     if not trace.iterations:
         raise DataValidationError(f"trace {source} records no iterations")
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -464,16 +464,20 @@ def table1_profiles(linkage_strength: float = 0.7) -> tuple[PlayerProfile, Playe
 
 # --- persistence ----------------------------------------------------------
 
-def profile_to_json(profile: PlayerProfile) -> str:
-    """Canonical JSON text; identical profiles serialize byte-identically."""
-    payload = {
+def profile_payload(profile: PlayerProfile) -> dict:
+    """The JSON object of a profile, as profile files and traces hold it."""
+    return {
         "profile_id": profile.profile_id,
         "distributions": {
             key.value: {b.column: p for b, p in dist.items()}
             for key, dist in profile.distributions.items()
         },
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def profile_to_json(profile: PlayerProfile) -> str:
+    """Canonical JSON text; identical profiles serialize byte-identically."""
+    return json.dumps(profile_payload(profile), indent=2, sort_keys=True) + "\n"
 
 
 def profile_from_json(text: str) -> PlayerProfile:
@@ -492,34 +496,8 @@ def profile_from_json(text: str) -> PlayerProfile:
         raise ConfigError(f"invalid profile document: {exc}") from exc
 
 
-def write_profile(profile: PlayerProfile, path: str | Path) -> None:
-    Path(path).write_text(profile_to_json(profile), encoding="utf-8")
-
-
 def read_profile(path: str | Path) -> PlayerProfile:
     return profile_from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def scenario_to_json(scenario: Scenario) -> str:
-    payload = {
-        "scenario_id": scenario.scenario_id,
-        "ticks_per_session": scenario.ticks_per_session,
-        "stimulus_probabilities": {f: getattr(scenario, f) for f in CONTEXT_FIELDS},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def scenario_from_json(text: str) -> Scenario:
-    try:
-        payload = json.loads(text)
-        probabilities = payload["stimulus_probabilities"]
-        return Scenario(
-            scenario_id=str(payload["scenario_id"]),
-            ticks_per_session=int(payload["ticks_per_session"]),
-            **{f: float(probabilities[f]) for f in CONTEXT_FIELDS},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario document: {exc}") from exc
 
 
 def boost_scenario(scenario: Scenario, fields: set[str], floor: float = 0.8) -> Scenario:

@@ -50,6 +50,7 @@ from .game_domain import (
     Scenario,
     boost_scenario,
     profile_from_json,
+    profile_payload,
     simulate_pair,
 )
 from .seeds import STREAM_LEARN, STREAM_SPLIT, derive_seed
@@ -348,13 +349,8 @@ class CurveTable:
 
 
 def _mode(dist: Distribution) -> AttributeId:
-    best = None
-    best_p = -1.0
-    for behavior in sorted(dist, key=lambda a: a.value):
-        if dist[behavior] > best_p:
-            best, best_p = behavior, dist[behavior]
-    assert best is not None
-    return best
+    # max keeps the first of equal maxima: the lowest attribute position.
+    return max(sorted(dist, key=lambda a: a.value), key=dist.__getitem__)
 
 
 def behavioral_curves(
@@ -406,20 +402,10 @@ def trace_to_csv(trace: TransferTrace) -> str:
     return buffer.getvalue()
 
 
-def _profile_payload(profile: PlayerProfile) -> dict:
-    return {
-        "profile_id": profile.profile_id,
-        "distributions": {
-            key.value: {b.column: p for b, p in dist.items()}
-            for key, dist in profile.distributions.items()
-        },
-    }
-
-
 def trace_to_json(trace: TransferTrace) -> str:
     payload = {
         "terminal_reason": trace.terminal_reason.value,
-        "expert_profile": _profile_payload(trace.expert_profile),
+        "expert_profile": profile_payload(trace.expert_profile),
         "iterations": [
             {
                 "iteration": r.iteration,
@@ -427,7 +413,7 @@ def trace_to_json(trace: TransferTrace) -> str:
                 "divergence": r.divergence,
                 "targeted_attributes": [a.column for a in r.targeted_attributes],
                 "nudged_keys": [k.value for k in r.nudged_keys],
-                "learner_profile": _profile_payload(r.learner_profile),
+                "learner_profile": profile_payload(r.learner_profile),
             }
             for r in trace.iterations
         ],

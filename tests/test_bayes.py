@@ -612,8 +612,8 @@ def test_accuracy_is_the_per_row_classify_hit_fraction(seed, uniform):
     test = DataSet(columns=columns, domains=net.domains, rows=tuple(rows))
 
     hits = 0
-    for i in range(test.n_rows):
-        row = test.row_mapping(i)
+    for cells in test.rows:
+        row = dict(zip(test.columns, cells))
         label = row.pop("ID")
         hits += classify(net, row) == label
     assert accuracy(net, test) == hits / test.n_rows

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import json
 import pickle
 from collections import Counter
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skilltransfer import behavior_data
 from skilltransfer.behavior_data import (
     ABSENT,
     ATTRIBUTE_COLUMNS,
@@ -30,8 +33,6 @@ from skilltransfer.behavior_data import (
     dataset_to_csv,
     read_dataset_csv,
     read_session_jsonl,
-    record_from_json,
-    record_to_json,
     split,
     to_dataset,
     validate_session,
@@ -53,6 +54,14 @@ def _record(tick, behavior, player=PlayerId.ID1, **ctx) -> BehaviorRecord:
 
 def _log(records, player=PlayerId.ID1) -> SessionLog:
     return SessionLog(player=player, seed=0, scenario_id="test", records=tuple(records))
+
+
+def _row(data: DataSet, index: int) -> dict[str, str]:
+    return dict(zip(data.columns, data.rows[index]))
+
+
+def _column(data: DataSet, name: str) -> tuple[str, ...]:
+    return tuple(row[data.column_index(name)] for row in data.rows)
 
 
 MOVE = AttributeId.MOVEMENT
@@ -101,7 +110,7 @@ def test_single_window_marks_seen_and_unseen_behaviors():
     records.insert(2, _record(9, AttributeId.FIGHTING))
     data = to_dataset([_log(records)], window=5)
     assert data.n_rows == 1
-    row = data.row_mapping(0)
+    row = _row(data, 0)
     assert row["fighting"] == OCCURRED
     for column in ATTRIBUTE_COLUMNS:
         if column in ("fighting", "location", "movement"):
@@ -123,7 +132,7 @@ def test_two_logs_make_rows_for_both_players(base_scenario, table1_pair):
     ]
     data = to_dataset(logs, window=5)
     assert data.n_rows == 20
-    labels = set(data.column_values(CLASS_COLUMN))
+    labels = set(_column(data, CLASS_COLUMN))
     assert labels == {PlayerId.ID1.value, PlayerId.ID2.value}
 
 
@@ -140,9 +149,9 @@ def test_location_majority_breaks_ties_indoor():
         _record(1, MOVE, location_indoor=False),
     ]
     data = to_dataset([_log(records)], window=2)
-    assert data.row_mapping(0)["location"] == "indoor"
+    assert _row(data, 0)["location"] == "indoor"
     # One indoor walk tick against one outdoor run tick: walk wins the tie.
-    assert data.row_mapping(0)["movement"] == "walk"
+    assert _row(data, 0)["movement"] == "walk"
 
 
 def test_fighting_occurrence_rate_matches_the_analytic_product():
@@ -169,7 +178,7 @@ def test_fighting_occurrence_rate_matches_the_analytic_product():
     )
     log = run_session(scenario, profile, PlayerId.ID1, seed=2024)
     data = to_dataset([log], window=1)
-    rate = data.column_values("fighting").count(OCCURRED) / data.n_rows
+    rate = _column(data, "fighting").count(OCCURRED) / data.n_rows
     assert rate == pytest.approx(0.35, abs=0.03)
 
 
@@ -349,7 +358,7 @@ def test_even_split_balances_both_classes():
     train, test = split(_synthetic_dataset(10), ratio=0.5, seed=3)
     assert (train.n_rows, test.n_rows) == (10, 10)
     for side in (train, test):
-        counts = Counter(side.column_values(CLASS_COLUMN))
+        counts = Counter(_column(side, CLASS_COLUMN))
         assert counts == {"ID1": 5, "ID2": 5}
 
 
@@ -393,7 +402,7 @@ def test_split_partition_and_per_class_counts(n1, n2, ratio, seed):
     data = DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), rows=tuple(id1 + id2))
     train, test = split(data, ratio, seed)
     assert Counter(train.rows) + Counter(test.rows) == Counter(data.rows)
-    train_counts = Counter(train.column_values(CLASS_COLUMN))
+    train_counts = Counter(_column(train, CLASS_COLUMN))
     assert train_counts["ID1"] == int(ratio * n1 + 0.5)
     assert train_counts["ID2"] == int(ratio * n2 + 0.5)
 
@@ -401,12 +410,14 @@ def test_split_partition_and_per_class_counts(n1, n2, ratio, seed):
 # --- persistence ------------------------------------------------------------
 
 def test_record_json_line_has_the_documented_shape():
-    record = _record(5, AttributeId.FIGHTING, obstacle_present=True)
-    payload = json.loads(record_to_json(record))
+    log = _log([_record(5, AttributeId.FIGHTING, obstacle_present=True)])
+    row = (5, 0, int(log.contexts[0]), AttributeId.FIGHTING.value)
+    payload = json.loads(behavior_data._json_line(*row))
     assert set(payload) == {"tick", "player", "context", "behavior"}
     assert set(payload["context"]) == set(CONTEXT_FIELDS)
+    assert payload["context"]["obstacle_present"] is True
     assert payload["behavior"] == "fighting"
-    assert record_from_json(record_to_json(record)) == record
+    assert behavior_data._parse_line(behavior_data._json_line(*row)) == row
 
 
 def test_session_jsonl_round_trip(tmp_path, base_scenario, table1_pair):
@@ -452,3 +463,146 @@ def test_dataset_rejects_out_of_domain_cells():
     bad = rows[:1] + (("nonsense",) + rows[1][1:],)
     with pytest.raises(ValueError, match="not in domain"):
         DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), rows=bad)
+
+
+def _reference_csv(data: DataSet) -> str:
+    """dataset_to_csv as it was: ``csv.writer`` over every decoded row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(data.columns)
+    writer.writerows(data.rows)
+    return buffer.getvalue()
+
+
+def _reference_read_csv(path, domains) -> DataSet:
+    """read_dataset_csv as it was: ``csv.reader`` over the whole file, then ``rows=``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        rows = tuple(tuple(row) for row in reader)
+    missing = [name for name in header if name not in domains]
+    if missing:
+        raise ValueError(f"{path}: no domain known for columns {missing}")
+    return DataSet(
+        columns=tuple(header),
+        domains={name: tuple(domains[name]) for name in header},
+        rows=rows,
+    )
+
+
+#: Cell values that ``csv.reader`` reads back from a bare cell, and ones
+#: it does not (``csv.writer`` quotes all but the carriage return).
+_PLAIN_VALUES = ("x", "y", OCCURRED, ABSENT, "", " lead")
+_QUOTED_VALUES = ("a,b", 'say "hi"', '"hi" there', "two\nlines", "cr\rhere")
+
+
+@st.composite
+def _generic_tables(draw) -> DataSet:
+    pool = _PLAIN_VALUES + draw(st.sampled_from([(), *((v,) for v in _QUOTED_VALUES)]))
+    columns = tuple(f"c{j}" for j in range(draw(st.integers(1, 6))))
+    domains = {
+        name: tuple(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True)))
+        for name in columns
+    }
+    n_rows = draw(st.integers(0, 12))
+    codes = [
+        [draw(st.integers(0, len(domains[name]) - 1)) for name in columns] for _ in range(n_rows)
+    ]
+    return DataSet(
+        columns=columns,
+        domains=domains,
+        codes=np.array(codes, dtype=np.int8).reshape(n_rows, len(columns)),
+    )
+
+
+def _corrupted(text: str, corruption: str, where: int) -> str:
+    lines = text.split("\n")
+    # A body line, or the empty string after the last newline if there is none.
+    i = 1 + where % max(len(lines) - 2, 1)
+    if corruption == "blank line":
+        lines.insert(i, "")
+    elif corruption == "short row":
+        lines[i] = lines[i].rpartition(",")[0]
+    elif corruption == "unknown value":
+        lines[i] = "nonsense" + lines[i][lines[i].find(",") :] if "," in lines[i] else "nonsense"
+    elif corruption == "quoted cell":
+        cells = lines[i].split(",")
+        lines[i] = ",".join([f'"{cells[0]}"', *cells[1:]])
+    elif corruption == "crlf":
+        return "\r\n".join(lines)
+    elif corruption == "no final newline":
+        return "\n".join(lines)[:-1]
+    return "\n".join(lines)
+
+
+def _bare_csv(data: DataSet) -> str:
+    """The table's cells joined by commas, nothing quoted."""
+    return "".join(",".join(row) + "\n" for row in (data.columns, *data.rows))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_generic_tables())
+def test_csv_writer_matches_the_csv_writer_reference(data):
+    assert dataset_to_csv(data) == _reference_csv(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=_generic_tables(),
+    corruption=st.sampled_from(
+        [
+            "none", "blank line", "short row", "unknown value", "quoted cell", "crlf",
+            "no final newline", "bare cells",
+        ]
+    ),
+    where=st.integers(min_value=0, max_value=100),
+)
+def test_csv_reader_matches_the_csv_reader_reference(tmp_path_factory, data, corruption, where):
+    path = tmp_path_factory.getbasetemp() / "generic.csv"
+    if corruption == "bare cells":
+        text = _bare_csv(data)
+    else:
+        text = _corrupted(_reference_csv(data), corruption, where)
+    path.write_text(text, encoding="utf-8", newline="")
+    outcome = _outcome(read_dataset_csv, path, data.domains)
+    assert outcome == _outcome(_reference_read_csv, path, data.domains)
+    # csv.writer leaves a bare carriage return unquoted under the "\n" line
+    # terminator, so such a value does not come back, by either reader.
+    if corruption == "none" and not any("\r" in v for d in data.domains.values() for v in d):
+        assert outcome == data
+
+
+def test_standard_table_csv_matches_the_references(tmp_path, base_scenario, table1_pair):
+    scenario = replace(base_scenario, ticks_per_session=2000)
+    logs = [
+        run_session(scenario, profile, player, seed=4)
+        for profile, player in zip(table1_pair, PlayerId)
+    ]
+    data = to_dataset(logs, window=5)
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(data, path)
+    assert path.read_text(encoding="utf-8") == _reference_csv(data)
+    assert read_dataset_csv(path) == _reference_read_csv(path, DOMAINS) == data
+
+
+@pytest.mark.parametrize("value", _QUOTED_VALUES)
+def test_bare_cells_read_as_the_csv_reader_reads_them(tmp_path, value):
+    data = DataSet(
+        columns=("c0", "c1"),
+        domains={"c0": (value, "x"), "c1": ("x", "y")},
+        codes=np.array([[0, 1], [1, 0]], dtype=np.int8),
+    )
+    path = tmp_path / "bare.csv"
+    path.write_text(_bare_csv(data), encoding="utf-8", newline="")
+    outcome = _outcome(read_dataset_csv, path, data.domains)
+    assert outcome == _outcome(_reference_read_csv, path, data.domains)

@@ -33,7 +33,7 @@ from skilltransfer.config import (
     serialize_config,
 )
 from skilltransfer.errors import ConfigError
-from skilltransfer.game_domain import default_scenario, table1_profiles, write_profile
+from skilltransfer.game_domain import default_scenario, profile_to_json, table1_profiles
 from skilltransfer.transfer_loop import trace_from_json
 
 
@@ -250,7 +250,7 @@ def test_identify_reports_accuracy_and_attributes(quick_config):
 def test_transfer_from_the_expert_stops_at_iteration_one(tmp_path):
     expert, _ = table1_profiles()
     profile_path = tmp_path / "expert.json"
-    write_profile(expert, profile_path)
+    profile_path.write_text(profile_to_json(expert), encoding="utf-8")
     config_path = tmp_path / "config.json"
     config_path.write_text(
         json.dumps(
@@ -373,6 +373,29 @@ def test_report_on_an_empty_trace_exits_three(quick_config, tmp_path):
     assert result.exit_code == 3
     assert result.stderr.startswith("error: data:")
     assert "no iterations" in result.stderr
+
+
+def _report_on(quick_config, tmp_path, text):
+    trace_path = tmp_path / "bad.json"
+    trace_path.write_text(text, encoding="utf-8")
+    result = _invoke(["report", "--config", quick_config, "--trace", trace_path])
+    assert result.exit_code == 3, result.stderr
+    assert result.stderr.startswith(f"error: data: trace {trace_path}: ")
+    assert result.stderr.count("\n") == 1
+    return result.stderr
+
+
+def test_report_on_a_trace_that_is_not_json_exits_three(quick_config, tmp_path):
+    assert "JSONDecodeError" in _report_on(quick_config, tmp_path, "not json")
+
+
+def test_report_on_a_trace_with_scalar_iterations_exits_three(quick_config, tmp_path):
+    stderr = _report_on(quick_config, tmp_path, json.dumps({"iterations": 5}))
+    assert "TypeError" in stderr
+
+
+def test_report_on_a_trace_without_iterations_exits_three(quick_config, tmp_path):
+    assert "KeyError: 'iterations'" in _report_on(quick_config, tmp_path, "{}")
 
 
 def test_unwritable_output_directory_exits_four(tmp_path):

@@ -33,13 +33,10 @@ from skilltransfer.game_domain import (
     active_keys,
     boost_scenario,
     choose_behavior,
-    default_scenario,
     profile_from_json,
     profile_to_json,
     run_session,
     sample_context,
-    scenario_from_json,
-    scenario_to_json,
     table1_profiles,
 )
 from skilltransfer.seeds import derive_rng
@@ -381,13 +378,6 @@ def test_profile_from_json_rejects_garbage():
         profile_from_json('{"profile_id": "x"}')
     with pytest.raises(ConfigError, match="invalid profile"):
         profile_from_json('{"profile_id": "x", "distributions": {"weather": {}}}')
-
-
-def test_scenario_json_round_trip():
-    scenario = default_scenario()
-    assert scenario_from_json(scenario_to_json(scenario)) == scenario
-    with pytest.raises(ConfigError, match="invalid scenario"):
-        scenario_from_json("{}")
 
 
 def test_boost_scenario_raises_only_named_fields():

@@ -26,8 +26,6 @@ from skilltransfer.behavior_data import (
     Violation,
     is_feasible,
     read_session_jsonl,
-    record_from_json,
-    record_to_json,
     validate_session,
     write_session_jsonl,
 )
@@ -137,9 +135,11 @@ def test_columnar_log_agrees_with_its_record_stream(
     path = tmp_path_factory.getbasetemp() / "property-log.jsonl"
     write_session_jsonl(log, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [record_to_json(r) for r in records]
     assert lines == [_reference_line(r) for r in records]
-    assert [record_from_json(line) for line in lines] == records
+    parsed = [behavior_data._parse_line(line) for line in lines]
+    assert [
+        BehaviorRecord(PLAYERS[p], tick, CONTEXTS[c], AttributeId(b)) for tick, p, c, b in parsed
+    ] == records
     assert read_session_jsonl(path, player=player, seed=4, scenario_id="prop") == log
 
 
@@ -255,3 +255,132 @@ def test_logs_survive_pickling_and_copying(base_scenario, table1_pair):
     for clone in (pickle.loads(pickle.dumps(log)), copy.copy(log), copy.deepcopy(log)):
         assert clone == log
         assert not clone.behaviors.flags.writeable
+
+
+def _reference_read(path, *, player=None, seed=0, scenario_id=""):
+    """read_session_jsonl as it was before canonical lines decoded by lookup."""
+    with open(path, encoding="utf-8") as handle:
+        rows = [behavior_data._parse_line(line) for line in handle if line.strip()]
+    if player is None:
+        if not rows:
+            raise ValueError(f"{path}: empty session file and no player given")
+        player = PLAYERS[rows[0][1]]
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
+    names = ("ticks", "players", "contexts", "behaviors")
+    return SessionLog(
+        player=player, seed=seed, scenario_id=scenario_id, **dict(zip(names, columns))
+    )
+
+
+_INT64_MAX = 2**63 - 1
+
+#: Tick texts: the JSON integer grammar's canonical form at the int64
+#: edges, and what ``json.loads`` or ``int`` reads otherwise or rejects.
+_tick_texts = st.one_of(
+    st.integers(min_value=-(10**18), max_value=10**18).map(str),
+    st.sampled_from(
+        [
+            "0", "-0", "007", "-01", "1.0", "1e3", "2E1", " 5", "5 ", "true", "null", '"5"',
+            "+5", "1_000", "\u0663", "999999999999999999", "-999999999999999999",
+            "1000000000000000000", str(_INT64_MAX), str(_INT64_MAX + 1), str(2**64),
+            str(-_INT64_MAX - 1), str(-_INT64_MAX - 2), "9" * 30,
+        ]
+    ),
+)
+
+#: Context flag values other than JSON booleans; read by truthiness.
+_flag_values = st.sampled_from([True, False, 1, 0, "x", "", None, [], [0], 0.0, 2.5])
+
+
+@st.composite
+def _near_canonical_line(draw) -> str:
+    """One JSONL line without its terminator: canonical, or close to it."""
+    tick = draw(_tick_texts)
+    player = draw(st.integers(0, len(PLAYERS) - 1))
+    context = draw(st.integers(0, len(CONTEXTS) - 1))
+    behavior = draw(st.sampled_from(list(AttributeId))).value
+    canonical = behavior_data._json_line(0, player, context, behavior)
+    suffix = canonical[canonical.index(",") :]
+    line = '{"tick": ' + tick + suffix
+    variants = ["spaces", "reordered", "duplicate", "flags", "case", "player", "junk"]
+    kind = draw(st.sampled_from(["canonical"] * len(variants) + variants))
+    if kind == "spaces":
+        at = draw(st.sampled_from(["{", ":", ",", "}"]))
+        spaced = line.replace(at, at + " ", 1) if at != "}" else line + " "
+        line = draw(st.sampled_from([spaced, " " + line, line.replace(": ", ":")]))
+    elif kind == "reordered":
+        payload = json.loads(canonical)
+        order = draw(st.permutations(["tick", "player", "context", "behavior"]))
+        reordered = json.dumps({key: payload[key] for key in order})
+        line = reordered.replace('"tick": 0', '"tick": ' + tick)
+    elif kind == "duplicate":
+        other = draw(_tick_texts)
+        line = draw(
+            st.sampled_from(
+                [
+                    '{"tick": ' + other + ", " + line[1:],
+                    line[:-1] + ', "tick": ' + other + "}",
+                    line[:-1] + ', "player": "ID' + str(2 - player) + '"}',
+                ]
+            )
+        )
+    elif kind == "flags":
+        payload = json.loads(canonical)
+        for field in CONTEXT_FIELDS:
+            if draw(st.booleans()):
+                payload["context"][field] = draw(_flag_values)
+        line = '{"tick": ' + tick + json.dumps(payload)[len('{"tick": 0') :]
+    elif kind == "case":
+        name = AttributeId(behavior).column
+        cased = draw(st.sampled_from([name.upper(), name.title()]))
+        line = line.replace(f'"{name}"}}', f'"{cased}"}}')
+    elif kind == "player":
+        other = draw(st.sampled_from(['"ID3"', '"id1"', "1", "null"]))
+        line = line.replace(f'"player": "{PLAYERS[player].value}"', f'"player": {other}')
+    elif kind == "junk":
+        line = draw(st.sampled_from(["not json", "{}", '{"tick": 5}', "[]", line[:-1], line + "x"]))
+    return line
+
+
+_session_files = st.lists(
+    st.tuples(
+        st.one_of(_near_canonical_line(), st.sampled_from(["", "   ", "\t"])),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ),
+    max_size=8,
+)
+
+
+def _outcome(read, path, **kwargs):
+    try:
+        return read(path, **kwargs)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=_session_files,
+    drop_last_terminator=st.booleans(),
+    player=st.sampled_from([None, *PLAYERS]),
+)
+def test_jsonl_reader_agrees_with_the_json_loads_reader(
+    tmp_path_factory, lines, drop_last_terminator, player
+):
+    text = "".join(line + end for line, end in lines)
+    if drop_last_terminator and lines:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.getbasetemp() / "near-canonical.jsonl"
+    path.write_text(text, encoding="utf-8", newline="")
+    kwargs = {"player": player, "seed": 3, "scenario_id": "near"}
+    assert _outcome(read_session_jsonl, path, **kwargs) == _outcome(_reference_read, path, **kwargs)
+
+
+def test_jsonl_decoding_table_covers_every_parsed_triple():
+    suffixes, triples, table = behavior_data._line_table()
+    assert len(suffixes) == len(triples) == table.shape[1] == 2 * 128 * 10
+    assert not table.flags.writeable
+    for suffix, key in suffixes.items():
+        assert behavior_data._parse_line('{"tick": 0,' + suffix)[1:] == tuple(table[:, key])
+    for triple, key in triples.items():
+        assert triple == tuple(table[:, key])
