@@ -31,6 +31,7 @@ from bisect import insort
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from pathlib import Path
 
@@ -62,8 +63,10 @@ class Dag:
                 raise ValueError(f"edge ({parent}, {child}) references unknown node")
             if parent == child:
                 raise ValueError(f"self loop on {child}")
-        if _topological_order(self.nodes, self.edges) is None:
-            raise ValueError("graph contains a cycle")
+        try:
+            TopologicalSorter({n: self.parents_of(n) for n in self.nodes}).prepare()
+        except CycleError:
+            raise ValueError("graph contains a cycle") from None
 
     def parents_of(self, node: str) -> tuple[str, ...]:
         self._check(node)
@@ -76,27 +79,6 @@ class Dag:
     def _check(self, node: str) -> None:
         if node not in self.nodes:
             raise ValueError(f"no such node: {node!r}")
-
-
-def _topological_order(
-    nodes: Sequence[str], edges: frozenset[tuple[str, str]]
-) -> list[str] | None:
-    """Kahn's algorithm; None signals a cycle."""
-    indegree = {n: 0 for n in nodes}
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for parent, child in edges:
-        indegree[child] += 1
-        children[parent].append(child)
-    ready = sorted(n for n, d in indegree.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        node = ready.pop()
-        order.append(node)
-        for child in children[node]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                ready.append(child)
-    return order if len(order) == len(nodes) else None
 
 
 def markov_blanket(dag: Dag, node: str) -> frozenset[str]:

@@ -2,12 +2,13 @@
 
 Raw play is a stream of (stimulus context, chosen behavior) events, one
 per game tick. A :class:`SessionLog` stores that stream as four integer
-columns: tick, player index, context code and behavior value.
-:class:`BehaviorRecord` values exist only at the edges, where a caller
-indexes or iterates a log's records. This module defines the vocabulary,
-validates logs, and aggregates them into the categorical table that the
-network classifier consumes: fixed-width windows of ticks become one row
-each, with the player identity in the class column.
+columns (tick, player index, context code, behavior value) and is built
+only from them; :class:`BehaviorRecord` values exist only when a caller
+indexes or iterates a log's records. This module defines the vocabulary
+and the one feasibility table, :data:`FEASIBILITY`, validates logs, and
+aggregates them into the categorical table that the network classifier
+consumes: fixed-width windows of ticks become one row each, with the
+player identity in the class column.
 
 The JSONL and CSV readers accept whatever their general parsers
 (``json.loads`` per line, ``csv.reader``) accept. A line in the form the
@@ -120,14 +121,6 @@ CONTEXTS: tuple[StimulusContext, ...] = tuple(
 )
 
 
-_CODE_OF_CONTEXT = {context: code for code, context in enumerate(CONTEXTS)}
-
-
-def context_code(context: StimulusContext) -> int:
-    """Index of ``context`` in :data:`CONTEXTS`."""
-    return _CODE_OF_CONTEXT[context]
-
-
 #: Stimulus fields a behavior needs before it can occur. Behaviors not
 #: listed are possible in any context. LOCATION never appears as an event;
 #: it is read off the context when windows are aggregated.
@@ -151,13 +144,6 @@ UNCONDITIONAL_BEHAVIORS: tuple[AttributeId, ...] = tuple(
 )
 
 
-def is_feasible(behavior: AttributeId, context: StimulusContext) -> bool:
-    """Whether ``behavior`` can occur under ``context``."""
-    if behavior is AttributeId.LOCATION:
-        return False
-    return all(getattr(context, f) for f in FEASIBILITY_REQUIREMENTS.get(behavior, ()))
-
-
 def _feasibility_table() -> np.ndarray:
     codes = np.arange(len(CONTEXTS))
     table = np.zeros((max(a.value for a in AttributeId) + 1, len(CONTEXTS)), dtype=bool)
@@ -171,8 +157,9 @@ def _feasibility_table() -> np.ndarray:
 
 
 #: Entry ``[v, code]``: whether the behavior whose ``AttributeId`` value is
-#: ``v`` can occur under context ``CONTEXTS[code]``, as :func:`is_feasible`
-#: defines it. The unused row 0 and the LOCATION row are all False.
+#: ``v`` can occur under context ``CONTEXTS[code]``: it is an event behavior
+#: and every field ``FEASIBILITY_REQUIREMENTS`` names for it is present. The
+#: unused row 0 and the LOCATION row are all False.
 FEASIBILITY: np.ndarray = _feasibility_table()
 
 
@@ -279,13 +266,12 @@ class SessionLog:
       :data:`CONTEXTS` (bit 0 is ``location_indoor``);
     - ``behaviors`` (``int8``): the behavior's ``AttributeId`` value.
 
-    The simulator and the JSONL reader pass the columns by keyword, and
-    they are checked for equal lengths and in-range codes. ``records=``
-    encodes :class:`BehaviorRecord` values once, for tests and hand-built
-    logs; :attr:`records` is a :class:`SessionRecords` view that decodes
-    them back on demand. The columns may hold what a clean session would
-    not (repeated ticks, another player's records, infeasible behaviors);
-    :func:`validate_session` reports those. Equality compares by value.
+    The columns are passed by keyword and checked for equal lengths and
+    in-range codes. :attr:`records` is a :class:`SessionRecords` view that
+    decodes them to :class:`BehaviorRecord` values on demand. The columns
+    may hold what a clean session would not (repeated ticks, another
+    player's records, infeasible behaviors); :func:`validate_session`
+    reports those. Equality compares by value.
     """
 
     __slots__ = (
@@ -297,24 +283,13 @@ class SessionLog:
         player: PlayerId,
         seed: int,
         scenario_id: str,
-        records: Sequence[BehaviorRecord] | None = None,
         *,
-        ticks: np.ndarray | None = None,
-        players: np.ndarray | None = None,
-        contexts: np.ndarray | None = None,
-        behaviors: np.ndarray | None = None,
+        ticks: np.ndarray,
+        players: np.ndarray,
+        contexts: np.ndarray,
+        behaviors: np.ndarray,
     ) -> None:
-        columns = (ticks, players, contexts, behaviors)
-        given = sum(column is not None for column in columns)
-        if (records is None) == (given == 0) or 0 < given < len(columns):
-            raise ValueError("give either records or all four columns")
-        if records is not None:
-            rows = [
-                (r.tick, _PLAYER_INDEX[r.player], _CODE_OF_CONTEXT[r.context], r.behavior.value)
-                for r in records
-            ]
-            columns = np.array(rows, dtype=np.int64).reshape(len(rows), len(_COLUMNS)).T
-        columns = _checked_columns(columns)
+        columns = _checked_columns((ticks, players, contexts, behaviors))
         for name, value in zip(
             self.__slots__,
             (player, seed, scenario_id, *columns, SessionRecords(*columns)),
@@ -738,15 +713,19 @@ def read_session_jsonl(
 
 
 def dataset_to_csv(data: DataSet) -> str:
-    """The table as CSV text; ``csv.writer`` renders each distinct row once."""
+    """The table as CSV text; ``csv.writer`` renders each distinct row once.
+
+    Lines end in ``"\\n"``. The writer's terminator is ``"\\r\\n"``, so it
+    quotes a cell holding either character, and each ending is rewritten.
+    """
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator="\r\n")
 
     def render(cells: Sequence[str]) -> str:
         buffer.seek(0)
         buffer.truncate()
         writer.writerow(cells)
-        return buffer.getvalue()
+        return buffer.getvalue()[:-2] + "\n"
 
     # Codes are below 128, so each byte of a row's int8 codes is one code.
     width, raw = len(data.columns), data.codes.tobytes()

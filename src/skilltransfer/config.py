@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bayes import LearnConfig
@@ -239,12 +239,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
     learning_obj = r.section(document, "learning", "learning")
     r.reject_unknown(learning_obj, ("max_parents", "smoothing", "restarts"), "learning.")
+    default = LearnConfig()
     learning = LearnConfig(
-        max_parents=r.integer(learning_obj, "max_parents", "learning.", 3, low=1),
-        smoothing=r.number(
-            learning_obj, "smoothing", "learning.", 1.0, 0.0, MAX_SMOOTHING, low_open=True
+        max_parents=r.integer(
+            learning_obj, "max_parents", "learning.", default.max_parents, low=1
         ),
-        restarts=r.integer(learning_obj, "restarts", "learning.", 5, low=0),
+        smoothing=r.number(
+            learning_obj, "smoothing", "learning.",
+            default.smoothing, 0.0, MAX_SMOOTHING, low_open=True,
+        ),
+        restarts=r.integer(learning_obj, "restarts", "learning.", default.restarts, low=0),
     )
 
     transfer_obj = r.section(document, "transfer", "transfer")
@@ -287,42 +291,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical JSON with all fields explicit; parse round-trips equal."""
-    payload = {
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-        "scenario": {
-            "scenario_id": config.scenario.scenario_id,
-            "ticks_per_session": config.scenario.ticks_per_session,
-            **{f: getattr(config.scenario, f) for f in CONTEXT_FIELDS},
-        },
-        "profiles": {
-            "source": config.profiles.source,
-            "linkage_strength": config.profiles.linkage_strength,
-            **(
-                {
-                    "expert_path": config.profiles.expert_path,
-                    "learner_path": config.profiles.learner_path,
-                }
-                if config.profiles.source == FILE_PROFILES
-                else {}
-            ),
-        },
-        "dataset": {
-            "window": config.dataset.window,
-            "split_ratio": config.dataset.split_ratio,
-        },
-        "learning": {
-            "max_parents": config.learning.max_parents,
-            "smoothing": config.learning.smoothing,
-            "restarts": config.learning.restarts,
-        },
-        "transfer": {
-            "learning_rate": config.transfer.learning_rate,
-            "stop_threshold": config.transfer.stop_threshold,
-            "max_iterations": config.transfer.max_iterations,
-        },
-    }
+    """Canonical JSON with all fields explicit; parse round-trips equal.
+
+    Every field but ``learning.seed``, which the pipeline derives from the
+    run seed; the profile paths appear only when profiles come from files.
+    """
+    payload = asdict(config)
+    del payload["learning"]["seed"]
+    if config.profiles.source != FILE_PROFILES:
+        del payload["profiles"]["expert_path"], payload["profiles"]["learner_path"]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -17,12 +17,12 @@ profile must give it at least one always-feasible behavior.
 
 Each profile carries a table of these restricted distributions, one
 inverse CDF per (governing key, context code), built once on first use.
-``run_session`` draws whole blocks of ticks from it and writes their
-context codes and behavior values straight into the columns of the
-:class:`~skilltransfer.behavior_data.SessionLog`; no per-tick record
-object is built. ``sample_context`` and ``choose_behavior`` are one-tick
-views of the same draw. The random stream layout is documented in
-:mod:`skilltransfer.seeds`.
+``run_session``, the one simulator, draws whole blocks of ticks from it
+and writes their context codes and behavior values straight into the
+columns of the :class:`~skilltransfer.behavior_data.SessionLog`; no
+per-tick object is built. Feasibility is read from the one table,
+:data:`~skilltransfer.behavior_data.FEASIBILITY`. The random stream
+layout is documented in :mod:`skilltransfer.seeds`.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from .behavior_data import (
     CONTEXTS,
     EVENT_ATTRIBUTES,
     FEASIBILITY,
+    FEASIBILITY_REQUIREMENTS,
     PLAYERS,
     UNCONDITIONAL_BEHAVIORS,
     AttributeId,
     PlayerId,
     SessionLog,
     StimulusContext,
-    context_code,
 )
 from .errors import ConfigError
 from .seeds import ROLE_EXPERT, ROLE_LEARNER, STREAM_SESSION, derive_rng, derive_seed
@@ -271,44 +271,21 @@ class _BehaviorTable:
         return (u_behavior[:, None] >= self.cdf[rows]).sum(axis=1)
 
 
-def _context_codes(scenario: Scenario, u: np.ndarray) -> np.ndarray:
-    """Context codes of the rows of ``u``; column i is the draw of CONTEXT_FIELDS[i]."""
-    p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
-    return (u < p) @ _CODE_WEIGHTS
-
-
-def sample_context(scenario: Scenario, rng: np.random.Generator) -> StimulusContext:
-    """Draw one context; fields are independent Bernoulli variables."""
-    u = rng.random((1, len(CONTEXT_FIELDS)))
-    return CONTEXTS[int(_context_codes(scenario, u)[0])]
-
-
-def choose_behavior(
-    profile: PlayerProfile, context: StimulusContext, rng: np.random.Generator
-) -> AttributeId:
-    """Draw one behavior for ``context`` from ``profile``.
-
-    Picks one active condition key uniformly, then draws from its
-    distribution restricted to the behaviors feasible in ``context``.
-    """
-    u_key, u_behavior = rng.random((2, 1))
-    codes = np.array([context_code(context)])
-    return EVENT_ATTRIBUTES[int(profile._table.draw(codes, u_key, u_behavior)[0])]
-
-
 def run_session(
     scenario: Scenario, profile: PlayerProfile, player: PlayerId, seed: int
 ) -> SessionLog:
     """Simulate one full session; bit-identical for identical arguments."""
     rng = derive_rng(seed)
     table = profile._table
+    # Column i of a block is the draw of CONTEXT_FIELDS[i].
+    p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
     ticks = scenario.ticks_per_session
     contexts = np.empty(ticks, dtype=np.uint8)
     behaviors = np.empty(ticks, dtype=np.int8)
     for start in range(0, ticks, _CHUNK):
         u = rng.random((min(_CHUNK, ticks - start), _DRAWS_PER_TICK))
         stop = start + len(u)
-        codes = _context_codes(scenario, u[:, : len(CONTEXT_FIELDS)])
+        codes = (u[:, : len(CONTEXT_FIELDS)] < p) @ _CODE_WEIGHTS
         contexts[start:stop] = codes
         behaviors[start:stop] = _EVENT_VALUES[table.draw(codes, u[:, -2], u[:, -1])]
     return SessionLog(
@@ -347,18 +324,15 @@ def simulate_pair(
 _BASE_BEHAVIORS = UNCONDITIONAL_BEHAVIORS  # fighting, obstacle, movement
 
 #: Behaviors guaranteed feasible whenever the key governs a tick: the three
-#: unconditional ones plus whatever the key's own stimulus unlocks.
+#: unconditional ones plus those whose one requirement is the key's own
+#: stimulus (none for the location and default keys).
 _KEY_SUPPORT: dict[ConditionKey, tuple[AttributeId, ...]] = {
-    ConditionKey.INDOOR: _BASE_BEHAVIORS,
-    ConditionKey.OUTDOOR: _BASE_BEHAVIORS,
-    ConditionKey.DEFAULT: _BASE_BEHAVIORS,
-    ConditionKey.OBSTACLE: _BASE_BEHAVIORS,
-    ConditionKey.PERSON_FACING: _BASE_BEHAVIORS
-    + (AttributeId.FACING_PRS, AttributeId.LISTENING),
-    ConditionKey.CLIMBING_OPPORTUNITY: _BASE_BEHAVIORS + (AttributeId.CLIMBING,),
-    ConditionKey.HORSE_AVAILABLE: _BASE_BEHAVIORS + (AttributeId.RIDING_HRS,),
-    ConditionKey.SOLDIER_PRESENT: _BASE_BEHAVIORS + (AttributeId.FACING_SOL,),
-    ConditionKey.CIVILIAN_PRESENT: _BASE_BEHAVIORS + (AttributeId.ATTACK_CIV,),
+    key: _BASE_BEHAVIORS
+    + tuple(
+        b for b, needs in FEASIBILITY_REQUIREMENTS.items()
+        if needs == (STIMULUS_KEY_FIELDS.get(key),)
+    )
+    for key in ConditionKey
 }
 
 
@@ -480,18 +454,20 @@ def profile_to_json(profile: PlayerProfile) -> str:
     return json.dumps(profile_payload(profile), indent=2, sort_keys=True) + "\n"
 
 
+def profile_from_payload(payload: dict) -> PlayerProfile:
+    """The profile of a :func:`profile_payload` object; raises the errors of a malformed one."""
+    distributions = {
+        ConditionKey(key): {
+            AttributeId.from_column(column): float(p) for column, p in dist.items()
+        }
+        for key, dist in payload["distributions"].items()
+    }
+    return PlayerProfile(profile_id=str(payload["profile_id"]), distributions=distributions)
+
+
 def profile_from_json(text: str) -> PlayerProfile:
     try:
-        payload = json.loads(text)
-        distributions = {
-            ConditionKey(key): {
-                AttributeId.from_column(column): float(p) for column, p in dist.items()
-            }
-            for key, dist in payload["distributions"].items()
-        }
-        return PlayerProfile(
-            profile_id=str(payload["profile_id"]), distributions=distributions
-        )
+        return profile_from_payload(json.loads(text))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"invalid profile document: {exc}") from exc
 

@@ -29,8 +29,8 @@ Philox stream per session and reads it as consecutive row-major
 
 Every tick reads exactly nine doubles, so a session of T ticks is the
 first T ticks of any longer session with the same seed, whatever the
-block size. ``sample_context`` reads columns 0-6 and ``choose_behavior``
-columns 7-8 of one tick, in that order.
+block size, and a replay that reads nine doubles per tick from
+``derive_rng(seed)`` gives back ``run_session``'s ticks one by one.
 """
 
 from __future__ import annotations

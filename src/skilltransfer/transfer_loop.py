@@ -49,7 +49,7 @@ from .game_domain import (
     PlayerProfile,
     Scenario,
     boost_scenario,
-    profile_from_json,
+    profile_from_payload,
     profile_payload,
     simulate_pair,
 )
@@ -226,11 +226,12 @@ def nudge_profile(
     return PlayerProfile(profile_id=learner.profile_id, distributions=new_distributions)
 
 
-#: Stimulus fields that must hold for each behavior to be feasible.
-#: Unlisted attributes need nothing raised (location must keep both values
-#: reachable, so it is deliberately absent).
-_FEASIBILITY_FIELDS: dict[AttributeId, tuple[str, ...]] = {
-    **{a: fields for a, fields in FEASIBILITY_REQUIREMENTS.items()},
+#: Stimulus fields raised for each targeted behavior: those its feasibility
+#: needs, and ``obstacle_present`` for FIGHTING and OBSTACLE. No feasibility
+#: rule names a stimulus for those two, but obstacles are what they answer
+#: to (the built-in expert fights at obstacles), so more obstacles elicit
+#: them. Location is absent: both of its values must stay reachable.
+_RAISED_STIMULI: dict[AttributeId, tuple[str, ...]] = FEASIBILITY_REQUIREMENTS | {
     AttributeId.FIGHTING: ("obstacle_present",),
     AttributeId.OBSTACLE: ("obstacle_present",),
 }
@@ -247,7 +248,7 @@ def build_schedule(
     """
     fields_to_boost: set[str] = set()
     for attribute in targets:
-        fields_to_boost.update(_FEASIBILITY_FIELDS.get(attribute, ()))
+        fields_to_boost.update(_RAISED_STIMULI.get(attribute, ()))
     return StimulusSchedule(
         scenario=boost_scenario(base, fields_to_boost, _SCHEDULE_FLOOR),
         targeted_attributes=frozenset(targets),
@@ -432,12 +433,12 @@ def trace_from_json(text: str) -> TransferTrace:
                 AttributeId.from_column(c) for c in entry["targeted_attributes"]
             ),
             nudged_keys=tuple(ConditionKey(k) for k in entry["nudged_keys"]),
-            learner_profile=profile_from_json(json.dumps(entry["learner_profile"])),
+            learner_profile=profile_from_payload(entry["learner_profile"]),
         )
         for entry in payload["iterations"]
     )
     return TransferTrace(
-        expert_profile=profile_from_json(json.dumps(payload["expert_profile"])),
+        expert_profile=profile_from_payload(payload["expert_profile"]),
         iterations=records,
         terminal_reason=TerminalReason(payload["terminal_reason"]),
     )

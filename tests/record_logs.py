@@ -1,0 +1,42 @@
+"""Session logs written as records, and feasibility as its rules state it.
+
+The package builds a :class:`SessionLog` only from its four integer
+columns and reads feasibility only from its ``FEASIBILITY`` table; tests
+that write a log record by record, or check the table, use these.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from skilltransfer.behavior_data import (
+    CONTEXTS,
+    FEASIBILITY_REQUIREMENTS,
+    PLAYERS,
+    AttributeId,
+    PlayerId,
+    SessionLog,
+    StimulusContext,
+)
+
+
+def log_of(
+    records, player: PlayerId = PlayerId.ID1, seed: int = 0, scenario_id: str = "test"
+) -> SessionLog:
+    """The log whose columns hold ``records``, in order."""
+    rows = [
+        (r.tick, PLAYERS.index(r.player), CONTEXTS.index(r.context), r.behavior.value)
+        for r in records
+    ]
+    ticks, players, contexts, behaviors = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return SessionLog(
+        player, seed, scenario_id,
+        ticks=ticks, players=players, contexts=contexts, behaviors=behaviors,
+    )
+
+
+def feasible(behavior: AttributeId, context: StimulusContext) -> bool:
+    """Whether ``behavior`` can occur under ``context``; LOCATION never can."""
+    needs = FEASIBILITY_REQUIREMENTS.get(behavior, ())
+    return behavior is not AttributeId.LOCATION and all(getattr(context, f) for f in needs)
+

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from record_logs import log_of
 from skilltransfer import behavior_data
 from skilltransfer.behavior_data import (
     ABSENT,
@@ -53,7 +54,7 @@ def _record(tick, behavior, player=PlayerId.ID1, **ctx) -> BehaviorRecord:
 
 
 def _log(records, player=PlayerId.ID1) -> SessionLog:
-    return SessionLog(player=player, seed=0, scenario_id="test", records=tuple(records))
+    return log_of(records, player)
 
 
 def _row(data: DataSet, index: int) -> dict[str, str]:
@@ -494,7 +495,7 @@ def _reference_read_csv(path, domains) -> DataSet:
 
 
 #: Cell values that ``csv.reader`` reads back from a bare cell, and ones
-#: it does not (``csv.writer`` quotes all but the carriage return).
+#: it does not, which the writer must quote.
 _PLAIN_VALUES = ("x", "y", OCCURRED, ABSENT, "", " lead")
 _QUOTED_VALUES = ("a,b", 'say "hi"', '"hi" there', "two\nlines", "cr\rhere")
 
@@ -553,7 +554,14 @@ def _outcome(read, *args):
 @settings(max_examples=300, deadline=None)
 @given(data=_generic_tables())
 def test_csv_writer_matches_the_csv_writer_reference(data):
-    assert dataset_to_csv(data) == _reference_csv(data)
+    text = dataset_to_csv(data)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        list(data.columns), *map(list, data.rows)
+    ]
+    # The reference leaves a bare carriage return unquoted, so only a table
+    # without one keeps the reference's bytes.
+    if not any("\r" in v for d in data.domains.values() for v in d):
+        assert text == _reference_csv(data)
 
 
 @settings(max_examples=300, deadline=None)
@@ -572,13 +580,11 @@ def test_csv_reader_matches_the_csv_reader_reference(tmp_path_factory, data, cor
     if corruption == "bare cells":
         text = _bare_csv(data)
     else:
-        text = _corrupted(_reference_csv(data), corruption, where)
+        text = _corrupted(dataset_to_csv(data), corruption, where)
     path.write_text(text, encoding="utf-8", newline="")
     outcome = _outcome(read_dataset_csv, path, data.domains)
     assert outcome == _outcome(_reference_read_csv, path, data.domains)
-    # csv.writer leaves a bare carriage return unquoted under the "\n" line
-    # terminator, so such a value does not come back, by either reader.
-    if corruption == "none" and not any("\r" in v for d in data.domains.values() for v in d):
+    if corruption == "none":
         assert outcome == data
 
 

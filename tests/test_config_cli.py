@@ -33,7 +33,12 @@ from skilltransfer.config import (
     serialize_config,
 )
 from skilltransfer.errors import ConfigError
-from skilltransfer.game_domain import default_scenario, profile_to_json, table1_profiles
+from skilltransfer.game_domain import (
+    default_scenario,
+    profile_payload,
+    profile_to_json,
+    table1_profiles,
+)
 from skilltransfer.transfer_loop import trace_from_json
 
 
@@ -157,6 +162,18 @@ def test_serialize_parse_round_trip(text):
     serialized = serialize_config(config)
     assert parse_config(serialized) == config
     assert serialize_config(parse_config(serialized)) == serialized
+
+
+def test_serialized_config_names_profile_paths_only_for_file_profiles(tmp_path):
+    builtin = json.loads(serialize_config(parse_config("{}")))
+    assert set(builtin["profiles"]) == {"source", "linkage_strength"}
+    assert set(builtin["learning"]) == {"max_parents", "smoothing", "restarts"}
+    path = tmp_path / "profile.json"
+    path.write_text(profile_to_json(table1_profiles()[0]), encoding="utf-8")
+    document = {"source": "file", "expert_path": str(path), "learner_path": str(path)}
+    text = serialize_config(parse_config(json.dumps({"profiles": document})))
+    assert json.loads(text)["profiles"] == {**document, "linkage_strength": 0.7}
+    assert serialize_config(parse_config(text)) == text
 
 
 def test_run_directory_is_keyed_by_content_and_seed():
@@ -396,6 +413,33 @@ def test_report_on_a_trace_with_scalar_iterations_exits_three(quick_config, tmp_
 
 def test_report_on_a_trace_without_iterations_exits_three(quick_config, tmp_path):
     assert "KeyError: 'iterations'" in _report_on(quick_config, tmp_path, "{}")
+
+
+def _trace_text(expert_profile: dict, learner_profile: dict) -> str:
+    iteration = {
+        "iteration": 1, "accuracy": 0.9, "divergence": 0.1,
+        "targeted_attributes": [], "nudged_keys": [], "learner_profile": learner_profile,
+    }
+    return json.dumps(
+        {
+            "terminal_reason": "max_iterations",
+            "expert_profile": expert_profile,
+            "iterations": [iteration],
+        }
+    )
+
+
+def test_report_on_a_trace_with_a_malformed_expert_profile_exits_three(quick_config, tmp_path):
+    learner = profile_payload(table1_profiles()[1])
+    text = _trace_text({"profile_id": "x"}, learner)
+    assert "KeyError: 'distributions'" in _report_on(quick_config, tmp_path, text)
+
+
+def test_report_on_a_trace_with_an_unknown_learner_condition_exits_three(quick_config, tmp_path):
+    expert = profile_payload(table1_profiles()[0])
+    text = _trace_text(expert, {"profile_id": "l", "distributions": {"weather": {}}})
+    stderr = _report_on(quick_config, tmp_path, text)
+    assert "ValueError: 'weather' is not a valid ConditionKey" in stderr
 
 
 def test_unwritable_output_directory_exits_four(tmp_path):

@@ -1,17 +1,18 @@
-"""Scenario sampling, behavior choice, the simulator, and built-in profiles."""
+"""Context and behavior draws, the simulator, and built-in profiles."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import replace
+from itertools import accumulate
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from record_logs import feasible
 from skilltransfer.behavior_data import (
     CONTEXT_FIELDS,
     CONTEXTS,
@@ -20,8 +21,6 @@ from skilltransfer.behavior_data import (
     BehaviorRecord,
     PlayerId,
     StimulusContext,
-    context_code,
-    is_feasible,
 )
 from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
@@ -32,11 +31,9 @@ from skilltransfer.game_domain import (
     Scenario,
     active_keys,
     boost_scenario,
-    choose_behavior,
     profile_from_json,
     profile_to_json,
     run_session,
-    sample_context,
     table1_profiles,
 )
 from skilltransfer.seeds import derive_rng
@@ -74,28 +71,27 @@ def _flat_profile(**overrides) -> PlayerProfile:
     return PlayerProfile(profile_id="flat", distributions=distributions)
 
 
+def _drawn(profile: PlayerProfile, *present: str, ticks: int, seed: int) -> Counter:
+    """Behavior counts of a session where the ``present`` stimuli always hold, no other ever."""
+    scenario = _scenario(ticks_per_session=ticks, **{f: 1.0 for f in present})
+    log = run_session(scenario, profile, PlayerId.ID1, seed)
+    return Counter(AttributeId(v) for v in log.behaviors.tolist())
+
+
 # --- scenario and context sampling ------------------------------------------
 
 def test_degenerate_probabilities_pin_the_context():
-    rng = np.random.default_rng(0)
-    everything = _scenario(
-        location_indoor=1.0, obstacle_present=1.0, soldier_present=1.0,
-        civilian_present=1.0, horse_available=1.0, climbable_present=1.0,
-        person_facing=1.0,
-    )
-    context = sample_context(everything, rng)
-    assert all(getattr(context, f) for f in CONTEXT_FIELDS)
-    nothing = _scenario()
-    context = sample_context(nothing, rng)
-    assert not any(getattr(context, f) for f in CONTEXT_FIELDS)
+    everything = _scenario(**{f: 1.0 for f in CONTEXT_FIELDS})
+    log = run_session(everything, _flat_profile(), PlayerId.ID1, seed=0)
+    assert all(getattr(CONTEXTS[c], f) for c in log.contexts.tolist() for f in CONTEXT_FIELDS)
+    log = run_session(_scenario(), _flat_profile(), PlayerId.ID1, seed=0)
+    assert not any(getattr(CONTEXTS[c], f) for c in log.contexts.tolist() for f in CONTEXT_FIELDS)
 
 
 def test_obstacle_frequency_tracks_its_probability():
-    rng = np.random.default_rng(123)
-    scenario = _scenario(obstacle_present=0.5)
-    hits = sum(
-        sample_context(scenario, rng).obstacle_present for _ in range(10_000)
-    )
+    scenario = _scenario(ticks_per_session=10_000, obstacle_present=0.5)
+    log = run_session(scenario, _flat_profile(), PlayerId.ID1, seed=123)
+    hits = sum(CONTEXTS[c].obstacle_present for c in log.contexts.tolist())
     assert hits / 10_000 == pytest.approx(0.5, abs=0.03)
 
 
@@ -130,30 +126,23 @@ def test_active_keys_never_empty_and_never_default(bits):
     assert ConditionKey.DEFAULT not in keys
 
 
-# --- choose_behavior ----------------------------------------------------------
+# --- behavior draws under pinned stimuli ----------------------------------------
 
 def test_point_mass_obstacle_linkage_always_fires():
     profile = _flat_profile(obstacle={AttributeId.FIGHTING: 1.0})
-    rng = np.random.default_rng(1)
-    context = _context(obstacle_present=True)
-    assert all(
-        choose_behavior(profile, context, rng) is AttributeId.FIGHTING
-        for _ in range(50)
-    )
+    assert _drawn(profile, "obstacle_present", ticks=50, seed=1) == {AttributeId.FIGHTING: 50}
 
 
 def test_stimulus_free_tick_draws_from_the_single_support():
     profile = _flat_profile()
-    rng = np.random.default_rng(2)
-    assert choose_behavior(profile, _context(), rng) is MOVE
+    assert _drawn(profile, ticks=50, seed=2) == {MOVE: 50}
+    assert _drawn(profile, "location_indoor", ticks=50, seed=2) == {MOVE: 50}
 
 
 def test_expert_fights_obstacles_at_the_configured_rate(table1_pair):
     expert, _ = table1_pair
     linked = expert.distributions[ConditionKey.OBSTACLE][AttributeId.FIGHTING]
-    rng = np.random.default_rng(77)
-    context = _context(obstacle_present=True)
-    draws = Counter(choose_behavior(expert, context, rng) for _ in range(10_000))
+    draws = _drawn(expert, "obstacle_present", ticks=10_000, seed=77)
     assert draws[AttributeId.FIGHTING] / 10_000 == pytest.approx(linked, abs=0.03)
 
 
@@ -162,29 +151,15 @@ def test_coincident_stimuli_share_the_tick_evenly():
         obstacle={AttributeId.FIGHTING: 1.0},
         horse_available={MOVE: 1.0},
     )
-    rng = np.random.default_rng(8)
-    context = _context(obstacle_present=True, horse_available=True)
-    draws = Counter(choose_behavior(profile, context, rng) for _ in range(10_000))
+    draws = _drawn(profile, "obstacle_present", "horse_available", ticks=10_000, seed=8)
     assert draws[AttributeId.FIGHTING] / 10_000 == pytest.approx(0.5, abs=0.03)
 
 
 def test_exhausted_rejections_fall_back_to_the_default_key():
     # The obstacle key only offers riding, which needs a horse the context
-    # lacks, so every draw is rejected and the default key resolves the tick.
+    # lacks, so it has no feasible mass and the default key resolves the tick.
     profile = _flat_profile(obstacle={AttributeId.RIDING_HRS: 1.0})
-    rng = np.random.default_rng(3)
-    context = _context(obstacle_present=True)
-    assert choose_behavior(profile, context, rng) is MOVE
-
-
-def test_infeasible_default_fallback_is_a_config_error():
-    profile = _flat_profile(
-        obstacle={AttributeId.RIDING_HRS: 1.0},
-        default={AttributeId.RIDING_HRS: 1.0},
-    )
-    rng = np.random.default_rng(4)
-    with pytest.raises(ConfigError, match="default"):
-        choose_behavior(profile, _context(obstacle_present=True), rng)
+    assert _drawn(profile, "obstacle_present", ticks=50, seed=3) == {MOVE: 50}
 
 
 # --- run_session ---------------------------------------------------------------
@@ -208,8 +183,10 @@ def test_same_seed_replays_the_same_session(base_scenario, table1_pair):
 
 def test_context_codes_and_the_feasibility_table_agree_with_the_context():
     for code, context in enumerate(CONTEXTS):
-        assert context_code(context) == code
-        assert _FEASIBLE[code].tolist() == [is_feasible(b, context) for b in EVENT_ATTRIBUTES]
+        assert [getattr(context, f) for f in CONTEXT_FIELDS] == [
+            bool(code >> i & 1) for i in range(len(CONTEXT_FIELDS))
+        ]
+        assert _FEASIBLE[code].tolist() == [feasible(b, context) for b in EVENT_ATTRIBUTES]
 
 
 def test_a_sole_feasible_behavior_is_drawn_however_small_its_mass():
@@ -235,17 +212,49 @@ def test_a_short_session_is_a_prefix_of_a_longer_one(base_scenario, table1_pair)
     assert short.records == long.records[:ticks]
 
 
-def test_one_tick_views_replay_the_session(base_scenario, table1_pair):
+def _replayed_behavior(
+    profile: PlayerProfile, key: ConditionKey, context: StimulusContext, u: float
+) -> AttributeId:
+    """Inverse CDF over the key's feasible behaviors, else over the default's."""
+    for k in (key, ConditionKey.DEFAULT):
+        dist = profile.distributions[k]
+        weights = [dist.get(b, 0.0) if feasible(b, context) else 0.0 for b in EVENT_ATTRIBUTES]
+        cumulative = list(accumulate(weights))
+        if cumulative[-1] > 0.0:
+            return next(
+                b for b, c in zip(EVENT_ATTRIBUTES, cumulative) if u < c / cumulative[-1]
+            )
+    raise AssertionError("no feasible behavior")
+
+
+def test_a_tick_by_tick_replay_of_the_stream_layout_matches_the_session(
+    base_scenario, table1_pair
+):
+    # The session stream layout of skilltransfer.seeds, one tick at a time:
+    # nine doubles per tick, the context from the first seven, the governing
+    # key from the eighth, the behavior from the ninth. The second profile's
+    # obstacle key has no feasible mass without a horse, so the default key
+    # draws those ticks.
     _, learner = table1_pair
+    fallback = _flat_profile(
+        obstacle={AttributeId.RIDING_HRS: 1.0},
+        default={AttributeId.FIGHTING: 0.3, AttributeId.OBSTACLE: 0.3, MOVE: 0.4},
+    )
     scenario = replace(base_scenario, ticks_per_session=300)
-    log = run_session(scenario, learner, PlayerId.ID2, seed=9)
-    rng = derive_rng(9)
-    replayed = []
-    for tick in range(300):
-        context = sample_context(scenario, rng)
-        behavior = choose_behavior(learner, context, rng)
-        replayed.append(BehaviorRecord(PlayerId.ID2, tick, context, behavior))
-    assert log.records == tuple(replayed)
+    for profile in (learner, fallback):
+        log = run_session(scenario, profile, PlayerId.ID2, seed=9)
+        rng = derive_rng(9)
+        replayed = []
+        for tick in range(300):
+            u = rng.random(len(CONTEXT_FIELDS) + 2).tolist()
+            context = StimulusContext(
+                **{f: u[i] < scenario.probability(f) for i, f in enumerate(CONTEXT_FIELDS)}
+            )
+            keys = active_keys(context)
+            key = keys[math.floor(u[7] * len(keys))]
+            behavior = _replayed_behavior(profile, key, context, u[8])
+            replayed.append(BehaviorRecord(PlayerId.ID2, tick, context, behavior))
+        assert log.records == tuple(replayed), profile.profile_id
 
 
 def test_a_drawn_dead_row_is_a_config_error():

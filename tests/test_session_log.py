@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from record_logs import feasible, log_of
 from skilltransfer import behavior_data
 from skilltransfer.behavior_data import (
     CONTEXT_FIELDS,
@@ -24,7 +25,6 @@ from skilltransfer.behavior_data import (
     PlayerId,
     SessionLog,
     Violation,
-    is_feasible,
     read_session_jsonl,
     validate_session,
     write_session_jsonl,
@@ -57,7 +57,7 @@ def _reference_violations(player: PlayerId, records) -> list[Violation]:
                     ),
                 )
             )
-        if not is_feasible(record.behavior, record.context):
+        if not feasible(record.behavior, record.context):
             needs = FEASIBILITY_REQUIREMENTS.get(record.behavior, ())
             violations.append(
                 Violation(
@@ -114,7 +114,7 @@ def test_columnar_log_agrees_with_its_record_stream(
     tmp_path_factory, player, stream, first_tick, data
 ):
     records = _records(stream, first_tick)
-    log = SessionLog(player=player, seed=4, scenario_id="prop", records=records)
+    log = log_of(records, player, seed=4, scenario_id="prop")
     view = log.records
 
     assert view == tuple(records)
@@ -145,11 +145,11 @@ def test_columnar_log_agrees_with_its_record_stream(
 
 def test_logs_compare_by_value():
     records = _records([(1, PlayerId.ID1, CONTEXTS[5], AttributeId.FIGHTING)] * 3, 0)
-    log = SessionLog(player=PlayerId.ID1, seed=1, scenario_id="s", records=records)
-    assert log == SessionLog(player=PlayerId.ID1, seed=1, scenario_id="s", records=records)
-    assert log != SessionLog(player=PlayerId.ID2, seed=1, scenario_id="s", records=records)
-    assert log != SessionLog(player=PlayerId.ID1, seed=2, scenario_id="s", records=records)
-    assert log != SessionLog(player=PlayerId.ID1, seed=1, scenario_id="s", records=records[1:])
+    log = log_of(records, PlayerId.ID1, seed=1, scenario_id="s")
+    assert log == log_of(records, PlayerId.ID1, seed=1, scenario_id="s")
+    assert log != log_of(records, PlayerId.ID2, seed=1, scenario_id="s")
+    assert log != log_of(records, PlayerId.ID1, seed=2, scenario_id="s")
+    assert log != log_of(records[1:], PlayerId.ID1, seed=1, scenario_id="s")
     assert log.records != tuple(records[:2])
     assert log.records != list(records)
 
@@ -165,9 +165,7 @@ def test_simulated_log_columns(base_scenario, table1_pair):
     assert (log.contexts & 1).astype(bool).tolist() == [
         r.context.location_indoor for r in log.records
     ]
-    rebuilt = SessionLog(
-        player=log.player, seed=log.seed, scenario_id=log.scenario_id, records=tuple(log.records)
-    )
+    rebuilt = log_of(log.records, log.player, log.seed, log.scenario_id)
     assert rebuilt == log
     for column in columns:
         with pytest.raises(ValueError):
@@ -210,13 +208,13 @@ def test_log_columns_must_be_one_length_of_integers():
         SessionLog(PlayerId.ID1, 0, "t", **_columns(ticks=np.arange(3.0)))
     with pytest.raises(ValueError, match="one-dimensional"):
         SessionLog(PlayerId.ID1, 0, "t", **_columns(players=np.zeros((3, 1), dtype=int)))
-    with pytest.raises(ValueError, match="either records or all four columns"):
+    with pytest.raises(TypeError, match="ticks"):
         SessionLog(PlayerId.ID1, 0, "t")
-    with pytest.raises(ValueError, match="either records or all four columns"):
+    with pytest.raises(TypeError, match="records"):
         SessionLog(PlayerId.ID1, 0, "t", records=(), **_columns(0))
     partial = _columns()
     del partial["behaviors"]
-    with pytest.raises(ValueError, match="either records or all four columns"):
+    with pytest.raises(TypeError, match="behaviors"):
         SessionLog(PlayerId.ID1, 0, "t", **partial)
     log = SessionLog(PlayerId.ID1, 0, "t", **_columns())
     assert validate_session(log) == []
@@ -240,12 +238,12 @@ def test_len_and_slices_of_the_records_view_decode_nothing(
         log.records[0]
 
 
-def test_feasibility_table_agrees_with_is_feasible():
+def test_feasibility_table_agrees_with_the_requirements():
     assert not FEASIBILITY[0].any()
     assert not FEASIBILITY.flags.writeable
     for behavior in AttributeId:
         assert FEASIBILITY[behavior.value].tolist() == [
-            is_feasible(behavior, context) for context in CONTEXTS
+            feasible(behavior, context) for context in CONTEXTS
         ]
 
 
