@@ -43,7 +43,6 @@ from .transfer_loop import (
     TransferConfig,
     TransferTrace,
     curves_to_csv,
-    curves_from_trace,
     run_identification,
     run_transfer,
     trace_from_json,
@@ -236,9 +235,7 @@ def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     run_dir = _prepare_run_dir(config)
     (run_dir / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8")
     (run_dir / "trace.json").write_text(trace_to_json(trace), encoding="utf-8")
-    (run_dir / "curves.csv").write_text(
-        curves_to_csv(curves_from_trace(trace)), encoding="utf-8"
-    )
+    (run_dir / "curves.csv").write_text(curves_to_csv(trace), encoding="utf-8")
     last = trace.iterations[-1]
     _echo(
         quiet,
@@ -293,7 +290,7 @@ def report(
         raise ConfigError([f"trace: file not found: {source} (run `transfer` first?)"])
     try:
         trace = trace_from_json(source.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataValidationError(f"trace {source}: {type(exc).__name__}: {exc}") from exc
     if not trace.iterations:
         raise DataValidationError(f"trace {source} records no iterations")

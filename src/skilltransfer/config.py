@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .bayes import LearnConfig
@@ -24,16 +25,6 @@ from .game_domain import (
     read_profile,
     table1_profiles,
 )
-
-#: Documented defaults, also applied field by field to partial documents.
-DEFAULT_LINKAGE_STRENGTH = 0.7
-DEFAULT_WINDOW = 5
-DEFAULT_SPLIT_RATIO = 0.5
-DEFAULT_LEARNING_RATE = 0.5
-DEFAULT_STOP_THRESHOLD = 0.55
-DEFAULT_MAX_ITERATIONS = 50
-DEFAULT_SEED = 0
-DEFAULT_OUTPUT_DIR = "runs"
 
 #: Largest learning.smoothing whose CPT rows still sum to a finite value:
 #: a row holds at most one cell per value of the widest domain, each cell
@@ -49,33 +40,53 @@ class ProfilesConfig:
     """Where the expert/learner pair comes from."""
 
     source: str = BUILTIN_PROFILES
-    linkage_strength: float = DEFAULT_LINKAGE_STRENGTH
+    linkage_strength: float = 0.7
     expert_path: str | None = None
     learner_path: str | None = None
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    window: int = DEFAULT_WINDOW
-    split_ratio: float = DEFAULT_SPLIT_RATIO
+    window: int = 5
+    split_ratio: float = 0.5
 
 
 @dataclass(frozen=True)
 class TransferParams:
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    stop_threshold: float = DEFAULT_STOP_THRESHOLD
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    learning_rate: float = 0.5
+    stop_threshold: float = 0.55
+    max_iterations: int = 50
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = DEFAULT_SEED
-    output_dir: str = DEFAULT_OUTPUT_DIR
+    seed: int = 0
+    output_dir: str = "runs"
     scenario: Scenario = field(default_factory=default_scenario)
     profiles: ProfilesConfig = field(default_factory=ProfilesConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     learning: LearnConfig = field(default_factory=LearnConfig)
     transfer: TransferParams = field(default_factory=TransferParams)
+
+
+#: Numeric ranges by field path: an integer's minimum, or a number's
+#: ``(low, high, low_open, high_open)``. Every other field is a string,
+#: except the profile paths, which :meth:`_Reader.profile_path` checks.
+_BOUNDS: dict[str, int | tuple[float, float, bool, bool]] = {
+    "seed": 0,
+    "scenario.ticks_per_session": 0,
+    **{f"scenario.{f}": (0.0, 1.0, False, False) for f in CONTEXT_FIELDS},
+    "profiles.linkage_strength": (0.0, 1.0, True, False),
+    "dataset.window": 1,
+    "dataset.split_ratio": (0.0, 1.0, True, True),
+    "learning.max_parents": 1,
+    "learning.smoothing": (0.0, MAX_SMOOTHING, True, False),
+    "learning.restarts": 0,
+    "transfer.learning_rate": (0.0, 1.0, True, False),
+    "transfer.stop_threshold": (0.5, 1.0, False, True),
+    "transfer.max_iterations": 1,
+}
+_PROFILE_PATHS = ("profiles.expert_path", "profiles.learner_path")
 
 
 class _Reader:
@@ -96,9 +107,37 @@ class _Reader:
             return {}
         return value
 
-    def reject_unknown(self, obj: dict, known: tuple[str, ...], path: str) -> None:
-        for key in sorted(set(obj) - set(known)):
-            self.complain(f"{path}{key}" if path else key, "unknown key")
+    def read(self, obj: dict, default, path: str):
+        """``default`` with each field read from ``obj``, in declaration order.
+
+        Sections recurse; ``learning.seed`` is not a config key, because the
+        pipeline derives it from the run seed.
+        """
+        names = [f.name for f in fields(default) if f"{path}{f.name}" != "learning.seed"]
+        for key in sorted(set(obj) - set(names)):
+            self.complain(f"{path}{key}", "unknown key")
+        values: dict[str, object] = {}
+        for name in names:
+            key = path + name
+            base = getattr(default, name)
+            bound = _BOUNDS.get(key)
+            if is_dataclass(base):
+                value = self.read(self.section(obj, name, key), base, key + ".")
+            elif key in _PROFILE_PATHS:
+                value = self.profile_path(obj.get(name), key, values["source"])
+            elif isinstance(bound, int):
+                value = self.integer(obj, name, path, base, bound)
+            elif bound:
+                value = self.number(obj, name, path, base, *bound)
+            else:
+                value = self.string(obj, name, path, base)
+            if key == "profiles.source" and value not in (BUILTIN_PROFILES, FILE_PROFILES):
+                self.complain(
+                    key, f"must be {BUILTIN_PROFILES!r} or {FILE_PROFILES!r}, got {value!r}"
+                )
+                value = BUILTIN_PROFILES
+            values[name] = value
+        return replace(default, **values)
 
     def number(
         self,
@@ -108,15 +147,17 @@ class _Reader:
         default: float,
         low: float,
         high: float,
-        *,
-        low_open: bool = False,
-        high_open: bool = False,
+        low_open: bool,
+        high_open: bool,
     ) -> float:
         value = obj.get(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.complain(f"{path}{key}", f"expected a number, got {value!r}")
             return default
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf if value > 0 else -math.inf
         low_ok = value > low if low_open else value >= low
         high_ok = value < high if high_open else value <= high
         if not (low_ok and high_ok):
@@ -147,6 +188,16 @@ class _Reader:
             return default
         return value
 
+    def profile_path(self, value: object, path: str, source: str) -> str | None:
+        if source == FILE_PROFILES:
+            if not isinstance(value, str) or not value:
+                self.complain(path, "required when source is 'file'")
+            elif not Path(value).is_file():
+                self.complain(path, f"file not found: {value}")
+        elif value is not None:
+            self.complain(path, "only allowed when source is 'file'")
+        return value if isinstance(value, str) else None
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON config document.
@@ -162,124 +213,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"document: not valid JSON ({exc})"]) from exc
     if not isinstance(document, dict):
         raise ConfigError(["document: top level must be a JSON object"])
-
     r = _Reader()
-    r.reject_unknown(
-        document,
-        ("seed", "output_dir", "scenario", "profiles", "dataset", "learning", "transfer"),
-        "",
-    )
-
-    seed = r.integer(document, "seed", "", DEFAULT_SEED, low=0)
-    output_dir = r.string(document, "output_dir", "", DEFAULT_OUTPUT_DIR)
-
-    scenario_obj = r.section(document, "scenario", "scenario")
-    r.reject_unknown(
-        scenario_obj,
-        ("scenario_id", "ticks_per_session") + CONTEXT_FIELDS,
-        "scenario.",
-    )
-    base = default_scenario()
-    scenario = Scenario(
-        scenario_id=r.string(scenario_obj, "scenario_id", "scenario.", base.scenario_id),
-        ticks_per_session=r.integer(
-            scenario_obj, "ticks_per_session", "scenario.", base.ticks_per_session, low=0
-        ),
-        **{
-            f: r.number(scenario_obj, f, "scenario.", getattr(base, f), 0.0, 1.0)
-            for f in CONTEXT_FIELDS
-        },
-    )
-
-    profiles_obj = r.section(document, "profiles", "profiles")
-    r.reject_unknown(
-        profiles_obj,
-        ("source", "linkage_strength", "expert_path", "learner_path"),
-        "profiles.",
-    )
-    source = r.string(profiles_obj, "source", "profiles.", BUILTIN_PROFILES)
-    if source not in (BUILTIN_PROFILES, FILE_PROFILES):
-        r.complain(
-            "profiles.source",
-            f"must be {BUILTIN_PROFILES!r} or {FILE_PROFILES!r}, got {source!r}",
-        )
-        source = BUILTIN_PROFILES
-    linkage = r.number(
-        profiles_obj, "linkage_strength", "profiles.",
-        DEFAULT_LINKAGE_STRENGTH, 0.0, 1.0, low_open=True,
-    )
-    expert_path = profiles_obj.get("expert_path")
-    learner_path = profiles_obj.get("learner_path")
-    if source == FILE_PROFILES:
-        for name, value in (("expert_path", expert_path), ("learner_path", learner_path)):
-            if not isinstance(value, str) or not value:
-                r.complain(f"profiles.{name}", "required when source is 'file'")
-            elif not Path(value).is_file():
-                r.complain(f"profiles.{name}", f"file not found: {value}")
-    else:
-        for name, value in (("expert_path", expert_path), ("learner_path", learner_path)):
-            if value is not None:
-                r.complain(f"profiles.{name}", "only allowed when source is 'file'")
-    profiles = ProfilesConfig(
-        source=source,
-        linkage_strength=linkage,
-        expert_path=expert_path if isinstance(expert_path, str) else None,
-        learner_path=learner_path if isinstance(learner_path, str) else None,
-    )
-
-    dataset_obj = r.section(document, "dataset", "dataset")
-    r.reject_unknown(dataset_obj, ("window", "split_ratio"), "dataset.")
-    dataset = DatasetConfig(
-        window=r.integer(dataset_obj, "window", "dataset.", DEFAULT_WINDOW, low=1),
-        split_ratio=r.number(
-            dataset_obj, "split_ratio", "dataset.",
-            DEFAULT_SPLIT_RATIO, 0.0, 1.0, low_open=True, high_open=True,
-        ),
-    )
-
-    learning_obj = r.section(document, "learning", "learning")
-    r.reject_unknown(learning_obj, ("max_parents", "smoothing", "restarts"), "learning.")
-    default = LearnConfig()
-    learning = LearnConfig(
-        max_parents=r.integer(
-            learning_obj, "max_parents", "learning.", default.max_parents, low=1
-        ),
-        smoothing=r.number(
-            learning_obj, "smoothing", "learning.",
-            default.smoothing, 0.0, MAX_SMOOTHING, low_open=True,
-        ),
-        restarts=r.integer(learning_obj, "restarts", "learning.", default.restarts, low=0),
-    )
-
-    transfer_obj = r.section(document, "transfer", "transfer")
-    r.reject_unknown(
-        transfer_obj, ("learning_rate", "stop_threshold", "max_iterations"), "transfer."
-    )
-    transfer = TransferParams(
-        learning_rate=r.number(
-            transfer_obj, "learning_rate", "transfer.",
-            DEFAULT_LEARNING_RATE, 0.0, 1.0, low_open=True,
-        ),
-        stop_threshold=r.number(
-            transfer_obj, "stop_threshold", "transfer.",
-            DEFAULT_STOP_THRESHOLD, 0.5, 1.0, high_open=True,
-        ),
-        max_iterations=r.integer(
-            transfer_obj, "max_iterations", "transfer.", DEFAULT_MAX_ITERATIONS, low=1
-        ),
-    )
-
+    config = r.read(document, ExperimentConfig(), "")
     if r.violations:
         raise ConfigError(r.violations)
-    return ExperimentConfig(
-        seed=seed,
-        output_dir=output_dir,
-        scenario=scenario,
-        profiles=profiles,
-        dataset=dataset,
-        learning=learning,
-        transfer=transfer,
-    )
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

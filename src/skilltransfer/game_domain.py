@@ -28,7 +28,7 @@ layout is documented in :mod:`skilltransfer.seeds`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -98,11 +98,6 @@ class Scenario:
             p = getattr(self, field)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{field} probability {p} outside [0, 1]")
-
-    def probability(self, field: str) -> float:
-        if field not in CONTEXT_FIELDS:
-            raise ValueError(f"unknown stimulus field: {field!r}")
-        return getattr(self, field)
 
 
 def default_scenario() -> Scenario:
@@ -449,11 +444,6 @@ def profile_payload(profile: PlayerProfile) -> dict:
     }
 
 
-def profile_to_json(profile: PlayerProfile) -> str:
-    """Canonical JSON text; identical profiles serialize byte-identically."""
-    return json.dumps(profile_payload(profile), indent=2, sort_keys=True) + "\n"
-
-
 def profile_from_payload(payload: dict) -> PlayerProfile:
     """The profile of a :func:`profile_payload` object; raises the errors of a malformed one."""
     distributions = {
@@ -468,19 +458,10 @@ def profile_from_payload(payload: dict) -> PlayerProfile:
 def profile_from_json(text: str) -> PlayerProfile:
     try:
         return profile_from_payload(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"invalid profile document: {exc}") from exc
 
 
 def read_profile(path: str | Path) -> PlayerProfile:
     return profile_from_json(Path(path).read_text(encoding="utf-8"))
 
-
-def boost_scenario(scenario: Scenario, fields: set[str], floor: float = 0.8) -> Scenario:
-    """Raise the given stimulus probabilities to at least ``floor``."""
-    changes = {
-        f: max(scenario.probability(f), floor)
-        for f in fields
-        if f != "location_indoor"
-    }
-    return replace(scenario, **changes) if changes else scenario

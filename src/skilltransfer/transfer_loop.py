@@ -48,7 +48,6 @@ from .game_domain import (
     Distribution,
     PlayerProfile,
     Scenario,
-    boost_scenario,
     profile_from_payload,
     profile_payload,
     simulate_pair,
@@ -89,14 +88,6 @@ class TransferConfig:
             raise ValueError(
                 f"split_ratio must be inside (0, 1), got {self.split_ratio}"
             )
-
-
-@dataclass(frozen=True)
-class StimulusSchedule:
-    """A scenario with feasibility stimuli raised for targeted behaviors."""
-
-    scenario: Scenario
-    targeted_attributes: frozenset[AttributeId]
 
 
 class TerminalReason(Enum):
@@ -239,20 +230,15 @@ _RAISED_STIMULI: dict[AttributeId, tuple[str, ...]] = FEASIBILITY_REQUIREMENTS |
 
 def build_schedule(
     targets: frozenset[AttributeId] | set[AttributeId], base: Scenario
-) -> StimulusSchedule:
-    """Raise the stimuli that make the targeted behaviors feasible.
+) -> Scenario:
+    """The base scenario with the stimuli of the targeted behaviors raised.
 
     Each targeted behavior's required stimulus probabilities are lifted
-    to at least 0.8 over the base scenario; untargeted stimuli are left
-    alone and the location probability is never touched.
+    to at least 0.8; untargeted stimuli are left alone and the location
+    probability is never touched.
     """
-    fields_to_boost: set[str] = set()
-    for attribute in targets:
-        fields_to_boost.update(_RAISED_STIMULI.get(attribute, ()))
-    return StimulusSchedule(
-        scenario=boost_scenario(base, fields_to_boost, _SCHEDULE_FLOOR),
-        targeted_attributes=frozenset(targets),
-    )
+    raised = {f for attribute in targets for f in _RAISED_STIMULI.get(attribute, ())}
+    return replace(base, **{f: max(getattr(base, f), _SCHEDULE_FLOOR) for f in raised})
 
 
 def _keys_to_nudge(
@@ -286,14 +272,14 @@ def run_transfer(
     empty blanket) or nudge the learner and rebuild the schedule from the
     newly discriminative attributes. Fully deterministic given the seed.
     """
-    schedule = StimulusSchedule(scenario=config.scenario, targeted_attributes=frozenset())
+    scenario = config.scenario
     records: list[IterationRecord] = []
     reason = TerminalReason.MAX_ITERATIONS
     for iteration in range(1, config.max_iterations + 1):
         result = run_identification(
             expert,
             learner,
-            schedule.scenario,
+            scenario,
             window=config.window,
             split_ratio=config.split_ratio,
             learn=config.learn,
@@ -320,64 +306,9 @@ def run_transfer(
             break
         if nudged:
             learner = nudge_profile(learner, expert, nudged, config.learning_rate)
-        schedule = build_schedule(frozenset(result.attributes), config.scenario)
+        scenario = build_schedule(frozenset(result.attributes), config.scenario)
     return TransferTrace(
         expert_profile=expert, iterations=tuple(records), terminal_reason=reason
-    )
-
-
-# --- behavioral curves ----------------------------------------------------
-
-@dataclass(frozen=True)
-class CurveRow:
-    player: PlayerId
-    iteration: int
-    values: dict[ConditionKey, float]
-
-
-@dataclass(frozen=True)
-class CurveTable:
-    """Per-key probability of each key's signature behavior over time.
-
-    The tracked behavior of a key is the mode of the expert's
-    distribution there (ties to the lowest attribute position). The
-    expert's row repeats unchanged each iteration; the learner's moves as
-    nudges land.
-    """
-
-    tracked: dict[ConditionKey, AttributeId]
-    rows: tuple[CurveRow, ...]
-
-
-def _mode(dist: Distribution) -> AttributeId:
-    # max keeps the first of equal maxima: the lowest attribute position.
-    return max(sorted(dist, key=lambda a: a.value), key=dist.__getitem__)
-
-
-def behavioral_curves(
-    expert: PlayerProfile, learner_snapshots: Sequence[PlayerProfile]
-) -> CurveTable:
-    """Curve table over the recorded learner snapshots."""
-    tracked = {key: _mode(expert.distributions[key]) for key in ConditionKey}
-    rows: list[CurveRow] = []
-    for iteration, snapshot in enumerate(learner_snapshots, start=1):
-        for player, profile in ((PlayerId.ID1, expert), (PlayerId.ID2, snapshot)):
-            rows.append(
-                CurveRow(
-                    player=player,
-                    iteration=iteration,
-                    values={
-                        key: profile.distributions[key].get(tracked[key], 0.0)
-                        for key in ConditionKey
-                    },
-                )
-            )
-    return CurveTable(tracked=tracked, rows=tuple(rows))
-
-
-def curves_from_trace(trace: TransferTrace) -> CurveTable:
-    return behavioral_curves(
-        trace.expert_profile, [r.learner_profile for r in trace.iterations]
     )
 
 
@@ -444,15 +375,28 @@ def trace_from_json(text: str) -> TransferTrace:
     )
 
 
-def curves_to_csv(table: CurveTable) -> str:
-    """Condition keys as rows, one column per player per iteration."""
+def curves_to_csv(trace: TransferTrace) -> str:
+    """Condition keys as rows, one column per player per iteration.
+
+    Each key tracks the mode of the expert's distribution there; profiles
+    keep their distributions in attribute order, so ties go to the lowest
+    attribute position. A cell is the player's probability of the tracked
+    behavior: the expert's repeats each iteration, the learner's moves as
+    nudges land.
+    """
+    expert = trace.expert_profile.distributions
+    tracked = {key: max(dist, key=dist.__getitem__) for key, dist in expert.items()}
+    learners = [r.learner_profile.distributions for r in trace.iterations]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header = ["condition_key", "tracked_behavior"]
-    header.extend(f"{row.player.value}_it{row.iteration}" for row in table.rows)
+    for iteration in range(1, len(learners) + 1):
+        header += [f"{PlayerId.ID1.value}_it{iteration}", f"{PlayerId.ID2.value}_it{iteration}"]
     writer.writerow(header)
     for key in ConditionKey:
-        cells = [key.value, table.tracked[key].column]
-        cells.extend(repr(row.values[key]) for row in table.rows)
+        behavior = tracked[key]
+        cells = [key.value, behavior.column]
+        for learner in learners:
+            cells += [repr(expert[key][behavior]), repr(learner[key].get(behavior, 0.0))]
         writer.writerow(cells)
     return buffer.getvalue()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from skilltransfer.bayes import read_bayesnet
 from skilltransfer.behavior_data import (
     ATTRIBUTE_COLUMNS,
+    CONTEXT_FIELDS,
     PlayerId,
     read_dataset_csv,
     read_session_jsonl,
@@ -20,11 +22,6 @@ from skilltransfer.behavior_data import (
 )
 from skilltransfer.cli import main
 from skilltransfer.config import (
-    DEFAULT_LINKAGE_STRENGTH,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_SPLIT_RATIO,
-    DEFAULT_STOP_THRESHOLD,
-    DEFAULT_WINDOW,
     MAX_SMOOTHING,
     ExperimentConfig,
     load_config,
@@ -36,10 +33,15 @@ from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
     default_scenario,
     profile_payload,
-    profile_to_json,
     table1_profiles,
 )
 from skilltransfer.transfer_loop import trace_from_json
+
+
+def _write_profile(path: Path, payload: dict) -> Path:
+    """A profile file as ``read_profile`` reads it."""
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 # --- parsing ------------------------------------------------------------------
@@ -47,11 +49,11 @@ from skilltransfer.transfer_loop import trace_from_json
 def test_empty_document_yields_the_documented_defaults():
     config = parse_config("")
     assert config == ExperimentConfig()
-    assert config.profiles.linkage_strength == DEFAULT_LINKAGE_STRENGTH == 0.7
-    assert config.dataset.window == DEFAULT_WINDOW == 5
-    assert config.dataset.split_ratio == DEFAULT_SPLIT_RATIO == 0.5
-    assert config.transfer.learning_rate == DEFAULT_LEARNING_RATE == 0.5
-    assert config.transfer.stop_threshold == DEFAULT_STOP_THRESHOLD == 0.55
+    assert config.profiles.linkage_strength == 0.7
+    assert config.dataset.window == 5
+    assert config.dataset.split_ratio == 0.5
+    assert config.transfer.learning_rate == 0.5
+    assert config.transfer.stop_threshold == 0.55
     assert config.scenario == default_scenario()
 
 
@@ -114,21 +116,23 @@ def test_load_config_reports_unreadable_files(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
-_PROBABILITY = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_PROBABILITY = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+)
 
 
 @st.composite
-def _config_documents(draw):
+def _config_documents(draw, max_ticks=500, max_iterations=60, max_restarts=8):
+    """Valid documents, at the edges of the ranges as well as inside them."""
     document = {}
     if draw(st.booleans()):
-        document["seed"] = draw(st.integers(min_value=0, max_value=10_000))
+        document["seed"] = draw(st.integers(min_value=0, max_value=2**64))
     if draw(st.booleans()):
         document["output_dir"] = draw(st.sampled_from(["runs", "out", "results/x"]))
     if draw(st.booleans()):
         document["scenario"] = {
-            "ticks_per_session": draw(st.integers(min_value=0, max_value=500)),
-            "obstacle_present": draw(_PROBABILITY),
-            "person_facing": draw(_PROBABILITY),
+            "ticks_per_session": draw(st.integers(min_value=0, max_value=max_ticks)),
+            **{f: draw(_PROBABILITY) for f in CONTEXT_FIELDS if draw(st.booleans())},
         }
     if draw(st.booleans()):
         document["profiles"] = {
@@ -137,20 +141,22 @@ def _config_documents(draw):
         }
     if draw(st.booleans()):
         document["dataset"] = {
-            "window": draw(st.integers(min_value=1, max_value=9)),
-            "split_ratio": draw(st.floats(min_value=0.05, max_value=0.95)),
+            "window": draw(st.integers(min_value=1, max_value=1000)),
+            "split_ratio": draw(
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+            ),
         }
     if draw(st.booleans()):
         document["learning"] = {
             "max_parents": draw(st.integers(min_value=1, max_value=5)),
-            "smoothing": draw(st.floats(min_value=0.1, max_value=10.0)),
-            "restarts": draw(st.integers(min_value=0, max_value=8)),
+            "smoothing": draw(st.floats(min_value=1e-320, max_value=1e300)),
+            "restarts": draw(st.integers(min_value=0, max_value=max_restarts)),
         }
     if draw(st.booleans()):
         document["transfer"] = {
             "learning_rate": draw(st.floats(min_value=0.05, max_value=1.0)),
             "stop_threshold": draw(st.floats(min_value=0.5, max_value=0.95)),
-            "max_iterations": draw(st.integers(min_value=1, max_value=60)),
+            "max_iterations": draw(st.integers(min_value=1, max_value=max_iterations)),
         }
     return json.dumps(document)
 
@@ -168,8 +174,7 @@ def test_serialized_config_names_profile_paths_only_for_file_profiles(tmp_path):
     builtin = json.loads(serialize_config(parse_config("{}")))
     assert set(builtin["profiles"]) == {"source", "linkage_strength"}
     assert set(builtin["learning"]) == {"max_parents", "smoothing", "restarts"}
-    path = tmp_path / "profile.json"
-    path.write_text(profile_to_json(table1_profiles()[0]), encoding="utf-8")
+    path = _write_profile(tmp_path / "profile.json", profile_payload(table1_profiles()[0]))
     document = {"source": "file", "expert_path": str(path), "learner_path": str(path)}
     text = serialize_config(parse_config(json.dumps({"profiles": document})))
     assert json.loads(text)["profiles"] == {**document, "linkage_strength": 0.7}
@@ -266,8 +271,7 @@ def test_identify_reports_accuracy_and_attributes(quick_config):
 
 def test_transfer_from_the_expert_stops_at_iteration_one(tmp_path):
     expert, _ = table1_profiles()
-    profile_path = tmp_path / "expert.json"
-    profile_path.write_text(profile_to_json(expert), encoding="utf-8")
+    profile_path = _write_profile(tmp_path / "expert.json", profile_payload(expert))
     config_path = tmp_path / "config.json"
     config_path.write_text(
         json.dumps(
@@ -458,3 +462,55 @@ def test_unwritable_output_directory_exits_four(tmp_path):
     result = _invoke(["simulate", "--config", config_path])
     assert result.exit_code == 4
     assert result.stderr.startswith("error: anomaly:")
+
+
+def test_a_profile_probability_beyond_the_float_range_exits_two(tmp_path):
+    payload = profile_payload(table1_profiles()[0])
+    payload["distributions"]["indoor"]["fighting"] = 10**400
+    path = _write_profile(tmp_path / "huge.json", payload)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "scenario": {"ticks_per_session": 10},
+                "output_dir": str(tmp_path / "runs"),
+                "profiles": {
+                    "source": "file", "expert_path": str(path), "learner_path": str(path),
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    result = _invoke(["simulate", "--config", config_path])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: config: invalid profile document:")
+
+
+def test_report_on_a_trace_with_an_accuracy_beyond_the_float_range_exits_three(
+    quick_config, tmp_path
+):
+    expert, learner = (profile_payload(p) for p in table1_profiles())
+    text = _trace_text(expert, learner).replace('"accuracy": 0.9', f'"accuracy": {10**400}')
+    assert "OverflowError" in _report_on(quick_config, tmp_path, text)
+
+
+def test_a_config_integer_beyond_the_float_range_is_out_of_range():
+    huge = 10**400
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"transfer": {"learning_rate": huge, "stop_threshold": -huge}}))
+    assert err.value.violations == [
+        "transfer.learning_rate: inf outside (0.0, 1.0]",
+        "transfer.stop_threshold: -inf outside [0.5, 1.0)",
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_config_documents(max_ticks=300, max_iterations=5, max_restarts=3))
+def test_a_document_that_parses_never_exits_four(text):
+    parse_config(text)
+    with tempfile.TemporaryDirectory() as out:
+        config_path = Path(out) / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        for command in ("simulate", "dataset", "identify", "transfer", "report"):
+            result = _invoke([command, "--config", config_path, "--out", Path(out) / "runs"])
+            assert result.exit_code in (0, 2, 3), (command, result.stderr)

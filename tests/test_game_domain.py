@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -30,9 +31,8 @@ from skilltransfer.game_domain import (
     PlayerProfile,
     Scenario,
     active_keys,
-    boost_scenario,
     profile_from_json,
-    profile_to_json,
+    profile_payload,
     run_session,
     table1_profiles,
 )
@@ -100,8 +100,6 @@ def test_scenario_rejects_bad_fields():
         _scenario(ticks_per_session=-1)
     with pytest.raises(ValueError, match="obstacle_present"):
         _scenario(obstacle_present=1.5)
-    with pytest.raises(ValueError, match="unknown stimulus"):
-        _scenario().probability("weather")
 
 
 # --- condition precedence ----------------------------------------------------
@@ -248,7 +246,7 @@ def test_a_tick_by_tick_replay_of_the_stream_layout_matches_the_session(
         for tick in range(300):
             u = rng.random(len(CONTEXT_FIELDS) + 2).tolist()
             context = StimulusContext(
-                **{f: u[i] < scenario.probability(f) for i, f in enumerate(CONTEXT_FIELDS)}
+                **{f: u[i] < getattr(scenario, f) for i, f in enumerate(CONTEXT_FIELDS)}
             )
             keys = active_keys(context)
             key = keys[math.floor(u[7] * len(keys))]
@@ -376,10 +374,10 @@ def test_linkage_strength_must_be_usable():
 
 def test_profile_json_round_trip_is_canonical(table1_pair):
     expert, _ = table1_pair
-    text = profile_to_json(expert)
-    again = profile_from_json(text)
+    payload = profile_payload(expert)
+    again = profile_from_json(json.dumps(payload))
     assert again == expert
-    assert profile_to_json(again) == text
+    assert profile_payload(again) == payload
 
 
 def test_profile_from_json_rejects_garbage():
@@ -387,18 +385,6 @@ def test_profile_from_json_rejects_garbage():
         profile_from_json('{"profile_id": "x"}')
     with pytest.raises(ConfigError, match="invalid profile"):
         profile_from_json('{"profile_id": "x", "distributions": {"weather": {}}}')
-
-
-def test_boost_scenario_raises_only_named_fields():
-    base = _scenario(horse_available=0.2, obstacle_present=0.9, location_indoor=0.5)
-    boosted = boost_scenario(base, {"horse_available", "obstacle_present"}, floor=0.8)
-    assert boosted.horse_available == 0.8
-    assert boosted.obstacle_present == 0.9  # already above the floor
-    assert boosted.soldier_present == 0.0
-    assert boost_scenario(base, set()) == base
-
-
-def test_boost_scenario_never_touches_location():
-    base = _scenario(location_indoor=0.5)
-    boosted = boost_scenario(base, {"location_indoor"}, floor=0.8)
-    assert boosted.location_indoor == 0.5
+    huge = {"profile_id": "x", "distributions": {"indoor": {"fighting": 10**400}}}
+    with pytest.raises(ConfigError, match="invalid profile"):  # beyond the float range
+        profile_from_json(json.dumps(huge))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +14,11 @@ from skilltransfer.bayes import bayesnet_to_json
 from skilltransfer.behavior_data import AttributeId, PlayerId
 from skilltransfer.game_domain import ConditionKey, PlayerProfile, Scenario
 from skilltransfer.transfer_loop import (
+    IterationRecord,
     TerminalReason,
     TransferConfig,
-    behavioral_curves,
+    TransferTrace,
     build_schedule,
-    curves_from_trace,
     curves_to_csv,
     discriminative_attributes,
     divergence,
@@ -81,23 +84,37 @@ def test_single_edge_blanket_names_its_attribute():
 # --- schedules ------------------------------------------------------------------
 
 def test_empty_targets_leave_the_scenario_alone(base_scenario):
-    schedule = build_schedule(frozenset(), base_scenario)
-    assert schedule.scenario == base_scenario
-    assert schedule.targeted_attributes == frozenset()
+    assert build_schedule(frozenset(), base_scenario) == base_scenario
+    assert build_schedule(set(), base_scenario) == base_scenario
 
 
 def test_riding_target_raises_the_horse_probability():
     base = _scenario(horse_available=0.2)
-    schedule = build_schedule({AttributeId.RIDING_HRS}, base)
-    assert schedule.scenario.horse_available == 0.8
+    scenario = build_schedule({AttributeId.RIDING_HRS}, base)
+    assert scenario.horse_available == 0.8
     changed = {
         f for f in (
             "location_indoor", "obstacle_present", "soldier_present",
             "civilian_present", "climbable_present", "person_facing",
         )
-        if getattr(schedule.scenario, f) != getattr(base, f)
+        if getattr(scenario, f) != getattr(base, f)
     }
     assert changed == set()
+
+
+def test_schedule_keeps_a_stimulus_already_above_the_floor():
+    base = _scenario(horse_available=0.2, obstacle_present=0.9, soldier_present=0.0)
+    scenario = build_schedule({AttributeId.RIDING_HRS, AttributeId.FIGHTING}, base)
+    assert scenario.horse_available == 0.8
+    assert scenario.obstacle_present == 0.9  # already above the floor
+    assert scenario.soldier_present == 0.0
+    assert (scenario.scenario_id, scenario.ticks_per_session) == ("loop-test", 200)
+
+
+def test_schedule_never_touches_location():
+    base = _scenario(location_indoor=0.5)
+    for attribute in AttributeId:
+        assert build_schedule({attribute}, base).location_indoor == 0.5
 
 
 def test_targeting_everything_floors_every_stimulus_but_location():
@@ -106,13 +123,13 @@ def test_targeting_everything_floors_every_stimulus_but_location():
         civilian_present=0.1, horse_available=0.1, climbable_present=0.1,
         person_facing=0.1,
     )
-    schedule = build_schedule(set(AttributeId), base)
+    scenario = build_schedule(set(AttributeId), base)
     for field in (
         "obstacle_present", "soldier_present", "civilian_present",
         "horse_available", "climbable_present", "person_facing",
     ):
-        assert getattr(schedule.scenario, field) >= 0.8
-    assert schedule.scenario.location_indoor == 0.5
+        assert getattr(scenario, field) >= 0.8
+    assert scenario.location_indoor == 0.5
 
 
 # --- nudging ----------------------------------------------------------------------
@@ -286,39 +303,96 @@ def test_transfer_config_validates_its_ranges(base_scenario):
 
 # --- curves ------------------------------------------------------------------------------
 
+def _expert_trace(expert: PlayerProfile, iterations: int) -> TransferTrace:
+    """A hand-built trace whose learner is the expert at every iteration."""
+    records = tuple(
+        IterationRecord(
+            iteration=i, accuracy=0.5, divergence=0.0, targeted_attributes=(),
+            nudged_keys=(), learner_profile=expert,
+        )
+        for i in range(1, iterations + 1)
+    )
+    return TransferTrace(expert, records, TerminalReason.THRESHOLD_REACHED)
+
+
+def _curves(trace: TransferTrace):
+    """curves.csv read back: the header, and per key its tracked behavior and
+    the (expert, learner) cell pair of each iteration."""
+    header, *rows = csv.reader(io.StringIO(curves_to_csv(trace)))
+    curves = {}
+    for key, tracked, *cells in rows:
+        values = [float(c) for c in cells]
+        curves[ConditionKey(key)] = (tracked, list(zip(values[::2], values[1::2])))
+    return header, curves
+
+
+def _reference_curves_csv(trace: TransferTrace) -> str:
+    """The earlier curve writer: a ``CurveTable`` of the trace, then its CSV."""
+    def mode(dist):
+        return max(sorted(dist, key=lambda a: a.value), key=dist.__getitem__)
+
+    expert = trace.expert_profile
+    tracked = {key: mode(expert.distributions[key]) for key in ConditionKey}
+    rows = []
+    for iteration, record in enumerate(trace.iterations, start=1):
+        for player, profile in ((PlayerId.ID1, expert), (PlayerId.ID2, record.learner_profile)):
+            values = {
+                key: profile.distributions[key].get(tracked[key], 0.0) for key in ConditionKey
+            }
+            rows.append((player, iteration, values))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header = ["condition_key", "tracked_behavior"]
+    header.extend(f"{player.value}_it{iteration}" for player, iteration, _ in rows)
+    writer.writerow(header)
+    for key in ConditionKey:
+        cells = [key.value, tracked[key].column]
+        cells.extend(repr(values[key]) for _, _, values in rows)
+        writer.writerow(cells)
+    return buffer.getvalue()
+
+
+def test_curves_csv_matches_the_curve_table_reference(default_trace, table1_pair):
+    expert, _ = table1_pair
+    for trace in (default_trace, _expert_trace(expert, 3)):
+        assert curves_to_csv(trace) == _reference_curves_csv(trace)
+
+
 def test_expert_versus_expert_curves_coincide(table1_pair):
     expert, _ = table1_pair
-    table = behavioral_curves(expert, [expert, expert])
-    assert len(table.rows) == 4
-    by_iteration = {}
-    for row in table.rows:
-        by_iteration.setdefault(row.iteration, []).append(row.values)
-    for values in by_iteration.values():
-        assert values[0] == values[1]
+    header, curves = _curves(_expert_trace(expert, 2))
+    assert len(header) == 2 + 4
+    for _, pairs in curves.values():
+        assert len(pairs) == 2
+        for expert_value, learner_value in pairs:
+            assert expert_value == learner_value
 
 
 def test_curve_table_shape_and_tracked_modes(default_trace, table1_pair):
     expert, _ = table1_pair
-    table = curves_from_trace(default_trace)
+    header, curves = _curves(default_trace)
     iterations = len(default_trace.iterations)
-    assert len(table.rows) == 2 * iterations
-    for row in table.rows:
-        assert len(row.values) == len(ConditionKey)
-    for key, behavior in table.tracked.items():
+    assert len(header) == 2 + 2 * iterations
+    assert set(curves) == set(ConditionKey)
+    for key, (tracked, pairs) in curves.items():
+        assert len(pairs) == iterations
         dist = expert.distributions[key]
+        behavior = AttributeId.from_column(tracked)
         assert dist[behavior] == max(dist.values())
+        # Ties go to the lowest attribute position.
+        assert behavior == min(
+            (b for b, p in dist.items() if p == dist[behavior]), key=lambda a: a.value
+        )
 
 
-def test_final_curve_is_uniformly_closer_on_nudged_keys(default_trace, table1_pair):
-    expert, _ = table1_pair
-    table = curves_from_trace(default_trace)
-    learner_rows = [r for r in table.rows if r.player is PlayerId.ID2]
-    expert_row = next(r for r in table.rows if r.player is PlayerId.ID1)
-    first, last = learner_rows[0], learner_rows[-1]
+def test_final_curve_is_uniformly_closer_on_nudged_keys(default_trace):
+    _, curves = _curves(default_trace)
     ever_nudged = {k for r in default_trace.iterations for k in r.nudged_keys}
-    for key in ConditionKey:
-        gap_first = abs(first.values[key] - expert_row.values[key])
-        gap_last = abs(last.values[key] - expert_row.values[key])
+    for key, (_, pairs) in curves.items():
+        (expert_value, first), (_, last) = pairs[0], pairs[-1]
+        assert all(e == expert_value for e, _ in pairs)
+        gap_first = abs(first - expert_value)
+        gap_last = abs(last - expert_value)
         assert gap_last <= gap_first + 1e-12
         if key in ever_nudged and gap_first > 1e-9:
             assert gap_last < gap_first
@@ -341,13 +415,12 @@ def test_trace_csv_layout(default_trace):
 
 
 def test_curves_csv_puts_keys_on_rows(default_trace):
-    table = curves_from_trace(default_trace)
-    lines = curves_to_csv(table).splitlines()
+    lines = curves_to_csv(default_trace).splitlines()
     assert len(lines) == 1 + len(ConditionKey)
     header = lines[0].split(",")
     assert header[:2] == ["condition_key", "tracked_behavior"]
     assert header[2:4] == ["ID1_it1", "ID2_it1"]
-    assert len(header) == 2 + len(table.rows)
+    assert len(header) == 2 + 2 * len(default_trace.iterations)
     assert {line.split(",")[0] for line in lines[1:]} == {
         k.value for k in ConditionKey
     }
