@@ -16,11 +16,11 @@ classification query instantiates every attribute, so the class
 posterior is the factorized joint evaluated once per class value and
 normalized in log space.
 
-Learning and scoring read the integer code matrix of a
-:class:`~skilltransfer.behavior_data.DataSet` directly. Variables are
-named by strings, and the inference queries (:func:`class_posterior`,
-:func:`classify`) and the JSON form take value strings, because those
-are the edges where rows come from or go to a reader.
+Learning, scoring and :func:`accuracy` read a table's distinct integer
+code rows, each with its count: family counts are the exact integers of
+the full table, and each distinct test row is classified once, on codes.
+Variables are named by strings; :func:`class_posterior`, :func:`classify`
+and the JSON form take value strings, the edges where rows come and go.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import insort
-from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
@@ -170,17 +169,22 @@ class _FamilyScorer:
 
     Nodes are indices into :attr:`variables` and a parent set is a bitmask
     over them; the one cache is keyed by ``(node index, parent mask)``.
+    Counts sum the table's distinct code rows weighted by their copies.
     """
 
-    def __init__(self, data: DataSet):
+    def __init__(self, data: DataSet, nodes: Sequence[str] = ()):
         if data.n_rows == 0:
             raise ValueError("cannot score an empty dataset")
+        missing = [n for n in nodes if n not in data.columns]
+        if missing:
+            raise ValueError(f"dataset lacks columns for nodes: {missing}")
         self.variables = data.columns
         self.index = {name: i for i, name in enumerate(data.columns)}
         self.cards = np.array([len(data.domains[c]) for c in data.columns], dtype=np.int64)
+        rows, self.copies = data._distinct_rows()
         # Widened once, because family indices overflow int8 arithmetic,
         # and stored column by column, because a family reads whole columns.
-        self.codes = data.codes.astype(np.int64, order="F")
+        self.codes = rows.astype(np.int64, order="F")
         self.n = data.n_rows
         self._log_n = math.log(self.n)
         self._name_order = sorted(range(len(self.variables)), key=self.variables.__getitem__)
@@ -197,7 +201,8 @@ class _FamilyScorer:
         for j in reversed(parents):
             idx += self.codes[:, j] * stride
             stride *= int(self.cards[j])
-        counts = np.bincount(idx, minlength=stride)
+        # The sums are integers below 2**53, so the float cells are exact.
+        counts = np.bincount(idx, weights=self.copies, minlength=stride).astype(np.int64)
         return counts.reshape(stride // r, r)
 
     def local_score(self, node: str, parents: Sequence[str]) -> float:
@@ -230,10 +235,7 @@ class _FamilyScorer:
 
 def bic_score(dag: Dag, data: DataSet) -> float:
     """Network BIC score; higher is better. Decomposes over families."""
-    scorer = _FamilyScorer(data)
-    missing = [n for n in dag.nodes if n not in scorer.index]
-    if missing:
-        raise ValueError(f"dataset lacks columns for nodes: {missing}")
+    scorer = _FamilyScorer(data, dag.nodes)
     return sum(scorer.local_score(n, dag.parents_of(n)) for n in dag.nodes)
 
 
@@ -416,15 +418,12 @@ def learn_structure(data: DataSet, config: LearnConfig) -> Dag:
     The best-scoring result wins; exact ties go to the lexicographically
     smallest edge set. Deterministic for identical inputs.
     """
-    if CLASS_COLUMN in data.columns:
-        domain = data.domains[CLASS_COLUMN]
-        sizes = np.bincount(
-            data.codes[:, data.column_index(CLASS_COLUMN)], minlength=len(domain)
-        )
-        for label, size in zip(domain, sizes):
+    scorer = _FamilyScorer(data)
+    if CLASS_COLUMN in scorer.index:
+        sizes = scorer.family_counts(CLASS_COLUMN, ())[0]
+        for label, size in zip(data.domains[CLASS_COLUMN], sizes):
             if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
-    scorer = _FamilyScorer(data)
     climber = _Climber(scorer, config.max_parents)
 
     best_edges: frozenset[tuple[str, str]] | None = None
@@ -449,10 +448,7 @@ def fit_cpts(dag: Dag, data: DataSet, alpha: float = 1.0) -> BayesNet:
     """Estimate all CPTs with additive (Laplace) smoothing ``alpha``."""
     if not alpha > 0.0:
         raise ValueError(f"smoothing must be > 0, got {alpha}")
-    scorer = _FamilyScorer(data)
-    missing = [n for n in dag.nodes if n not in scorer.index]
-    if missing:
-        raise ValueError(f"dataset lacks columns for nodes: {missing}")
+    scorer = _FamilyScorer(data, dag.nodes)
     cpts: dict[str, Cpt] = {}
     for node in dag.nodes:
         parents = dag.parents_of(node)
@@ -464,24 +460,41 @@ def fit_cpts(dag: Dag, data: DataSet, alpha: float = 1.0) -> BayesNet:
     return BayesNet(dag=dag, cpts=cpts, domains=domains)
 
 
-def _row_index(net: BayesNet, cpt: Cpt, assignment: Mapping[str, str]) -> int:
-    index = 0
-    for parent in cpt.parents:
-        domain = net.domains[parent]
-        index = index * len(domain) + domain.index(assignment[parent])
-    return index
+def _class_posteriors(net: BayesNet, codes: np.ndarray, class_node: str) -> Iterator[list[float]]:
+    """Class posterior of each row of domain positions, one column per ``net.dag.nodes``.
 
-
-def _log_joint(net: BayesNet, assignment: Mapping[str, str]) -> float:
-    total = 0.0
-    for node in net.dag.nodes:
+    Log joints add ``math.log`` of one CPT entry per node in node order
+    (``-inf`` on a zero entry); a row's own class code is ignored.
+    """
+    k = len(net.domains[class_node])
+    full = np.repeat(codes, k, axis=0)
+    full[:, net.dag.nodes.index(class_node)] = np.tile(np.arange(k), len(codes))
+    log_joint = np.zeros(len(full))
+    for j, node in enumerate(net.dag.nodes):
         cpt = net.cpts[node]
-        row = _row_index(net, cpt, assignment)
-        p = cpt.table[row, net.domains[node].index(assignment[node])]
-        if p == 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+        row = 0
+        for parent in cpt.parents:
+            row = row * len(net.domains[parent]) + full[:, net.dag.nodes.index(parent)]
+        logs = [math.log(p) if p else -math.inf for p in cpt.table.ravel().tolist()]
+        log_joint += np.reshape(logs, cpt.table.shape)[row, full[:, j]]
+    for log_scores in log_joint.reshape(len(codes), k).tolist():
+        peak = max(log_scores)
+        if peak == -math.inf:
+            raise ValueError("row has zero probability under every class value")
+        weights = [math.exp(s - peak) for s in log_scores]
+        total = sum(weights)
+        yield [w / total for w in weights]
+
+
+def _check_evidence(net: BayesNet, given: Iterable[str], class_node: str) -> None:
+    if class_node not in net.dag.nodes:
+        raise ValueError(f"network has no class node {class_node!r}")
+    expected, given = set(net.dag.nodes) - {class_node}, set(given)
+    if given != expected:
+        missing, extra = sorted(expected - given), sorted(given - expected)
+        raise ValueError(
+            f"row must assign exactly the non-class nodes; missing {missing}, extra {extra}"
+        )
 
 
 def class_posterior(
@@ -493,33 +506,13 @@ def class_posterior(
     Joint terms are accumulated in log space and normalized at the end;
     the result sums to one.
     """
-    if class_node not in net.domains:
-        raise ValueError(f"network has no class node {class_node!r}")
-    expected = set(net.dag.nodes) - {class_node}
-    given = set(row)
-    if given != expected:
-        raise ValueError(
-            f"row must assign exactly the non-class nodes; "
-            f"missing {sorted(expected - given)}, extra {sorted(given - expected)}"
-        )
-    for node in expected:
+    _check_evidence(net, row, class_node)
+    for node in row:
         if row[node] not in net.domains[node]:
             raise ValueError(f"{node}: value {row[node]!r} not in domain")
-
-    log_scores = []
-    for value in net.domains[class_node]:
-        assignment = dict(row)
-        assignment[class_node] = value
-        log_scores.append(_log_joint(net, assignment))
-    peak = max(log_scores)
-    if peak == -math.inf:
-        # Every class value has zero likelihood; undefined posterior.
-        raise ValueError("row has zero probability under every class value")
-    weights = [math.exp(s - peak) for s in log_scores]
-    total = sum(weights)
-    return {
-        value: w / total for value, w in zip(net.domains[class_node], weights)
-    }
+    codes = [0 if n == class_node else net.domains[n].index(row[n]) for n in net.dag.nodes]
+    (posterior,) = _class_posteriors(net, np.array([codes]), class_node)
+    return dict(zip(net.domains[class_node], posterior))
 
 
 def classify(
@@ -534,30 +527,27 @@ def classify(
 def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> float:
     """Fraction of test rows whose class is predicted correctly.
 
-    Rows with the same attribute values get the same prediction, so each
-    distinct attribute row goes through :func:`classify` once, and every
-    copy of it that carries the predicted label counts as a hit.
+    Each distinct code row is classified once as :func:`classify` would,
+    on the net's codes (mapped per column through the value strings), and
+    counts one hit per copy when the prediction is its label.
     """
     if test.n_rows == 0:
         raise ValueError("empty test set")
-    label_at = test.column_index(class_node)  # rejects datasets without the label column
-    names = [c for c in test.columns if c != class_node]
-    label_domain = test.domains[class_node]
-    # Codes are below 128, so each byte of a row's int8 codes is one code.
-    width = len(test.columns)
-    buffer = test.codes.tobytes()
-    copies = Counter(buffer[i : i + width] for i in range(0, len(buffer), width))
-    predictions: dict[bytes, str] = {}
-    hits = 0
-    for row, count in copies.items():
-        attributes = row[:label_at] + row[label_at + 1 :]
-        predicted = predictions.get(attributes)
-        if predicted is None:
-            evidence = {n: test.domains[n][k] for n, k in zip(names, attributes)}
-            predicted = predictions[attributes] = classify(net, evidence, class_node)
-        if predicted == label_domain[row[label_at]]:
-            hits += count
-    return hits / test.n_rows
+    test.column_index(class_node)  # rejects datasets without the label column
+    _check_evidence(net, (c for c in test.columns if c != class_node), class_node)
+    rows, copies = test._distinct_rows()
+    codes = np.empty((len(rows), len(net.dag.nodes)), dtype=np.int64)
+    for j, node in enumerate(net.dag.nodes):
+        domain, values = net.domains[node], test.domains[node]
+        column = rows[:, test.column_index(node)]
+        codes[:, j] = np.array([domain.index(v) if v in domain else -1 for v in values])[column]
+        outside = codes[:, j] < 0
+        if node != class_node and outside.any():
+            raise ValueError(f"{node}: value {values[column[outside.argmax()]]!r} not in domain")
+    # index finds the first of equal maxima, as classify's max does.
+    predicted = [p.index(max(p)) for p in _class_posteriors(net, codes, class_node)]
+    hits = copies[np.array(predicted) == codes[:, net.dag.nodes.index(class_node)]].sum()
+    return int(hits) / test.n_rows
 
 
 # --- persistence ----------------------------------------------------------

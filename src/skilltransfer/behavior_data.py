@@ -386,7 +386,7 @@ class DataSet:
     tables can be built in tests. Equality compares by value.
     """
 
-    __slots__ = ("columns", "domains", "codes", "_rows")
+    __slots__ = ("columns", "domains", "codes", "_rows", "_distinct")
 
     def __init__(
         self,
@@ -420,6 +420,7 @@ class DataSet:
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "codes", matrix)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_distinct", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"DataSet is immutable; cannot set {name!r}")
@@ -462,6 +463,28 @@ class DataSet:
             return self.columns.index(name)
         except ValueError:
             raise ValueError(f"no such column: {name!r}") from None
+
+    def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct code rows in lexicographic order and their counts, cached.
+
+        Rows are keyed as mixed-radix ``int64`` numbers; partial keys that the
+        next column would carry past ``int64`` are renumbered to dense ranks first.
+        """
+        if self._distinct is None:
+            key = np.zeros(self.n_rows, dtype=np.int64)
+            bound = 1  # every partial key is below this
+            for j, name in enumerate(self.columns):
+                size = len(self.domains[name])
+                if bound > np.iinfo(np.int64).max // size:
+                    distinct, key = np.unique(key, return_inverse=True)
+                    bound = len(distinct)
+                key = key * size + self.codes[:, j]
+                bound *= size
+            _, first, counts = np.unique(key, return_index=True, return_counts=True)
+            rows = self.codes[first]
+            rows.flags.writeable = counts.flags.writeable = False
+            object.__setattr__(self, "_distinct", (rows, counts))
+        return self._distinct
 
 
 #: Largest domain an ``int8`` code column can index.

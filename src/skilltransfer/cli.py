@@ -31,6 +31,7 @@ from .behavior_data import (
     write_session_jsonl,
 )
 from .config import (
+    _BOUNDS,
     ExperimentConfig,
     load_config,
     resolve_profiles,
@@ -64,11 +65,10 @@ def _fail(prefix: str, message: str, code: int) -> None:
 
 def _load(config_path: str, seed: int | None, out: str | None) -> ExperimentConfig:
     config = load_config(config_path)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if out is not None:
-        config = replace(config, output_dir=out)
-    return config
+    if seed is not None and seed < _BOUNDS["seed"]:
+        raise ConfigError(f"seed: {seed} is below the minimum {_BOUNDS['seed']}")
+    overrides = {"seed": seed, "output_dir": out}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _prepare_run_dir(config: ExperimentConfig) -> Path:

@@ -259,6 +259,76 @@ def test_local_score_is_bit_identical_to_the_broadcast_reference(base_scenario, 
                 assert scorer.local_score(node, parents) == want, (node, parents)
 
 
+def _reference_family_counts(data, node, parents) -> np.ndarray:
+    """Family counts from one ``np.bincount`` over every row of the table."""
+    codes = data.codes.astype(np.int64)
+    r = len(data.domains[node])
+    idx = codes[:, data.column_index(node)].copy()
+    stride = r
+    for parent in reversed(parents):
+        idx += codes[:, data.column_index(parent)] * stride
+        stride *= len(data.domains[parent])
+    return np.bincount(idx, minlength=stride).reshape(stride // r, r)
+
+
+class _FullTableCounts:
+    """What ``_reference_local_score`` reads of a scorer, counted over every row."""
+
+    def __init__(self, data):
+        self.data, self.n = data, data.n_rows
+
+    def family_counts(self, node, parents):
+        return _reference_family_counts(self.data, node, parents)
+
+
+@st.composite
+def _summary_cases(draw):
+    """A generic table with many duplicate rows, and one family of it.
+
+    Most tables have 1-8 columns; a wide one has 10-12 columns of at
+    least 90 values, so its mixed-radix keys pass 2**63 and the summary
+    renumbers them on the way.
+    """
+    wide = draw(st.booleans())
+    k = draw(st.integers(min_value=10, max_value=12) if wide else st.integers(1, 8))
+    low = draw(st.sampled_from((90, 128))) if wide else 2
+    sizes = [draw(st.integers(min_value=low, max_value=128)) for _ in range(k)]
+    assert math.prod(sizes) > 2**63 or not wide
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pool_size = draw(st.integers(min_value=1, max_value=12))
+    pool = np.stack([rng.integers(0, size, size=pool_size) for size in sizes], axis=1)
+    # Near copies that differ in one column: with 128-value columns, rows
+    # that differ only in the first column would share a key that wrapped
+    # around int64 instead of being renumbered.
+    near = pool.copy()
+    j = draw(st.integers(min_value=0, max_value=k - 1))
+    near[:, j] = rng.integers(0, sizes[j], size=pool_size)
+    pool = np.concatenate([pool, near])
+    # Rows drawn with replacement from the pool, so most are copies.
+    codes = pool[rng.integers(0, len(pool), size=draw(st.integers(min_value=1, max_value=300)))]
+    names = [f"c{j}" for j in rng.permutation(k)]
+    domains = {name: tuple(f"v{i}" for i in range(size)) for name, size in zip(names, sizes)}
+    data = DataSet(columns=names, domains=domains, codes=codes)
+    node = draw(st.sampled_from(names))
+    others = [c for c in names if c != node]
+    # At most two parents: a family of 128-value columns has 128**4 cells at three.
+    parents = draw(st.lists(st.sampled_from(others), unique=True, max_size=2)) if others else []
+    return data, node, parents
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_summary_cases())
+def test_counts_over_distinct_rows_match_the_full_table(case):
+    data, node, parents = case
+    scorer = bayes._FamilyScorer(data)
+    assert len(scorer.codes) == len(np.unique(data.codes, axis=0))
+    counts = scorer.family_counts(node, parents)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _reference_family_counts(data, node, parents))
+    want = _reference_local_score(_FullTableCounts(data), node, parents)
+    assert scorer.local_score(node, parents) == want
+
+
 def _has_path(children, source, target) -> bool:
     if source == target:
         return True
@@ -555,6 +625,60 @@ def test_posterior_matches_enumeration_on_a_small_handmade_net():
         assert got[value] == pytest.approx(want[value], abs=1e-9)
 
 
+def _row_index(net, cpt, assignment) -> int:
+    index = 0
+    for parent in cpt.parents:
+        domain = net.domains[parent]
+        index = index * len(domain) + domain.index(assignment[parent])
+    return index
+
+
+def _log_joint(net, assignment) -> float:
+    """The string-keyed log joint ``class_posterior`` used before it read codes."""
+    total = 0.0
+    for node in net.dag.nodes:
+        cpt = net.cpts[node]
+        row = _row_index(net, cpt, assignment)
+        p = cpt.table[row, net.domains[node].index(assignment[node])]
+        if p == 0.0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
+def _reference_posterior(net, row, class_node="ID") -> dict[str, float]:
+    log_scores = [_log_joint(net, {**row, class_node: v}) for v in net.domains[class_node]]
+    peak = max(log_scores)
+    if peak == -math.inf:
+        raise ValueError("row has zero probability under every class value")
+    weights = [math.exp(s - peak) for s in log_scores]
+    total = sum(weights)
+    return {value: w / total for value, w in zip(net.domains[class_node], weights)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_class_posterior_equals_the_string_log_joint_reference(seed):
+    rng = np.random.default_rng(seed)
+    payload = oracles.random_net_payload(rng, int(rng.integers(2, 9)))
+    # Some CPT rows put all their mass on one value, so that zero entries
+    # make -inf terms and some rows have zero probability under every class.
+    for entry in payload["cpts"].values():
+        for key in entry["rows"]:
+            if rng.random() < 0.2:
+                entry["rows"][key] = [1.0, 0.0] if rng.random() < 0.5 else [0.0, 1.0]
+    net = bayesnet_from_json(json.dumps(payload))
+    for _ in range(8):
+        row = oracles.random_evidence(rng, payload)
+        try:
+            want = _reference_posterior(net, row)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                class_posterior(net, row)
+            continue
+        assert class_posterior(net, row) == want
+
+
 # --- accuracy ---------------------------------------------------------------------------
 
 def test_identical_conditionals_score_chance_on_a_balanced_set():
@@ -610,13 +734,62 @@ def test_accuracy_is_the_per_row_classify_hit_fraction(seed, uniform):
         row = dict(pool[int(rng.integers(len(pool)))], ID=CLASSES[int(rng.integers(2))])
         rows.append(tuple(row[c] for c in columns))
     test = DataSet(columns=columns, domains=net.domains, rows=tuple(rows))
+    assert accuracy(net, test) == _per_row_hit_fraction(net, test)
 
+
+def _per_row_hit_fraction(net, test) -> float:
     hits = 0
     for cells in test.rows:
         row = dict(zip(test.columns, cells))
         label = row.pop("ID")
         hits += classify(net, row) == label
-    assert accuracy(net, test) == hits / test.n_rows
+    return hits / test.n_rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_accuracy_maps_codes_through_the_value_strings(seed):
+    rng = np.random.default_rng(600 + seed)
+    payload = oracles.random_net_payload(rng, int(rng.integers(2, 8)))
+    net = bayesnet_from_json(json.dumps(payload))
+    # The test table lists every domain, the class domain included, in
+    # another order than the net does. One attribute domain also declares
+    # a value no row holds, and some rows carry a label the net lacks.
+    labels = ("ID3",) + CLASSES[::-1]
+    domains = {n: labels if n == "ID" else values[::-1] for n, values in net.domains.items()}
+    spare = payload["nodes"][-1]
+    domains[spare] += ("unused",)
+    pool = [oracles.random_evidence(rng, payload) for _ in range(6)]
+    columns = tuple(payload["nodes"][i] for i in rng.permutation(len(payload["nodes"])))
+    rows = []
+    for _ in range(int(rng.integers(1, 60))):
+        row = dict(pool[int(rng.integers(len(pool)))], ID=labels[int(rng.integers(3))])
+        rows.append(tuple(row[c] for c in columns))
+    test = DataSet(columns=columns, domains=domains, rows=tuple(rows))
+    assert accuracy(net, test) == _per_row_hit_fraction(net, test)
+
+
+def test_accuracy_raises_what_classify_raises():
+    net = _net(
+        nodes=("ID", "a", "b"),
+        edges={("ID", "a")},
+        cpts={"ID": [[0.5, 0.5]], "a": [[1.0, 0.0], [1.0, 0.0]], "b": [[0.5, 0.5]]},
+    )
+    wide = {"ID": CLASSES, "a": BINARY + ("sideways",), "b": BINARY, "z": BINARY}
+    cases = [
+        # A value outside the net's domain.
+        (("a", "b", "ID"), [(OCCURRED, ABSENT, "ID1"), ("sideways", ABSENT, "ID2")]),
+        # A row with zero probability under every class value.
+        (("a", "b", "ID"), [(OCCURRED, ABSENT, "ID1"), (ABSENT, ABSENT, "ID2")]),
+        # A column the net does not have, and one it has but the table lacks.
+        (("a", "z", "ID"), [(OCCURRED, ABSENT, "ID1")]),
+    ]
+    for columns, rows in cases:
+        test = DataSet(columns=columns, domains=wide, rows=rows)
+        with pytest.raises(ValueError) as want:
+            _per_row_hit_fraction(net, test)
+        with pytest.raises(ValueError) as got:
+            accuracy(net, test)
+        assert str(got.value) == str(want.value), columns
 
 
 def test_accuracy_needs_rows_and_a_class_column():

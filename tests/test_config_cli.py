@@ -311,6 +311,22 @@ def test_quiet_and_seed_flags(quick_config):
     assert "-s5" in result.stdout
 
 
+@pytest.mark.parametrize("command", ["simulate", "dataset", "identify", "transfer", "report"])
+def test_negative_seed_flag_exits_two_like_a_negative_seed_in_the_document(
+    quick_config, tmp_path, command
+):
+    flagged = _invoke([command, "--config", quick_config, "--seed", -1])
+    assert flagged.exit_code == 2, flagged.stderr
+    document = tmp_path / "negative-seed.json"
+    document.write_text(
+        json.dumps({**json.loads(quick_config.read_text(encoding="utf-8")), "seed": -1}),
+        encoding="utf-8",
+    )
+    in_document = _invoke([command, "--config", document])
+    assert in_document.exit_code == 2, in_document.stderr
+    assert flagged.stderr == in_document.stderr == "error: config: seed: -1 is below the minimum 0\n"
+
+
 def test_invalid_config_exits_two(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"transfer": {"learning_rate": 1.5}}', encoding="utf-8")
