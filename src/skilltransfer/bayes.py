@@ -2,16 +2,15 @@
 
 Structure search is greedy hill climbing over single-edge moves (add,
 delete, reverse) scored by the decomposable BIC criterion, with random
-restarts. BIC is a sum of per-family local scores, so a move's score
-delta reads only the families it touches: the scorer caches local
-scores per (node, parent set), and the climber caches each move's delta
-until a step changes one of the families it reads. A step changes one
-family (add, delete) or two (reverse), so only those are scored again.
-Acyclicity is tested against one descendant bitmask per node, recomputed
-once per step, instead of a graph search per candidate move. Moves are
-scanned in a fixed order, adds by column then deletes and reverses by
-edge name, and an exact tie goes to the first, so the learned graph does
-not depend on how the deltas were cached. Inference is exact: a
+restarts. The restarts climb in lockstep: each iteration moves every
+unfinished one a step, over a stack of boolean adjacency matrices, with
+legality from boolean masks and reachability, and deltas read from one
+table of family scores. BIC is a sum of per-family local scores, so a
+move's delta reads only the families it touches; the scorer caches local
+scores per (node, parent set) and counts the missing ones of a node in
+one pass. Moves are ranked in a fixed order, adds by column then deletes
+and reverses by edge name, and an exact tie goes to the first, so the
+learned graph is that of a sequential scan. Inference is exact: a
 classification query instantiates every attribute, so the class
 posterior is the factorized joint evaluated once per class value and
 normalized in log space.
@@ -27,11 +26,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import insort
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +38,10 @@ from .behavior_data import CLASS_COLUMN, DataSet
 from .seeds import derive_rng
 
 _IMPROVEMENT_EPS = 1e-9
+#: Largest table a structure search takes: its family table has n * 2**n entries.
+_MAX_SEARCH_COLUMNS = 16
+#: Bound on the row indices plus count cells of one family-counting pass.
+_PASS_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ class _FamilyScorer:
             raise ValueError(f"dataset lacks columns for nodes: {missing}")
         self.variables = data.columns
         self.index = {name: i for i, name in enumerate(data.columns)}
-        self.cards = np.array([len(data.domains[c]) for c in data.columns], dtype=np.int64)
+        self._cards = [len(data.domains[c]) for c in data.columns]
         rows, self.copies = data._distinct_rows()
         # Widened once, because family indices overflow int8 arithmetic,
         # and stored column by column, because a family reads whole columns.
@@ -192,18 +194,35 @@ class _FamilyScorer:
 
     def family_counts(self, node: str, parents: Sequence[str]) -> np.ndarray:
         """Count matrix with one row per parent assignment."""
-        return self._counts(self.index[node], [self.index[p] for p in parents])
+        return self._counts(self.index[node], [[self.index[p] for p in parents]])
 
-    def _counts(self, child: int, parents: Sequence[int]) -> np.ndarray:
-        r = int(self.cards[child])
-        idx = self.codes[:, child].copy()
-        stride = r
-        for j in reversed(parents):
-            idx += self.codes[:, j] * stride
-            stride *= int(self.cards[j])
+    def _counts(self, child: int, families: Sequence[Sequence[int]]) -> np.ndarray:
+        """The count matrices of ``child`` with each parent list of ``families``, stacked.
+
+        A family's matrix has one row per parent assignment, first parent
+        most significant, and one column per child value. All of them come
+        from one ``bincount`` over the distinct rows, one block per family.
+        """
+        r = self._cards[child]
+        width = max(map(len, families))
+        columns, strides, offsets = [], [], [0]
+        for parents in families:
+            # Padding in front reads the child column with stride 0; the
+            # child value itself is the last digit.
+            pad, row, stride = width - len(parents), [1], r
+            for j in reversed(parents):
+                row.append(stride)
+                stride *= self._cards[j]
+            columns.append([child] * pad + list(parents) + [child])
+            strides.append([0] * pad + row[::-1])
+            offsets.append(offsets[-1] + stride)
+        # idx[f, i]: the cell of distinct row i in the block of family f.
+        idx = np.einsum("fkd,fk->fd", self.codes.T[np.array(columns)], np.array(strides))
+        idx += np.array(offsets[:-1])[:, None]
+        weights = np.concatenate([self.copies] * len(families))
         # The sums are integers below 2**53, so the float cells are exact.
-        counts = np.bincount(idx, weights=self.copies, minlength=stride).astype(np.int64)
-        return counts.reshape(stride // r, r)
+        counts = np.bincount(idx.ravel(), weights=weights, minlength=offsets[-1])
+        return counts.astype(np.int64).reshape(-1, r)
 
     def local_score(self, node: str, parents: Sequence[str]) -> float:
         mask = 0
@@ -213,24 +232,50 @@ class _FamilyScorer:
 
     def family_score(self, child: int, parents: int) -> float:
         """Local score of node ``child`` with the parent bitmask ``parents``."""
-        key = (child, parents)
-        score = self._cache.get(key)
-        if score is not None:
-            return score
-        # Parents in name order fix the count layout, and with it the
-        # float summation order, so that a family has one score whatever
-        # the order in which a caller names its parents.
-        counts = self._counts(child, [j for j in self._name_order if parents >> j & 1])
-        q, r = counts.shape
+        score = self._cache.get((child, parents))
+        return score if score is not None else float(self.score_families(child, [parents])[0])
+
+    def score_families(self, child: int, masks: Iterable[int]) -> np.ndarray:
+        """Local scores of node ``child`` with each parent bitmask of ``masks``.
+
+        The families missing from the cache are counted together, in
+        passes of at most ``_PASS_CELLS`` row indices plus count cells.
+        Parents in name order fix a family's count layout, and with it the
+        float summation order, so that a family has one score whatever the
+        order in which a caller names its parents: its terms are summed by
+        one ``.sum()`` over its own nonzero cells in row-major order.
+        """
+        masks = [int(m) for m in masks]
+        batch, size = [], 0
+        for mask in dict.fromkeys(masks):
+            if (child, mask) in self._cache:
+                continue
+            parents = [j for j in self._name_order if mask >> j & 1]
+            cells = self._cards[child] * math.prod([self._cards[j] for j in parents])
+            if batch and size + len(self.copies) + cells > _PASS_CELLS:
+                self._score_pass(child, batch)
+                batch, size = [], 0
+            batch.append((mask, parents, cells))
+            size += len(self.copies) + cells
+        if batch:
+            self._score_pass(child, batch)
+        return np.array([self._cache[child, m] for m in masks])
+
+    def _score_pass(self, child: int, batch: list[tuple[int, list[int], int]]) -> None:
+        """Score and cache the families (mask, parents, cells) of ``batch``."""
+        r = self._cards[child]
+        counts = self._counts(child, [parents for _, parents, _ in batch])
+        offsets = np.array(list(accumulate([cells for _, _, cells in batch], initial=0)))
         # The nonzero cells and their row totals, in row-major order.
         at = np.flatnonzero(counts)
         seen = counts.ravel()[at]
         totals = counts.sum(axis=1)[at // r]
-        log_likelihood = float((seen * (np.log(seen) - np.log(totals))).sum())
-        penalty = 0.5 * self._log_n * q * (r - 1)
-        score = log_likelihood - penalty
-        self._cache[key] = score
-        return score
+        terms = seen * (np.log(seen) - np.log(totals))
+        ends = np.searchsorted(at, offsets).tolist()
+        log_likelihood = np.array([terms[a:b].sum() for a, b in zip(ends, ends[1:])])
+        penalty = 0.5 * self._log_n * (np.diff(offsets) // r) * (r - 1)
+        scores = (log_likelihood - penalty).tolist()
+        self._cache.update(zip([(child, mask) for mask, _, _ in batch], scores))
 
 
 def bic_score(dag: Dag, data: DataSet) -> float:
@@ -239,158 +284,118 @@ def bic_score(dag: Dag, data: DataSet) -> float:
     return sum(scorer.local_score(n, dag.parents_of(n)) for n in dag.nodes)
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _descendants(children: list[int]) -> list[int]:
-    """Descendant bitmask of each node of a DAG given by child bitmasks."""
-    desc = [0] * len(children)
-    pending = (1 << len(children)) - 1
-    # A node's mask is final once its children's are; on a DAG each pass
-    # over the pending nodes settles at least one of them.
-    while pending:
-        before = pending
-        for x in _bits(pending):
-            if not children[x] & pending:
-                reach = children[x]
-                for c in _bits(children[x]):
-                    reach |= desc[c]
-                desc[x] = reach
-                pending ^= 1 << x
-        if pending == before:
-            raise ValueError("graph contains a cycle")
-    return desc
-
-
 class _Climber:
-    """One greedy ascent from a starting edge set.
+    """Greedy ascents from many starting edge sets, moved forward in lockstep.
 
-    Nodes are indices into ``scorer.variables`` and ``parents[v]`` is the
-    bitmask of v's parents. Each step takes the best legal move if its
-    score delta beats ``_IMPROVEMENT_EPS``. Exact ties go to the first
-    move in a fixed order: adds u -> v by (u, v) in variable order, then
+    Nodes are indices into ``scorer.variables``. :meth:`climb_all` keeps
+    the unfinished restarts in one ``(restarts, n, n)`` boolean adjacency
+    array, ``adj[r, u, v]`` for u -> v, and moves each one step per
+    iteration: to its best legal move if the delta beats
+    ``_IMPROVEMENT_EPS``, else it is done. Exact ties go to the first move
+    in a fixed order: adds u -> v by (u, v) in variable order, then
     deletes, then reverses, both over the edges sorted by name.
 
-    Deltas are cached per family. ``toggle[v][u]`` is the delta of adding
-    or deleting u -> v and lives until ``parents[v]`` changes;
-    ``flip[(u, v)]`` is the delta of reversing u -> v and lives until
-    ``parents[u]`` or ``parents[v]`` changes. A delta is computed the
-    first time a scan finds its move legal, so the scorer sees only the
-    families a full rescan would score, and after a step only the one or
-    two families the step changed are scored again.
-
-    The cycle test reads one descendant bitmask per node, recomputed once
-    per step: adding u -> v is legal unless u is v or a descendant of v,
-    and reversing u -> v is legal unless v is a descendant of another
-    child of u.
+    Adding u -> v is legal unless u is v or reachable from v, and
+    reversing it unless a path of two or more edges leads from u to v.
+    Deltas are read from :attr:`family`, a table of local scores indexed
+    by (child, parent bitmask); the families a legal move needs and the
+    table lacks are scored in one batch per child, so the scorer sees only
+    the families a full rescan would score. A toggle delta is ``family -
+    current`` and a reverse delta ``(toggle + family) - current``.
     """
 
     def __init__(self, scorer: _FamilyScorer, max_parents: int):
+        n = len(scorer.variables)
+        if n > _MAX_SEARCH_COLUMNS:
+            raise ValueError(
+                f"structure search takes at most {_MAX_SEARCH_COLUMNS} columns, got {n}")
         self.scorer = scorer
         self.max_parents = max_parents
         self.nodes = scorer.variables
-
-    def _edge_name(self, edge: tuple[int, int]) -> tuple[str, str]:
-        return self.nodes[edge[0]], self.nodes[edge[1]]
+        #: Local score of each (child, parent bitmask); NaN until scored.
+        self.family = np.full((n, 1 << n), np.nan)
+        # The flat (u, v) pair indices, sorted by edge name.
+        self._by_name = np.array(
+            sorted(range(n * n), key=lambda e: (self.nodes[e // n], self.nodes[e % n]))
+        )
 
     def climb(self, edges: set[tuple[str, str]]) -> tuple[frozenset[tuple[str, str]], float]:
-        family = self.scorer.family_score
-        index = self.scorer.index
+        return self.climb_all([edges])[0]
+
+    def climb_all(
+        self, starts: Sequence[set[tuple[str, str]]]
+    ) -> list[tuple[frozenset[tuple[str, str]], float]]:
+        """The final edges and score of the climb from each start, in start order."""
         n = len(self.nodes)
-        parents = [0] * n
-        children = [0] * n
-        for p, c in edges:
-            parents[index[c]] |= 1 << index[p]
-            children[index[p]] |= 1 << index[c]
-        current = [family(v, parents[v]) for v in range(n)]
-        score = sum(current)
-        listed = sorted(((index[p], index[c]) for p, c in edges), key=self._edge_name)
-        toggle: list[dict[int, float]] = [{} for _ in range(n)]
-        flip: dict[tuple[int, int], float] = {}
-        while True:
-            move = self._best_move(parents, children, current, listed, toggle, flip)
-            if move is None:
-                return frozenset(map(self._edge_name, listed)), score
-            reverse, u, v, delta = move
-            if parents[v] >> u & 1:
-                listed.remove((u, v))
-            else:
-                insort(listed, (u, v), key=self._edge_name)
-            parents[v] ^= 1 << u
-            children[u] ^= 1 << v
-            changed = (u, v) if reverse else (v,)
-            if reverse:
-                insort(listed, (v, u), key=self._edge_name)
-                parents[u] |= 1 << v
-                children[v] |= 1 << u
-            for x in changed:
-                current[x] = family(x, parents[x])
-                toggle[x] = {}
-            flip = {e: d for e, d in flip.items() if e[0] not in changed and e[1] not in changed}
-            score += delta
+        index = self.scorer.index
+        adj = np.zeros((len(starts), n, n), dtype=bool)
+        for r, edges in enumerate(starts):
+            for p, c in edges:
+                adj[r, index[p], index[c]] = True
+        nodes, by_name = np.arange(n), self._by_name
+        bit = np.left_shift(1, nodes, dtype=np.int64)
+        masks = bit @ adj
+        # Added left to right, as sum() over a list does.
+        scores = [sum(row) for row in self._scores(masks, np.ones(masks.shape, bool)).tolist()]
+        results: list = [None] * len(starts)
+        live = np.arange(len(starts))
+        while live.size:
+            step = adj[live]
+            # Repeated boolean squaring: after k squarings ``reach`` holds the
+            # paths of 1 to 2**k edges. The last product holds those of 2 to
+            # 2**k >= n edges, so it is every path of two or more edges.
+            reach = step
+            for _ in range(max(1, (n - 1).bit_length())):
+                longer = reach @ reach
+                reach = step | longer
+            if reach[:, nodes, nodes].any():
+                raise ValueError("graph contains a cycle")
+            masks = bit @ step
+            full = step.sum(axis=1) >= self.max_parents
+            adds = ~(step | reach.transpose(0, 2, 1) | full[:, None, :])
+            adds[:, nodes, nodes] = False
+            reverses = step & ~full[:, :, None] & ~longer
+            # toggled[r, u, v]: v's parent mask with u added or removed.
+            toggled = masks[:, None, :] ^ bit[:, None]
+            flipped = self._scores(toggled, adds | step | reverses.transpose(0, 2, 1))
+            current = self.family[nodes, masks]
+            toggle = flipped - current[:, None, :]
+            reverse = (toggle + flipped.transpose(0, 2, 1)) - current[:, :, None]
+            # Every move's delta, -inf where it is not legal, in the tie order.
+            ranked = [np.where(adds, toggle, -np.inf).reshape(len(live), -1)]
+            for legal, gain in ((step, toggle), (reverses, reverse)):
+                ranked.append(np.where(legal, gain, -np.inf).reshape(len(live), -1)[:, by_name])
+            moves = np.concatenate(ranked, axis=1)
+            best = moves.argmax(axis=1)
+            delta = moves[np.arange(len(live)), best]
+            done = ~(delta > _IMPROVEMENT_EPS)
+            for r in live[done].tolist():
+                edges = zip(*np.nonzero(adj[r]))
+                results[r] = frozenset((self.nodes[u], self.nodes[v]) for u, v in edges), scores[r]
+            kind, pair = np.divmod(best[~done], n * n)
+            u, v = np.divmod(np.where(kind > 0, by_name[pair], pair), n)
+            moved, flip = live[~done], kind == 2
+            adj[moved, u, v] ^= True
+            adj[moved[flip], v[flip], u[flip]] = True
+            for r, d in zip(moved.tolist(), delta[~done].tolist()):
+                scores[r] += d
+            live = moved
+        return results
 
-    def _best_move(
-        self,
-        parents: list[int],
-        children: list[int],
-        current: list[float],
-        listed: list[tuple[int, int]],
-        toggle: list[dict[int, float]],
-        flip: dict[tuple[int, int], float],
-    ) -> tuple[bool, int, int, float] | None:
-        """The best move as (is a reverse, u, v, delta), or None."""
-        family = self.scorer.family_score
-        n = len(parents)
-        desc = _descendants(children)
-        full = (1 << n) - 1
-        # closed[v]: the u for which adding u -> v is not legal.
-        closed = [
-            parents[v] | desc[v] | 1 << v if parents[v].bit_count() < self.max_parents else full
-            for v in range(n)
-        ]
-        best: tuple[bool, int, int, float] | None = None
-        best_delta = _IMPROVEMENT_EPS
-
-        for u in range(n):
-            for v in range(n):
-                if closed[v] >> u & 1:
-                    continue
-                delta = toggle[v].get(u)
-                if delta is None:
-                    delta = toggle[v][u] = family(v, parents[v] | 1 << u) - current[v]
-                if delta > best_delta:
-                    best, best_delta = (False, u, v, delta), delta
-
-        for u, v in listed:
-            delta = toggle[v].get(u)
-            if delta is None:
-                delta = toggle[v][u] = family(v, parents[v] ^ 1 << u) - current[v]
-            if delta > best_delta:
-                best, best_delta = (False, u, v, delta), delta
-
-        for u, v in listed:
-            if parents[u].bit_count() >= self.max_parents:
-                continue
-            if any(desc[c] >> v & 1 for c in _bits(children[u] & ~(1 << v))):
-                continue
-            delta = flip.get((u, v))
-            if delta is None:
-                # The delete delta of u -> v, already cached by the scan
-                # above; the sum keeps the order (a - b) + c - d.
-                delta = flip[(u, v)] = (
-                    toggle[v][u] + family(u, parents[u] | 1 << v) - current[u]
-                )
-            if delta > best_delta:
-                best, best_delta = (True, u, v, delta), delta
-
-        return best
+    def _scores(self, masks: np.ndarray, need: np.ndarray) -> np.ndarray:
+        """``family[v, masks[..., v]]``, scoring first the ``need``ed ones it lacks."""
+        nodes = np.arange(masks.shape[-1])
+        got = self.family[nodes, masks]
+        lacking = need & np.isnan(got)
+        if lacking.any():
+            width = self.family.shape[1]
+            # return_index keeps numpy.ma unimported.
+            keys = np.unique((nodes * width + masks)[lacking], return_index=True)[0]
+            for child in set((keys // width).tolist()):
+                group = keys[keys // width == child] % width
+                self.family[child, group] = self.scorer.score_families(child, group)
+            got = self.family[nodes, masks]
+        return got
 
 
 def _random_start(
@@ -424,23 +429,12 @@ def learn_structure(data: DataSet, config: LearnConfig) -> Dag:
         for label, size in zip(data.domains[CLASS_COLUMN], sizes):
             if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
-    climber = _Climber(scorer, config.max_parents)
-
-    best_edges: frozenset[tuple[str, str]] | None = None
-    best_key: tuple[float, tuple[tuple[str, str], ...]] | None = None
-    for restart in range(config.restarts + 1):
-        if restart == 0:
-            start: set[tuple[str, str]] = set()
-        else:
-            start = _random_start(
-                scorer.variables, config.max_parents, derive_rng(config.seed, restart)
-            )
-        edges, score = climber.climb(start)
-        key = (-score, tuple(sorted(edges)))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_edges = edges
-    assert best_edges is not None
+    starts = [set()] + [
+        _random_start(scorer.variables, config.max_parents, derive_rng(config.seed, restart))
+        for restart in range(1, config.restarts + 1)
+    ]
+    climbs = _Climber(scorer, config.max_parents).climb_all(starts)
+    best_edges, _ = min(climbs, key=lambda climb: (-climb[1], tuple(sorted(climb[0]))))
     return Dag(nodes=scorer.variables, edges=best_edges)
 
 

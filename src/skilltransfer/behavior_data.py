@@ -409,6 +409,10 @@ class DataSet:
                     f"domain of {name!r} has {len(domains[name])} values, "
                     f"at most {_MAX_DOMAIN} fit the int8 codes"
                 )
+            # A value's code is its one position in the domain.
+            repeated = [v for k, v in enumerate(domains[name]) if v in domains[name][:k]]
+            if repeated:
+                raise ValueError(f"domain of {name!r} lists {repeated[0]!r} twice")
         if (rows is None) == (codes is None):
             raise ValueError("give exactly one of rows and codes")
         if rows is not None:

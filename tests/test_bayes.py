@@ -33,6 +33,7 @@ from skilltransfer.bayes import (
 from skilltransfer import bayes
 from skilltransfer.behavior_data import ABSENT, OCCURRED, DataSet, to_dataset
 from skilltransfer.game_domain import simulate_pair
+from skilltransfer.seeds import derive_rng
 
 BINARY = (OCCURRED, ABSENT)
 CLASSES = ("ID1", "ID2")
@@ -459,6 +460,116 @@ def test_climb_matches_the_full_rescan_reference(case):
     assert score == want_score
     # Every family the climber scores, the full rescan scores too.
     assert set(scorer._cache) <= set(reference_scorer._cache)
+
+
+@st.composite
+def _lockstep_cases(draw):
+    """A _climb_cases table with several starts, in a drawn order.
+
+    The starts are the empty one, the drawn one twice, and one to four
+    more _random_start draws, so that the climbs end after different
+    numbers of steps and drop out of the lockstep at different times.
+    """
+    data, max_parents, start = draw(_climb_cases())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    more = draw(st.integers(min_value=1, max_value=4))
+    starts = [set(), start, start]
+    starts += [bayes._random_start(data.columns, max_parents, rng) for _ in range(more)]
+    return data, max_parents, draw(st.permutations(starts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_lockstep_cases(), data=st.data())
+def test_lockstep_climbs_match_the_full_rescan_reference_per_start(case, data):
+    table, max_parents, starts = case
+    reference_scorer = bayes._FamilyScorer(table)
+    want = [_reference_climb(reference_scorer, max_parents, start) for start in starts]
+    scorer = bayes._FamilyScorer(table)
+    climber = bayes._Climber(scorer, max_parents)
+    assert climber.climb_all([set(start) for start in starts]) == want
+    assert set(scorer._cache) <= set(reference_scorer._cache)
+
+    # A start with a cycle through two or more nodes, among valid ones.
+    ring = data.draw(st.permutations(table.columns))
+    ring = ring[: data.draw(st.integers(min_value=2, max_value=len(ring)))]
+    cyclic = set(zip(ring, ring[1:] + ring[:1]))
+    at = data.draw(st.integers(min_value=0, max_value=len(starts)))
+    with pytest.raises(ValueError, match="graph contains a cycle"):
+        climber.climb_all([set(start) for start in starts[:at]] + [cyclic] + starts[at:])
+
+
+def test_lockstep_climbs_on_the_standard_schema_match_the_reference(base_scenario, table1_pair):
+    # Eleven columns: a start score summed pairwise, as ndarray.sum does
+    # from eight terms on, differs from the reference's left-to-right sum.
+    scenario = replace(base_scenario, ticks_per_session=2000)
+    data = to_dataset(simulate_pair(*table1_pair, scenario, 4, 0), 5)
+    starts = [set()] + [
+        bayes._random_start(data.columns, 3, derive_rng(4, restart)) for restart in range(1, 21)
+    ]
+    reference_scorer = bayes._FamilyScorer(data)
+    want = [_reference_climb(reference_scorer, 3, start) for start in starts]
+    assert bayes._Climber(bayes._FamilyScorer(data), 3).climb_all(starts) == want
+
+
+@st.composite
+def _batch_cases(draw):
+    """A _summary_cases table, one child, and parent masks with repeats.
+
+    A mask has at most two parents, and one in a wide table: families of
+    128-value columns have 128**3 cells at two parents.
+    """
+    data, node, _ = draw(_summary_cases())
+    child = data.columns.index(node)
+    others = [j for j in range(len(data.columns)) if j != child]
+    most = 1 if len(data.columns) >= 10 else 2
+    parent_sets = (
+        st.lists(st.sampled_from(others), unique=True, max_size=most) if others else st.just([])
+    )
+    families = draw(st.lists(parent_sets, min_size=1, max_size=8))
+    masks = [sum(1 << j for j in parents) for parents in families]
+    masks += draw(st.lists(st.sampled_from(masks), max_size=4))
+    cached = draw(st.lists(st.sampled_from(masks), max_size=3))
+    return data, child, draw(st.permutations(masks)), cached
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_batch_cases())
+def test_batch_scores_equal_the_reference_for_any_masks(case):
+    data, child, masks, cached = case
+    scorer = bayes._FamilyScorer(data)
+    for mask in cached:
+        scorer.family_score(child, mask)
+    scores = scorer.score_families(child, masks)
+    assert len(scores) == len(masks)
+    for mask, score in zip(masks, scores.tolist()):
+        parents = [data.columns[j] for j in range(len(data.columns)) if mask >> j & 1]
+        want = _reference_local_score(_FullTableCounts(data), data.columns[child], parents)
+        assert score == want == scorer._cache[child, mask], (mask, parents)
+
+
+def test_a_one_row_table_scores_every_family_zero():
+    # One row: every count is 1 of 1, and the penalty is scaled by ln 1.
+    domains = {name: ("x", "y", "z") for name in "abc"}
+    data = DataSet(columns=("b", "a", "c"), domains=domains, rows=(("y", "z", "x"),))
+    scorer = bayes._FamilyScorer(data)
+    for child in range(3):
+        masks = [mask for mask in range(8) if not mask >> child & 1]
+        scores = scorer.score_families(child, masks[::-1] + masks)
+        for mask, score in zip(masks[::-1] + masks, scores.tolist()):
+            parents = [data.columns[j] for j in range(3) if mask >> j & 1]
+            want = _reference_local_score(_FullTableCounts(data), data.columns[child], parents)
+            assert score == want == 0.0
+
+
+def test_structure_search_rejects_more_columns_than_its_family_table_takes():
+    limit = bayes._MAX_SEARCH_COLUMNS
+    columns = [f"c{j:02d}" for j in range(limit + 1)]
+    domains = {name: BINARY for name in columns}
+    wide = DataSet(columns=columns, domains=domains, codes=np.zeros((2, limit + 1), int))
+    with pytest.raises(ValueError, match=f"at most {limit} columns, got {limit + 1}"):
+        learn_structure(wide, LearnConfig())
+    widest = DataSet(columns=columns[:-1], domains=domains, codes=np.zeros((2, limit), int))
+    assert learn_structure(widest, LearnConfig(restarts=1)).edges == frozenset()
 
 
 def test_climb_rejects_a_cyclic_start():

@@ -329,6 +329,15 @@ def test_dataset_rejects_bad_code_shapes_and_oversized_domains():
         DataSet(columns=("a",), domains=wide, rows=(("0",),))
 
 
+def test_dataset_rejects_a_domain_that_lists_a_value_twice():
+    # Encoding took a repeated value's last position, while the networks
+    # read its first, so such a table counted and classified it apart.
+    domains = {"a": BINARY_DOMAIN, "b": ("x", "y", "x")}
+    for given in ({"rows": ((BINARY_DOMAIN[0], "x"),)}, {"codes": np.zeros((1, 2), dtype=int)}):
+        with pytest.raises(ValueError, match="domain of 'b' lists 'x' twice"):
+            DataSet(columns=("a", "b"), domains=domains, **given)
+
+
 # --- split ------------------------------------------------------------------
 
 def _synthetic_rows(n_per_class: int):
