@@ -55,53 +55,3 @@ from .transfer_loop import (
     run_identification,
     run_transfer,
 )
-
-__all__ = [
-    "ATTRIBUTE_COLUMNS",
-    "CLASS_COLUMN",
-    "DATASET_COLUMNS",
-    "DOMAINS",
-    "AttributeId",
-    "BayesNet",
-    "BehaviorRecord",
-    "ConditionKey",
-    "ConfigError",
-    "Cpt",
-    "Dag",
-    "DataSet",
-    "DataValidationError",
-    "ExperimentConfig",
-    "IdentificationResult",
-    "LearnConfig",
-    "PlayerId",
-    "PlayerProfile",
-    "Scenario",
-    "SessionLog",
-    "StimulusContext",
-    "TerminalReason",
-    "TransferConfig",
-    "TransferTrace",
-    "Violation",
-    "accuracy",
-    "bic_score",
-    "build_schedule",
-    "class_posterior",
-    "classify",
-    "default_scenario",
-    "discriminative_attributes",
-    "divergence",
-    "fit_cpts",
-    "learn_structure",
-    "load_config",
-    "markov_blanket",
-    "nudge_profile",
-    "parse_config",
-    "run_identification",
-    "run_session",
-    "run_transfer",
-    "serialize_config",
-    "split",
-    "table1_profiles",
-    "to_dataset",
-    "validate_session",
-]

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_data import CLASS_COLUMN, DataSet
+from .errors import check_fields, check_range
 from .seeds import derive_rng
 
 _IMPROVEMENT_EPS = 1e-9
@@ -153,13 +154,7 @@ class LearnConfig:
     restarts: int = 5
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.max_parents < 1:
-            raise ValueError(f"max_parents must be >= 1, got {self.max_parents}")
-        if not self.smoothing > 0.0:
-            raise ValueError(f"smoothing must be > 0, got {self.smoothing}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+    __post_init__ = check_fields
 
 
 class _FamilyScorer:
@@ -440,8 +435,7 @@ def learn_structure(data: DataSet, config: LearnConfig) -> Dag:
 
 def fit_cpts(dag: Dag, data: DataSet, alpha: float = 1.0) -> BayesNet:
     """Estimate all CPTs with additive (Laplace) smoothing ``alpha``."""
-    if not alpha > 0.0:
-        raise ValueError(f"smoothing must be > 0, got {alpha}")
+    check_range("smoothing", alpha)
     scorer = _FamilyScorer(data, dag.nodes)
     cpts: dict[str, Cpt] = {}
     for node in dag.nodes:

@@ -23,7 +23,7 @@ import io
 import json
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, partial
 from itertools import product
@@ -103,15 +103,7 @@ class StimulusContext:
     person_facing: bool
 
 
-CONTEXT_FIELDS: tuple[str, ...] = (
-    "location_indoor",
-    "obstacle_present",
-    "soldier_present",
-    "civilian_present",
-    "horse_available",
-    "climbable_present",
-    "person_facing",
-)
+CONTEXT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(StimulusContext))
 
 #: Every possible context, interned and indexed by its code: bit ``i`` of
 #: the code is the field ``CONTEXT_FIELDS[i]``.

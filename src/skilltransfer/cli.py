@@ -31,14 +31,13 @@ from .behavior_data import (
     write_session_jsonl,
 )
 from .config import (
-    _BOUNDS,
     ExperimentConfig,
     load_config,
     resolve_profiles,
     run_directory,
     serialize_config,
 )
-from .errors import ConfigError, DataValidationError
+from .errors import ConfigError, DataValidationError, range_violation
 from .game_domain import simulate_pair
 from .transfer_loop import (
     TransferConfig,
@@ -65,8 +64,9 @@ def _fail(prefix: str, message: str, code: int) -> None:
 
 def _load(config_path: str, seed: int | None, out: str | None) -> ExperimentConfig:
     config = load_config(config_path)
-    if seed is not None and seed < _BOUNDS["seed"]:
-        raise ConfigError(f"seed: {seed} is below the minimum {_BOUNDS['seed']}")
+    violation = None if seed is None else range_violation("seed", seed)
+    if violation:
+        raise ConfigError(f"seed: {violation}")
     overrides = {"seed": seed, "output_dir": out}
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 

@@ -3,7 +3,9 @@
 Configs are JSON documents. Every field has a documented default, so the
 empty document is a valid config. Validation is exhaustive: all problems
 are collected and reported together, each prefixed with the offending
-field's path, and unknown keys anywhere are rejected.
+field's path, and unknown keys anywhere are rejected. The numeric ranges
+come from :data:`errors.BOUNDS`, which the library checks too, and the
+dataset and transfer defaults from :class:`TransferConfig`.
 """
 
 from __future__ import annotations
@@ -11,13 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .bayes import LearnConfig
-from .behavior_data import CONTEXT_FIELDS, DOMAINS
-from .errors import ConfigError
+from .errors import BOUNDS, ConfigError, range_violation
 from .game_domain import (
     PlayerProfile,
     Scenario,
@@ -25,11 +25,7 @@ from .game_domain import (
     read_profile,
     table1_profiles,
 )
-
-#: Largest learning.smoothing whose CPT rows still sum to a finite value:
-#: a row holds at most one cell per value of the widest domain, each cell
-#: the smoothing plus a count, so half the float range per cell is safe.
-MAX_SMOOTHING = sys.float_info.max / (2 * max(len(d) for d in DOMAINS.values()))
+from .transfer_loop import TransferConfig
 
 BUILTIN_PROFILES = "table1"
 FILE_PROFILES = "file"
@@ -47,15 +43,15 @@ class ProfilesConfig:
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    window: int = 5
-    split_ratio: float = 0.5
+    window: int = TransferConfig.window
+    split_ratio: float = TransferConfig.split_ratio
 
 
 @dataclass(frozen=True)
 class TransferParams:
-    learning_rate: float = 0.5
-    stop_threshold: float = 0.55
-    max_iterations: int = 50
+    learning_rate: float = TransferConfig.learning_rate
+    stop_threshold: float = TransferConfig.stop_threshold
+    max_iterations: int = TransferConfig.max_iterations
 
 
 @dataclass(frozen=True)
@@ -69,23 +65,6 @@ class ExperimentConfig:
     transfer: TransferParams = field(default_factory=TransferParams)
 
 
-#: Numeric ranges by field path: an integer's minimum, or a number's
-#: ``(low, high, low_open, high_open)``. Every other field is a string,
-#: except the profile paths, which :meth:`_Reader.profile_path` checks.
-_BOUNDS: dict[str, int | tuple[float, float, bool, bool]] = {
-    "seed": 0,
-    "scenario.ticks_per_session": 0,
-    **{f"scenario.{f}": (0.0, 1.0, False, False) for f in CONTEXT_FIELDS},
-    "profiles.linkage_strength": (0.0, 1.0, True, False),
-    "dataset.window": 1,
-    "dataset.split_ratio": (0.0, 1.0, True, True),
-    "learning.max_parents": 1,
-    "learning.smoothing": (0.0, MAX_SMOOTHING, True, False),
-    "learning.restarts": 0,
-    "transfer.learning_rate": (0.0, 1.0, True, False),
-    "transfer.stop_threshold": (0.5, 1.0, False, True),
-    "transfer.max_iterations": 1,
-}
 _PROFILE_PATHS = ("profiles.expert_path", "profiles.learner_path")
 
 
@@ -120,15 +99,14 @@ class _Reader:
         for name in names:
             key = path + name
             base = getattr(default, name)
-            bound = _BOUNDS.get(key)
             if is_dataclass(base):
                 value = self.read(self.section(obj, name, key), base, key + ".")
             elif key in _PROFILE_PATHS:
                 value = self.profile_path(obj.get(name), key, values["source"])
-            elif isinstance(bound, int):
-                value = self.integer(obj, name, path, base, bound)
-            elif bound:
-                value = self.number(obj, name, path, base, *bound)
+            elif isinstance(BOUNDS.get(name), int):
+                value = self.integer(obj, name, path, base)
+            elif name in BOUNDS:
+                value = self.number(obj, name, path, base)
             else:
                 value = self.string(obj, name, path, base)
             if key == "profiles.source" and value not in (BUILTIN_PROFILES, FILE_PROFILES):
@@ -139,17 +117,14 @@ class _Reader:
             values[name] = value
         return replace(default, **values)
 
-    def number(
-        self,
-        obj: dict,
-        key: str,
-        path: str,
-        default: float,
-        low: float,
-        high: float,
-        low_open: bool,
-        high_open: bool,
-    ) -> float:
+    def in_range(self, value: float, key: str, path: str, default: float) -> float:
+        violation = range_violation(key, value)
+        if violation is not None:
+            self.complain(f"{path}{key}", violation)
+            return default
+        return value
+
+    def number(self, obj: dict, key: str, path: str, default: float) -> float:
         value = obj.get(key, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.complain(f"{path}{key}", f"expected a number, got {value!r}")
@@ -158,28 +133,14 @@ class _Reader:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
             value = math.inf if value > 0 else -math.inf
-        low_ok = value > low if low_open else value >= low
-        high_ok = value < high if high_open else value <= high
-        if not (low_ok and high_ok):
-            left = "(" if low_open else "["
-            right = ")" if high_open else "]"
-            self.complain(
-                f"{path}{key}", f"{value} outside {left}{low}, {high}{right}"
-            )
-            return default
-        return value
+        return self.in_range(value, key, path, default)
 
-    def integer(
-        self, obj: dict, key: str, path: str, default: int, low: int
-    ) -> int:
+    def integer(self, obj: dict, key: str, path: str, default: int) -> int:
         value = obj.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             self.complain(f"{path}{key}", f"expected an integer, got {value!r}")
             return default
-        if value < low:
-            self.complain(f"{path}{key}", f"{value} is below the minimum {low}")
-            return default
-        return value
+        return self.in_range(value, key, path, default)
 
     def string(self, obj: dict, key: str, path: str, default: str) -> str:
         value = obj.get(key, default)

@@ -1,10 +1,20 @@
-"""Package-level error types.
+"""Package-level error types and the valid range of every numeric parameter.
 
-These map onto the CLI exit codes: configuration problems exit with 2,
-data validation failures with 3, and anything unexpected with 4.
+The error types map onto the CLI exit codes: configuration problems exit
+with 2, data validation failures with 3, and anything unexpected with 4.
+
+:data:`BOUNDS` holds each bounded parameter's range once, keyed by field
+name. The config reader reports a value outside it as a violation line;
+the library's dataclasses and functions raise ``ValueError`` with the same
+text.
 """
 
 from __future__ import annotations
+
+import sys
+from dataclasses import fields
+
+from .behavior_data import CONTEXT_FIELDS, DOMAINS
 
 
 class ConfigError(Exception):
@@ -23,3 +33,65 @@ class ConfigError(Exception):
 
 class DataValidationError(Exception):
     """Session data violates a structural or feasibility rule."""
+
+
+#: Largest smoothing whose CPT rows still sum to a finite value: a row
+#: holds at most one cell per value of the widest domain, each cell the
+#: smoothing plus a count, so half the float range per cell is safe.
+MAX_SMOOTHING = sys.float_info.max / (2 * max(len(d) for d in DOMAINS.values()))
+
+Bound = int | tuple[float, float, bool, bool]
+
+#: Numeric ranges by field name, which is unique across config sections:
+#: an integer's minimum, or a number's ``(low, high, low_open, high_open)``.
+BOUNDS: dict[str, Bound] = {
+    "seed": 0,
+    "ticks_per_session": 0,
+    **{f: (0.0, 1.0, False, False) for f in CONTEXT_FIELDS},
+    "linkage_strength": (0.0, 1.0, True, False),
+    "window": 1,
+    "split_ratio": (0.0, 1.0, True, True),
+    "max_parents": 1,
+    "smoothing": (0.0, MAX_SMOOTHING, True, False),
+    "restarts": 0,
+    "learning_rate": (0.0, 1.0, True, False),
+    "stop_threshold": (0.5, 1.0, False, True),
+    "max_iterations": 1,
+}
+
+
+def range_violation(bound: str | Bound, value: float) -> str | None:
+    """Why ``value`` lies outside ``bound``, or None when it lies inside.
+
+    ``bound`` is a key of :data:`BOUNDS` or a bound in the same encoding.
+    NaN lies outside every range.
+    """
+    if isinstance(bound, str):
+        bound = BOUNDS[bound]
+    if isinstance(bound, int):
+        return None if value >= bound else f"{value} is below the minimum {bound}"
+    low, high, low_open, high_open = bound
+    low_ok = value > low if low_open else value >= low
+    high_ok = value < high if high_open else value <= high
+    if low_ok and high_ok:
+        return None
+    left = "(" if low_open else "["
+    right = ")" if high_open else "]"
+    return f"{value} outside {left}{low}, {high}{right}"
+
+
+def check_range(name: str, value: float, bound: str | Bound | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` when ``value`` is outside ``bound``.
+
+    ``bound`` defaults to the :data:`BOUNDS` entry of ``name``.
+    """
+    violation = range_violation(name if bound is None else bound, value)
+    if violation is not None:
+        raise ValueError(f"{name}: {violation}")
+
+
+def check_fields(instance) -> None:
+    """Check every field of a dataclass instance that :data:`BOUNDS` names."""
+    for f in fields(instance):
+        if f.name in BOUNDS:
+            check_range(f.name, getattr(instance, f.name))

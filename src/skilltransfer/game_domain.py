@@ -48,7 +48,7 @@ from .behavior_data import (
     SessionLog,
     StimulusContext,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, check_range
 from .seeds import ROLE_EXPERT, ROLE_LEARNER, STREAM_SESSION, derive_rng, derive_seed
 
 
@@ -91,13 +91,7 @@ class Scenario:
     climbable_present: float
     person_facing: float
 
-    def __post_init__(self) -> None:
-        if self.ticks_per_session < 0:
-            raise ValueError(f"ticks_per_session must be >= 0, got {self.ticks_per_session}")
-        for field in CONTEXT_FIELDS:
-            p = getattr(self, field)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{field} probability {p} outside [0, 1]")
+    __post_init__ = check_fields
 
 
 def default_scenario() -> Scenario:
@@ -364,9 +358,8 @@ def table1_profiles(linkage_strength: float = 0.7) -> tuple[PlayerProfile, Playe
     riding, climbing and civilian attacks when watched, attacks civilians
     at climbing spots, and chats in front of obstacles or horses.
     """
+    check_range("linkage_strength", linkage_strength)
     s = linkage_strength
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"linkage_strength must be inside (0, 1], got {s}")
 
     expert = PlayerProfile(
         profile_id="expert-table1",

@@ -43,6 +43,7 @@ from .behavior_data import (
     split,
     to_dataset,
 )
+from .errors import check_fields, check_range
 from .game_domain import (
     ConditionKey,
     Distribution,
@@ -57,6 +58,9 @@ from .seeds import STREAM_LEARN, STREAM_SPLIT, derive_seed
 _LOG_FLOOR = 1e-300
 _DIFFERENCE_EPS = 1e-9
 _SCHEDULE_FLOOR = 0.8
+#: What a trace read back may hold, in the encoding of :data:`errors.BOUNDS`.
+_ACCURACY_RANGE = (0.0, 1.0, False, False)
+_DIVERGENCE_RANGE = (0.0, math.inf, False, True)
 
 
 @dataclass(frozen=True)
@@ -71,23 +75,7 @@ class TransferConfig:
     split_ratio: float = 0.5
     learn: LearnConfig = field(default_factory=LearnConfig)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(
-                f"learning_rate must be inside (0, 1], got {self.learning_rate}"
-            )
-        if not 0.5 <= self.stop_threshold < 1.0:
-            raise ValueError(
-                f"stop_threshold must be inside [0.5, 1), got {self.stop_threshold}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ValueError(
-                f"split_ratio must be inside (0, 1), got {self.split_ratio}"
-            )
+    __post_init__ = check_fields
 
 
 class TerminalReason(Enum):
@@ -136,8 +124,8 @@ def run_identification(
     learner: PlayerProfile,
     scenario: Scenario,
     *,
-    window: int = 5,
-    split_ratio: float = 0.5,
+    window: int = TransferConfig.window,
+    split_ratio: float = TransferConfig.split_ratio,
     learn: LearnConfig | None = None,
     seed: int = 0,
     iteration: int = 0,
@@ -192,8 +180,7 @@ def nudge_profile(
     distributions already match is left untouched, so an expert learner
     is a fixed point.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be inside (0, 1], got {eta}")
+    check_range("eta", eta, "learning_rate")
     if set(learner.distributions) != set(expert.distributions):
         raise ValueError("profiles declare different condition keys")
     new_distributions = {k: dict(d) for k, d in learner.distributions.items()}
@@ -354,6 +341,7 @@ def trace_to_json(trace: TransferTrace) -> str:
 
 
 def trace_from_json(text: str) -> TransferTrace:
+    """Read a trace back, rejecting one that no run could have written."""
     payload = json.loads(text)
     records = tuple(
         IterationRecord(
@@ -368,6 +356,14 @@ def trace_from_json(text: str) -> TransferTrace:
         )
         for entry in payload["iterations"]
     )
+    for position, record in enumerate(records, 1):
+        if record.iteration != position:
+            raise ValueError(
+                f"iteration {record.iteration} recorded at position {position}; "
+                "iterations must run 1, 2, ... in order"
+            )
+        check_range(f"iteration {position} accuracy", record.accuracy, _ACCURACY_RANGE)
+        check_range(f"iteration {position} divergence", record.divergence, _DIVERGENCE_RANGE)
     return TransferTrace(
         expert_profile=profile_from_payload(payload["expert_profile"]),
         iterations=records,

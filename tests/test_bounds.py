@@ -1,0 +1,106 @@
+"""The one table of parameter ranges, as the config reader and the library read it."""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import fields, is_dataclass, replace
+from functools import reduce
+
+import numpy as np
+import pytest
+
+from skilltransfer.bayes import Dag, LearnConfig, fit_cpts
+from skilltransfer.behavior_data import DataSet
+from skilltransfer.config import ExperimentConfig, parse_config
+from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, ConfigError
+from skilltransfer.game_domain import ConditionKey, default_scenario, table1_profiles
+from skilltransfer.transfer_loop import TransferConfig, nudge_profile
+
+
+def _config_paths(config, prefix: str = "") -> dict[str, str]:
+    """Document path of every config field, by field name."""
+    paths = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            paths.update(_config_paths(value, f"{prefix}{f.name}."))
+        elif f"{prefix}{f.name}" != "learning.seed":
+            paths[f.name] = prefix + f.name
+    return paths
+
+
+_PATHS = _config_paths(ExperimentConfig())
+
+
+def _owner(name: str):
+    """The library dataclass or function that owns field ``name``, as a one-value call."""
+    if name == "linkage_strength":
+        return table1_profiles
+    for instance in (default_scenario(), LearnConfig(), TransferConfig(default_scenario())):
+        if name in {f.name for f in fields(instance)}:
+            return lambda value: replace(instance, **{name: value})
+    raise AssertionError(f"no library owner for {name}")
+
+
+def _edges(bound) -> tuple[list, list[tuple[float, str]]]:
+    """Closed boundary values, and values just outside with the reader's text."""
+    if isinstance(bound, int):
+        return [bound], [(bound - 1, f"{bound - 1} is below the minimum {bound}")]
+    low, high, low_open, high_open = bound
+    text = f"outside {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
+    inside, outside = [], []
+    for edge, is_open, away in ((low, low_open, -math.inf), (high, high_open, math.inf)):
+        if is_open:
+            outside.append(edge)
+        else:
+            inside.append(edge)
+            outside.append(math.nextafter(edge, away))
+    return inside, [(value, f"{value} {text}") for value in outside]
+
+
+def _document(path: str, value) -> str:
+    *sections, key = path.split(".")
+    document = {key: value}
+    for section in reversed(sections):
+        document = {section: document}
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_reader_and_library_agree_on_every_range(name):
+    path, owner = _PATHS[name], _owner(name)
+    inside, outside = _edges(BOUNDS[name])
+    for value in inside:
+        owner(value)
+        section = reduce(getattr, path.split(".")[:-1], parse_config(_document(path, value)))
+        assert getattr(section, name) == value
+    for value, text in outside:
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            owner(value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(_document(path, value))
+        assert err.value.violations == [f"{path}: {text}"]
+
+
+def test_smoothing_too_large_for_finite_cpt_rows_is_rejected_by_the_library():
+    data = DataSet(
+        columns=("a",), domains={"a": ("x", "y")}, codes=np.array([[0], [1]])
+    )
+    dag = Dag(nodes=("a",), edges=frozenset())
+    for smoothing in (1e308, 0.0):
+        with pytest.raises(ValueError, match="^smoothing: "):
+            LearnConfig(smoothing=smoothing)
+        with pytest.raises(ValueError, match="^smoothing: "):
+            fit_cpts(dag, data, alpha=smoothing)
+    assert fit_cpts(dag, data, alpha=MAX_SMOOTHING).cpts["a"].table.tolist() == [[0.5, 0.5]]
+
+
+def test_function_arguments_are_named_in_their_range_errors():
+    expert, learner = table1_profiles()
+    with pytest.raises(ValueError, match=r"^eta: 1\.5 outside \(0\.0, 1\.0\]$"):
+        nudge_profile(learner, expert, [ConditionKey.OBSTACLE], 1.5)
+    with pytest.raises(ValueError, match=r"^linkage_strength: 0\.0 outside \(0\.0, 1\.0\]$"):
+        table1_profiles(0.0)
+    with pytest.raises(ValueError, match=r"^location_indoor: nan outside \[0\.0, 1\.0\]$"):
+        replace(default_scenario(), location_indoor=math.nan)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,20 +24,19 @@ from skilltransfer.behavior_data import (
 )
 from skilltransfer.cli import main
 from skilltransfer.config import (
-    MAX_SMOOTHING,
     ExperimentConfig,
     load_config,
     parse_config,
     run_directory,
     serialize_config,
 )
-from skilltransfer.errors import ConfigError
+from skilltransfer.errors import MAX_SMOOTHING, ConfigError
 from skilltransfer.game_domain import (
     default_scenario,
     profile_payload,
     table1_profiles,
 )
-from skilltransfer.transfer_loop import trace_from_json
+from skilltransfer.transfer_loop import TransferConfig, run_transfer, trace_from_json, trace_to_json
 
 
 def _write_profile(path: Path, payload: dict) -> Path:
@@ -510,6 +511,40 @@ def test_report_on_a_trace_with_an_accuracy_beyond_the_float_range_exits_three(
     assert "OverflowError" in _report_on(quick_config, tmp_path, text)
 
 
+def _impossible_trace(**changes) -> str:
+    """A two-iteration trace with ``changes`` applied to its iteration entries."""
+    expert, learner = (profile_payload(p) for p in table1_profiles())
+    document = json.loads(_trace_text(expert, learner))
+    first = document["iterations"][0]
+    document["iterations"].append({**first, "iteration": 2})
+    for name, values in changes.items():
+        for entry, value in zip(document["iterations"], values):
+            entry[name] = value
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "changes, needle",
+    [
+        pytest.param({"accuracy": [-0.5]}, "iteration 1 accuracy: -0.5 outside [0.0, 1.0]",
+                     id="negative-accuracy"),
+        pytest.param({"accuracy": [0.9, 7.0]}, "iteration 2 accuracy: 7.0 outside [0.0, 1.0]",
+                     id="accuracy-above-one"),
+        pytest.param({"accuracy": [float("nan")]}, "iteration 1 accuracy: nan outside [0.0, 1.0]",
+                     id="nan-accuracy"),
+        pytest.param({"divergence": [-1]}, "iteration 1 divergence: -1.0 outside [0.0, inf)",
+                     id="negative-divergence"),
+        pytest.param({"iteration": [-4]}, "iteration -4 recorded at position 1",
+                     id="negative-iteration"),
+        pytest.param({"iteration": [2, 1]}, "iteration 2 recorded at position 1",
+                     id="reversed-iterations"),
+    ],
+)
+def test_report_on_an_impossible_trace_exits_three(quick_config, tmp_path, changes, needle):
+    stderr = _report_on(quick_config, tmp_path, _impossible_trace(**changes))
+    assert f"ValueError: {needle}" in stderr
+
+
 def test_a_config_integer_beyond_the_float_range_is_out_of_range():
     huge = 10**400
     with pytest.raises(ConfigError) as err:
@@ -530,3 +565,55 @@ def test_a_document_that_parses_never_exits_four(text):
         for command in ("simulate", "dataset", "identify", "transfer", "report"):
             result = _invoke([command, "--config", config_path, "--out", Path(out) / "runs"])
             assert result.exit_code in (0, 2, 3), (command, result.stderr)
+
+
+_MUTANTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([10**400, -(10**400), 2**64, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "iteration"]), st.integers(-2, 2), max_size=1),
+)
+_DELETE = object()
+
+
+@functools.cache
+def _real_trace() -> str:
+    expert, learner = table1_profiles()
+    config = TransferConfig(scenario=replace(default_scenario(), ticks_per_session=200))
+    return trace_to_json(run_transfer(expert, learner, config, seed=3))
+
+
+def _leaves(node, path=()):
+    """Paths to the scalar and empty-container leaves of a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_trace_never_exits_four(data):
+    document = json.loads(_real_trace())
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from([p for p in _leaves(document) if p]))
+        parent = document
+        for key in parents:
+            parent = parent[key]
+        mutant = data.draw(st.one_of(st.just(_DELETE), _MUTANTS))
+        if mutant is _DELETE:
+            del parent[last]
+        else:
+            parent[last] = mutant
+    with tempfile.TemporaryDirectory() as out:
+        trace_path = Path(out) / "trace.json"
+        trace_path.write_text(json.dumps(document), encoding="utf-8")
+        config_path = Path(out) / "config.json"
+        config_path.write_text("{}", encoding="utf-8")
+        result = _invoke(
+            ["report", "--config", config_path, "--out", Path(out) / "runs", "--trace", trace_path]
+        )
+    assert result.exit_code in (0, 3), result.stderr

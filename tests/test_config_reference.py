@@ -14,7 +14,6 @@ from skilltransfer.behavior_data import CONTEXT_FIELDS
 from skilltransfer.config import (
     BUILTIN_PROFILES,
     FILE_PROFILES,
-    MAX_SMOOTHING,
     DatasetConfig,
     ExperimentConfig,
     ProfilesConfig,
@@ -22,7 +21,7 @@ from skilltransfer.config import (
     parse_config,
     serialize_config,
 )
-from skilltransfer.errors import ConfigError
+from skilltransfer.errors import MAX_SMOOTHING, ConfigError
 from skilltransfer.game_domain import Scenario, default_scenario, profile_payload, table1_profiles
 
 
