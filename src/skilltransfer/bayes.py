@@ -5,9 +5,9 @@ delete, reverse) scored by the decomposable BIC criterion, with random
 restarts. The restarts climb in lockstep: each iteration moves every
 unfinished one a step, over a stack of boolean adjacency matrices, with
 legality from boolean masks and reachability, and deltas read from one
-table of family scores. BIC is a sum of per-family local scores, so a
-move's delta reads only the families it touches; the scorer caches local
-scores per (node, parent set) and counts the missing ones of a node in
+table of family scores, the only store of them. BIC is a sum of
+per-family local scores, so a move's delta reads only the families it
+touches, and those the table lacks are counted one node at a time, in
 one pass. Moves are ranked in a fixed order, adds by column then deletes
 and reverses by edge name, and an exact tie goes to the first, so the
 learned graph is that of a sequential scan. Inference is exact: a
@@ -158,15 +158,14 @@ class LearnConfig:
 
 
 class _FamilyScorer:
-    """Cached per-family BIC scores over one dataset.
+    """Per-family BIC scores over one dataset.
 
     The BIC local score of node X with parents U is the maximized
     multinomial log likelihood of X given U minus
     0.5 * ln(N) * |U configurations| * (|X| - 1).
 
     Nodes are indices into :attr:`variables` and a parent set is a bitmask
-    over them; the one cache is keyed by ``(node index, parent mask)``.
-    Counts sum the table's distinct code rows weighted by their copies.
+    over them. Counts sum the table's distinct code rows weighted by their copies.
     """
 
     def __init__(self, data: DataSet, nodes: Sequence[str] = ()):
@@ -185,7 +184,6 @@ class _FamilyScorer:
         self.n = data.n_rows
         self._log_n = math.log(self.n)
         self._name_order = sorted(range(len(self.variables)), key=self.variables.__getitem__)
-        self._cache: dict[tuple[int, int], float] = {}
 
     def family_counts(self, node: str, parents: Sequence[str]) -> np.ndarray:
         """Count matrix with one row per parent assignment."""
@@ -223,44 +221,37 @@ class _FamilyScorer:
         mask = 0
         for parent in parents:
             mask |= 1 << self.index[parent]
-        return self.family_score(self.index[node], mask)
-
-    def family_score(self, child: int, parents: int) -> float:
-        """Local score of node ``child`` with the parent bitmask ``parents``."""
-        score = self._cache.get((child, parents))
-        return score if score is not None else float(self.score_families(child, [parents])[0])
+        return float(self.score_families(self.index[node], [mask])[0])
 
     def score_families(self, child: int, masks: Iterable[int]) -> np.ndarray:
         """Local scores of node ``child`` with each parent bitmask of ``masks``.
 
-        The families missing from the cache are counted together, in
-        passes of at most ``_PASS_CELLS`` row indices plus count cells.
+        The families are counted together, in passes of at most
+        ``_PASS_CELLS`` row indices plus count cells.
         Parents in name order fix a family's count layout, and with it the
         float summation order, so that a family has one score whatever the
         order in which a caller names its parents: its terms are summed by
         one ``.sum()`` over its own nonzero cells in row-major order.
         """
-        masks = [int(m) for m in masks]
+        scores: list[float] = []
         batch, size = [], 0
-        for mask in dict.fromkeys(masks):
-            if (child, mask) in self._cache:
-                continue
+        for mask in map(int, masks):
             parents = [j for j in self._name_order if mask >> j & 1]
             cells = self._cards[child] * math.prod([self._cards[j] for j in parents])
             if batch and size + len(self.copies) + cells > _PASS_CELLS:
-                self._score_pass(child, batch)
+                scores += self._score_pass(child, batch)
                 batch, size = [], 0
-            batch.append((mask, parents, cells))
+            batch.append((parents, cells))
             size += len(self.copies) + cells
         if batch:
-            self._score_pass(child, batch)
-        return np.array([self._cache[child, m] for m in masks])
+            scores += self._score_pass(child, batch)
+        return np.array(scores)
 
-    def _score_pass(self, child: int, batch: list[tuple[int, list[int], int]]) -> None:
-        """Score and cache the families (mask, parents, cells) of ``batch``."""
+    def _score_pass(self, child: int, batch: list[tuple[list[int], int]]) -> list[float]:
+        """The scores of the families (parents, cells) of ``batch``."""
         r = self._cards[child]
-        counts = self._counts(child, [parents for _, parents, _ in batch])
-        offsets = np.array(list(accumulate([cells for _, _, cells in batch], initial=0)))
+        counts = self._counts(child, [parents for parents, _ in batch])
+        offsets = np.array(list(accumulate([cells for _, cells in batch], initial=0)))
         # The nonzero cells and their row totals, in row-major order.
         at = np.flatnonzero(counts)
         seen = counts.ravel()[at]
@@ -269,8 +260,7 @@ class _FamilyScorer:
         ends = np.searchsorted(at, offsets).tolist()
         log_likelihood = np.array([terms[a:b].sum() for a, b in zip(ends, ends[1:])])
         penalty = 0.5 * self._log_n * (np.diff(offsets) // r) * (r - 1)
-        scores = (log_likelihood - penalty).tolist()
-        self._cache.update(zip([(child, mask) for mask, _, _ in batch], scores))
+        return (log_likelihood - penalty).tolist()
 
 
 def bic_score(dag: Dag, data: DataSet) -> float:

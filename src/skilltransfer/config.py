@@ -19,6 +19,7 @@ from pathlib import Path
 from .bayes import LearnConfig
 from .errors import BOUNDS, ConfigError, range_violation
 from .game_domain import (
+    LINKAGE_STRENGTH,
     PlayerProfile,
     Scenario,
     default_scenario,
@@ -36,7 +37,7 @@ class ProfilesConfig:
     """Where the expert/learner pair comes from."""
 
     source: str = BUILTIN_PROFILES
-    linkage_strength: float = 0.7
+    linkage_strength: float = LINKAGE_STRENGTH
     expert_path: str | None = None
     learner_path: str | None = None
 

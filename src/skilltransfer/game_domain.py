@@ -324,33 +324,61 @@ _KEY_SUPPORT: dict[ConditionKey, tuple[AttributeId, ...]] = {
     for key in ConditionKey
 }
 
+#: The linkage strength of the built-in pair when a config names none.
+LINKAGE_STRENGTH = 0.7
 
-def _linked(key: ConditionKey, linked: dict[AttributeId, float], s: float) -> Distribution:
-    """Distribution with mass ``s`` split over linked behaviors, rest uniform."""
-    rest = [b for b in _KEY_SUPPORT[key] if b not in linked]
+#: Table 1: per player, each linked condition key with its linked behaviors
+#: and their shares of the linked mass.
+_TABLE1: dict[str, dict[ConditionKey, Distribution]] = {
+    "expert-table1": {
+        ConditionKey.OBSTACLE: {AttributeId.FIGHTING: 1.0},
+        ConditionKey.PERSON_FACING: {AttributeId.FACING_SOL: 1.0},
+        ConditionKey.HORSE_AVAILABLE: {AttributeId.FACING_SOL: 1.0},
+        ConditionKey.CLIMBING_OPPORTUNITY: {AttributeId.CLIMBING: 1.0},
+    },
+    "learner-table1": {
+        ConditionKey.INDOOR: {AttributeId.MOVEMENT: 1.0},
+        ConditionKey.OUTDOOR: {AttributeId.MOVEMENT: 1.0},
+        ConditionKey.OBSTACLE: {AttributeId.LISTENING: 1.0},
+        ConditionKey.PERSON_FACING: {
+            AttributeId.RIDING_HRS: 1 / 3,
+            AttributeId.CLIMBING: 1 / 3,
+            AttributeId.ATTACK_CIV: 1 / 3,
+        },
+        ConditionKey.HORSE_AVAILABLE: {AttributeId.LISTENING: 1.0},
+        ConditionKey.CLIMBING_OPPORTUNITY: {AttributeId.ATTACK_CIV: 1.0},
+    },
+}
+#: The one linked key whose unlinked mass skips part of the key's support:
+#: the expert shows no social behavior at climbing spots, so it stays on
+#: plain movement.
+_UNLINKED_SUPPORT = {("expert-table1", ConditionKey.CLIMBING_OPPORTUNITY): (AttributeId.MOVEMENT,)}
+
+
+def _linked(linked: Distribution, support: tuple[AttributeId, ...], s: float) -> Distribution:
+    """Mass ``s`` split over ``linked`` by its shares, the rest uniform over the other ``support``.
+
+    A linked share that underflows to 0.0 is left out.
+    """
+    rest = [b for b in support if b not in linked]
     if s >= 1.0 or not rest:
         return dict(linked)
-    dist: Distribution = {b: s * w for b, w in linked.items()}
-    share = (1.0 - s) / len(rest)
-    for b in rest:
-        dist[b] = share
+    dist: Distribution = {b: s * w for b, w in linked.items() if s * w > 0.0}
+    dist.update(dict.fromkeys(rest, (1.0 - s) / len(rest)))
     return dist
 
 
-def _uniform(behaviors: tuple[AttributeId, ...]) -> Distribution:
-    return {b: 1.0 / len(behaviors) for b in behaviors}
-
-
-def table1_profiles(linkage_strength: float = 0.7) -> tuple[PlayerProfile, PlayerProfile]:
-    """The built-in expert/learner profile pair.
+def table1_profiles(
+    linkage_strength: float = LINKAGE_STRENGTH,
+) -> tuple[PlayerProfile, PlayerProfile]:
+    """The built-in expert/learner profile pair, built from ``_TABLE1``.
 
     Each condition key with a behavioral linkage puts ``linkage_strength``
-    of its mass on the linked behavior (split evenly when a condition
-    links several) and spreads the rest uniformly over the key's other
-    guaranteed-feasible behaviors, so the linked behavior is always the
-    mode. Keys without a linkage fall back to the player's base mix, the
-    same one the default key uses, so an unlinked stimulus changes nothing
-    about how the player acts.
+    of its mass on the linked behaviors, split by their shares, and spreads
+    the rest uniformly over the key's other guaranteed-feasible behaviors;
+    at full strength the linked behaviors take all of it. Keys without a
+    linkage get the player's base mix, the same one the default key uses,
+    so an unlinked stimulus changes nothing about how the player acts.
 
     Expert: fights at obstacles, attacks soldiers when watched or when a
     horse is about, climbs rather than socialize at climbing spots, and
@@ -359,67 +387,22 @@ def table1_profiles(linkage_strength: float = 0.7) -> tuple[PlayerProfile, Playe
     at climbing spots, and chats in front of obstacles or horses.
     """
     check_range("linkage_strength", linkage_strength)
-    s = linkage_strength
-
-    expert = PlayerProfile(
-        profile_id="expert-table1",
-        distributions={
-            ConditionKey.INDOOR: _uniform(_BASE_BEHAVIORS),
-            ConditionKey.OUTDOOR: _uniform(_BASE_BEHAVIORS),
-            ConditionKey.DEFAULT: _uniform(_BASE_BEHAVIORS),
-            ConditionKey.OBSTACLE: _linked(
-                ConditionKey.OBSTACLE, {AttributeId.FIGHTING: 1.0}, s
-            ),
-            ConditionKey.PERSON_FACING: _linked(
-                ConditionKey.PERSON_FACING, {AttributeId.FACING_SOL: 1.0}, s
-            ),
-            ConditionKey.HORSE_AVAILABLE: _linked(
-                ConditionKey.HORSE_AVAILABLE, {AttributeId.FACING_SOL: 1.0}, s
-            ),
-            # No social behavior at climbing spots: mass stays on climbing
-            # and plain movement.
-            ConditionKey.CLIMBING_OPPORTUNITY: (
-                {AttributeId.CLIMBING: s, AttributeId.MOVEMENT: 1.0 - s}
-                if s < 1.0
-                else {AttributeId.CLIMBING: 1.0}
-            ),
-            ConditionKey.SOLDIER_PRESENT: _uniform(_BASE_BEHAVIORS),
-            ConditionKey.CIVILIAN_PRESENT: _uniform(_BASE_BEHAVIORS),
-        },
-    )
-
-    third = 1.0 / 3.0
-    learner = PlayerProfile(
-        profile_id="learner-table1",
-        distributions={
-            ConditionKey.INDOOR: _linked(
-                ConditionKey.INDOOR, {AttributeId.MOVEMENT: 1.0}, s
-            ),
-            ConditionKey.OUTDOOR: _linked(
-                ConditionKey.OUTDOOR, {AttributeId.MOVEMENT: 1.0}, s
-            ),
-            ConditionKey.DEFAULT: _uniform(_BASE_BEHAVIORS),
-            ConditionKey.OBSTACLE: _linked(
-                ConditionKey.OBSTACLE, {AttributeId.LISTENING: 1.0}, s
-            ),
-            ConditionKey.PERSON_FACING: _linked(
-                ConditionKey.PERSON_FACING,
-                {
-                    AttributeId.RIDING_HRS: third,
-                    AttributeId.CLIMBING: third,
-                    AttributeId.ATTACK_CIV: third,
-                },
-                s,
-            ),
-            ConditionKey.HORSE_AVAILABLE: _linked(
-                ConditionKey.HORSE_AVAILABLE, {AttributeId.LISTENING: 1.0}, s
-            ),
-            ConditionKey.CLIMBING_OPPORTUNITY: _linked(
-                ConditionKey.CLIMBING_OPPORTUNITY, {AttributeId.ATTACK_CIV: 1.0}, s
-            ),
-            ConditionKey.SOLDIER_PRESENT: _uniform(_BASE_BEHAVIORS),
-            ConditionKey.CIVILIAN_PRESENT: _uniform(_BASE_BEHAVIORS),
-        },
+    base = dict.fromkeys(_BASE_BEHAVIORS, 1.0 / len(_BASE_BEHAVIORS))
+    expert, learner = (
+        PlayerProfile(
+            profile_id=profile_id,
+            distributions={
+                key: _linked(
+                    linked[key],
+                    _UNLINKED_SUPPORT.get((profile_id, key), _KEY_SUPPORT[key]),
+                    linkage_strength,
+                )
+                if key in linked
+                else base
+                for key in ConditionKey
+            },
+        )
+        for profile_id, linked in _TABLE1.items()
     )
     return expert, learner
 

@@ -340,21 +340,30 @@ def trace_to_json(trace: TransferTrace) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _json_number(entry: dict, name: str, position: int, integer: bool = False) -> int | float:
+    """Field ``name`` of the iteration at ``position``, a JSON number but never a bool."""
+    value = entry[name]
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} at position {position}: expected {kind}, got {value!r}")
+    return value
+
+
 def trace_from_json(text: str) -> TransferTrace:
     """Read a trace back, rejecting one that no run could have written."""
     payload = json.loads(text)
     records = tuple(
         IterationRecord(
-            iteration=int(entry["iteration"]),
-            accuracy=float(entry["accuracy"]),
-            divergence=float(entry["divergence"]),
+            iteration=_json_number(entry, "iteration", position, integer=True),
+            accuracy=float(_json_number(entry, "accuracy", position)),
+            divergence=float(_json_number(entry, "divergence", position)),
             targeted_attributes=tuple(
                 AttributeId.from_column(c) for c in entry["targeted_attributes"]
             ),
             nudged_keys=tuple(ConditionKey(k) for k in entry["nudged_keys"]),
             learner_profile=profile_from_payload(entry["learner_profile"]),
         )
-        for entry in payload["iterations"]
+        for position, entry in enumerate(payload["iterations"], 1)
     )
     for position, record in enumerate(records, 1):
         if record.iteration != position:

@@ -228,7 +228,6 @@ def test_local_score_ignores_the_order_of_the_parents(base_scenario, table1_pair
     for node in data.columns:
         for size in (2, 3):
             for parents in itertools.combinations(others(node), size):
-                # A fresh scorer each time: its cache ignores parent order.
                 scores = {
                     bayes._FamilyScorer(data).local_score(node, list(order))
                     for order in itertools.permutations(parents)
@@ -385,6 +384,31 @@ def _reference_best_move(scorer, max_parents, parents, children):
     return best
 
 
+class _MemoScorer:
+    """The full rescan's scorer: ``local_score`` memoized per (node, parent set).
+
+    ``scores`` maps each family it has scored, as (node index, parent
+    bitmask), to its score.
+    """
+
+    def __init__(self, data):
+        self.scorer = bayes._FamilyScorer(data)
+        self.variables = self.scorer.variables
+        self.scores: dict[tuple[int, int], float] = {}
+
+    def local_score(self, node, parents) -> float:
+        index = self.scorer.index
+        key = (index[node], sum(1 << index[p] for p in set(parents)))
+        if key not in self.scores:
+            self.scores[key] = self.scorer.local_score(node, parents)
+        return self.scores[key]
+
+
+def _scored_families(climber) -> set[tuple[int, int]]:
+    """The (node index, parent bitmask) families in the climber's table."""
+    return {(int(v), int(m)) for v, m in zip(*np.nonzero(~np.isnan(climber.family)))}
+
+
 def _reference_climb(scorer, max_parents, edges):
     """The climber as a full rescan with a path search per candidate."""
     parents = {n: set() for n in scorer.variables}
@@ -452,14 +476,14 @@ def _climb_cases(draw):
 @given(case=_climb_cases())
 def test_climb_matches_the_full_rescan_reference(case):
     data, max_parents, start = case
-    reference_scorer = bayes._FamilyScorer(data)
-    want_edges, want_score = _reference_climb(reference_scorer, max_parents, start)
-    scorer = bayes._FamilyScorer(data)
-    edges, score = bayes._Climber(scorer, max_parents).climb(set(start))
+    reference = _MemoScorer(data)
+    want_edges, want_score = _reference_climb(reference, max_parents, start)
+    climber = bayes._Climber(bayes._FamilyScorer(data), max_parents)
+    edges, score = climber.climb(set(start))
     assert edges == want_edges
     assert score == want_score
     # Every family the climber scores, the full rescan scores too.
-    assert set(scorer._cache) <= set(reference_scorer._cache)
+    assert _scored_families(climber) <= set(reference.scores)
 
 
 @st.composite
@@ -482,12 +506,11 @@ def _lockstep_cases(draw):
 @given(case=_lockstep_cases(), data=st.data())
 def test_lockstep_climbs_match_the_full_rescan_reference_per_start(case, data):
     table, max_parents, starts = case
-    reference_scorer = bayes._FamilyScorer(table)
-    want = [_reference_climb(reference_scorer, max_parents, start) for start in starts]
-    scorer = bayes._FamilyScorer(table)
-    climber = bayes._Climber(scorer, max_parents)
+    reference = _MemoScorer(table)
+    want = [_reference_climb(reference, max_parents, start) for start in starts]
+    climber = bayes._Climber(bayes._FamilyScorer(table), max_parents)
     assert climber.climb_all([set(start) for start in starts]) == want
-    assert set(scorer._cache) <= set(reference_scorer._cache)
+    assert _scored_families(climber) <= set(reference.scores)
 
     # A start with a cycle through two or more nodes, among valid ones.
     ring = data.draw(st.permutations(table.columns))
@@ -506,8 +529,8 @@ def test_lockstep_climbs_on_the_standard_schema_match_the_reference(base_scenari
     starts = [set()] + [
         bayes._random_start(data.columns, 3, derive_rng(4, restart)) for restart in range(1, 21)
     ]
-    reference_scorer = bayes._FamilyScorer(data)
-    want = [_reference_climb(reference_scorer, 3, start) for start in starts]
+    reference = _MemoScorer(data)
+    want = [_reference_climb(reference, 3, start) for start in starts]
     assert bayes._Climber(bayes._FamilyScorer(data), 3).climb_all(starts) == want
 
 
@@ -528,23 +551,19 @@ def _batch_cases(draw):
     families = draw(st.lists(parent_sets, min_size=1, max_size=8))
     masks = [sum(1 << j for j in parents) for parents in families]
     masks += draw(st.lists(st.sampled_from(masks), max_size=4))
-    cached = draw(st.lists(st.sampled_from(masks), max_size=3))
-    return data, child, draw(st.permutations(masks)), cached
+    return data, child, draw(st.permutations(masks))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_batch_cases())
 def test_batch_scores_equal_the_reference_for_any_masks(case):
-    data, child, masks, cached = case
-    scorer = bayes._FamilyScorer(data)
-    for mask in cached:
-        scorer.family_score(child, mask)
-    scores = scorer.score_families(child, masks)
+    data, child, masks = case
+    scores = bayes._FamilyScorer(data).score_families(child, masks)
     assert len(scores) == len(masks)
     for mask, score in zip(masks, scores.tolist()):
         parents = [data.columns[j] for j in range(len(data.columns)) if mask >> j & 1]
         want = _reference_local_score(_FullTableCounts(data), data.columns[child], parents)
-        assert score == want == scorer._cache[child, mask], (mask, parents)
+        assert score == want, (mask, parents)
 
 
 def test_a_one_row_table_scores_every_family_zero():

@@ -463,6 +463,23 @@ def test_report_on_a_trace_with_an_unknown_learner_condition_exits_three(quick_c
     assert "ValueError: 'weather' is not a valid ConditionKey" in stderr
 
 
+def test_the_smallest_linkage_strength_identifies(tmp_path):
+    # Its learner shares of the watched key underflow to zero and are left out.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "scenario": {"ticks_per_session": 100},
+                "output_dir": str(tmp_path / "runs"),
+                "profiles": {"linkage_strength": 5e-324},
+            }
+        ),
+        encoding="utf-8",
+    )
+    result = _invoke(["identify", "--config", config_path])
+    assert result.exit_code == 0, result.stderr
+
+
 def test_unwritable_output_directory_exits_four(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("in the way", encoding="utf-8")
@@ -538,6 +555,15 @@ def _impossible_trace(**changes) -> str:
                      id="negative-iteration"),
         pytest.param({"iteration": [2, 1]}, "iteration 2 recorded at position 1",
                      id="reversed-iterations"),
+        pytest.param({"iteration": [1.9]},
+                     "iteration at position 1: expected an integer, got 1.9",
+                     id="fractional-iteration"),
+        pytest.param({"accuracy": ["0.5"]},
+                     "accuracy at position 1: expected a number, got '0.5'",
+                     id="string-accuracy"),
+        pytest.param({"divergence": [0.1, True]},
+                     "divergence at position 2: expected a number, got True",
+                     id="bool-divergence"),
     ],
 )
 def test_report_on_an_impossible_trace_exits_three(quick_config, tmp_path, changes, needle):
@@ -585,6 +611,20 @@ def _real_trace() -> str:
     return trace_to_json(run_transfer(expert, learner, config, seed=3))
 
 
+def _mutate(document, data, mutants) -> None:
+    """Delete 1-3 leaves of a JSON tree, or replace them by a drawn mutant."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, last = data.draw(st.sampled_from([p for p in _leaves(document) if p]))
+        parent = document
+        for key in parents:
+            parent = parent[key]
+        mutant = data.draw(st.one_of(st.just(_DELETE), mutants))
+        if mutant is _DELETE:
+            del parent[last]
+        else:
+            parent[last] = mutant
+
+
 def _leaves(node, path=()):
     """Paths to the scalar and empty-container leaves of a JSON tree."""
     if isinstance(node, (dict, list)) and node:
@@ -598,16 +638,7 @@ def _leaves(node, path=()):
 @given(data=st.data())
 def test_a_mutated_trace_never_exits_four(data):
     document = json.loads(_real_trace())
-    for _ in range(data.draw(st.integers(1, 3))):
-        *parents, last = data.draw(st.sampled_from([p for p in _leaves(document) if p]))
-        parent = document
-        for key in parents:
-            parent = parent[key]
-        mutant = data.draw(st.one_of(st.just(_DELETE), _MUTANTS))
-        if mutant is _DELETE:
-            del parent[last]
-        else:
-            parent[last] = mutant
+    _mutate(document, data, _MUTANTS)
     with tempfile.TemporaryDirectory() as out:
         trace_path = Path(out) / "trace.json"
         trace_path.write_text(json.dumps(document), encoding="utf-8")
@@ -617,3 +648,33 @@ def test_a_mutated_trace_never_exits_four(data):
             ["report", "--config", config_path, "--out", Path(out) / "runs", "--trace", trace_path]
         )
     assert result.exit_code in (0, 3), result.stderr
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_profile_file_never_exits_four(data):
+    subnormals = st.sampled_from([5e-324, 1e-310, -5e-324])
+    which = data.draw(st.sampled_from(["expert", "learner"]))
+    with tempfile.TemporaryDirectory() as out:
+        paths = {}
+        for name, profile in zip(("expert", "learner"), table1_profiles()):
+            document = profile_payload(profile)
+            if name == which:
+                _mutate(document, data, st.one_of(_MUTANTS, subnormals))
+            paths[name] = _write_profile(Path(out) / f"{name}.json", document)
+        config_path = Path(out) / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "scenario": {"ticks_per_session": 50},
+                    "profiles": {
+                        "source": "file",
+                        "expert_path": str(paths["expert"]),
+                        "learner_path": str(paths["learner"]),
+                    },
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = _invoke(["simulate", "--config", config_path, "--out", Path(out) / "runs"])
+    assert result.exit_code in (0, 2), result.stderr

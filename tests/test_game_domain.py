@@ -9,7 +9,7 @@ from dataclasses import replace
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,6 +27,7 @@ from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
     _CHUNK,
     _FEASIBLE,
+    _KEY_SUPPORT,
     ConditionKey,
     PlayerProfile,
     Scenario,
@@ -350,7 +351,7 @@ def test_learner_linkages_have_the_documented_modes(table1_pair):
     assert sum(watched[b] for b in trio) == pytest.approx(0.7)
 
 
-@pytest.mark.parametrize("strength", [0.4, 0.7, 1.0])
+@pytest.mark.parametrize("strength", [0.4, 0.7, 1.0, 5e-324])
 def test_linkage_strength_lands_on_the_linked_behavior(strength):
     expert, learner = table1_profiles(strength)
     assert expert.distributions[ConditionKey.OBSTACLE][
@@ -362,6 +363,100 @@ def test_linkage_strength_lands_on_the_linked_behavior(strength):
     for profile in (expert, learner):
         for dist in profile.distributions.values():
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_linked(key, linked, s):
+    rest = [b for b in _KEY_SUPPORT[key] if b not in linked]
+    if s >= 1.0 or not rest:
+        return dict(linked)
+    dist = {b: s * w for b, w in linked.items()}
+    share = (1.0 - s) / len(rest)
+    for b in rest:
+        dist[b] = share
+    return dist
+
+
+def _reference_table1_profiles(s):
+    """The built-in pair as it was written out by hand, one call per key."""
+    base = (AttributeId.FIGHTING, AttributeId.OBSTACLE, MOVE)
+
+    def uniform():
+        return {b: 1.0 / len(base) for b in base}
+
+    K = ConditionKey
+    expert = PlayerProfile(
+        profile_id="expert-table1",
+        distributions={
+            K.INDOOR: uniform(),
+            K.OUTDOOR: uniform(),
+            K.DEFAULT: uniform(),
+            K.OBSTACLE: _reference_linked(K.OBSTACLE, {AttributeId.FIGHTING: 1.0}, s),
+            K.PERSON_FACING: _reference_linked(K.PERSON_FACING, {AttributeId.FACING_SOL: 1.0}, s),
+            K.HORSE_AVAILABLE: _reference_linked(
+                K.HORSE_AVAILABLE, {AttributeId.FACING_SOL: 1.0}, s
+            ),
+            K.CLIMBING_OPPORTUNITY: (
+                {AttributeId.CLIMBING: s, MOVE: 1.0 - s}
+                if s < 1.0
+                else {AttributeId.CLIMBING: 1.0}
+            ),
+            K.SOLDIER_PRESENT: uniform(),
+            K.CIVILIAN_PRESENT: uniform(),
+        },
+    )
+    third = 1.0 / 3.0
+    learner = PlayerProfile(
+        profile_id="learner-table1",
+        distributions={
+            K.INDOOR: _reference_linked(K.INDOOR, {MOVE: 1.0}, s),
+            K.OUTDOOR: _reference_linked(K.OUTDOOR, {MOVE: 1.0}, s),
+            K.DEFAULT: uniform(),
+            K.OBSTACLE: _reference_linked(K.OBSTACLE, {AttributeId.LISTENING: 1.0}, s),
+            K.PERSON_FACING: _reference_linked(
+                K.PERSON_FACING,
+                {
+                    AttributeId.RIDING_HRS: third,
+                    AttributeId.CLIMBING: third,
+                    AttributeId.ATTACK_CIV: third,
+                },
+                s,
+            ),
+            K.HORSE_AVAILABLE: _reference_linked(
+                K.HORSE_AVAILABLE, {AttributeId.LISTENING: 1.0}, s
+            ),
+            K.CLIMBING_OPPORTUNITY: _reference_linked(
+                K.CLIMBING_OPPORTUNITY, {AttributeId.ATTACK_CIV: 1.0}, s
+            ),
+            K.SOLDIER_PRESENT: uniform(),
+            K.CIVILIAN_PRESENT: uniform(),
+        },
+    )
+    return expert, learner
+
+
+@settings(max_examples=300, deadline=None)
+@given(strength=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@example(strength=1.0)
+@example(strength=0.7)
+@example(strength=0.4)
+@example(strength=1 / 3)
+@example(strength=0.1)
+@example(strength=1e-300)
+@example(strength=1e-323)
+@example(strength=5e-324)
+def test_table1_profiles_equal_the_hand_written_reference(strength):
+    expert, learner = table1_profiles(strength)
+    if strength / 3 == 0.0:
+        # The reference's learner shares of the watched key underflow to
+        # zero, which no profile takes; the table leaves them out.
+        with pytest.raises(ValueError, match="probability of riding_hrs must be positive"):
+            _reference_table1_profiles(strength)
+        watched = learner.distributions[ConditionKey.PERSON_FACING]
+        trio = {AttributeId.RIDING_HRS, AttributeId.CLIMBING, AttributeId.ATTACK_CIV}
+        assert set(watched) == set(_KEY_SUPPORT[ConditionKey.PERSON_FACING]) - trio
+        return
+    want = _reference_table1_profiles(strength)
+    assert [profile_payload(p) for p in (expert, learner)] == [profile_payload(p) for p in want]
 
 
 def test_linkage_strength_must_be_usable():
