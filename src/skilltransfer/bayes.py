@@ -152,7 +152,6 @@ class LearnConfig:
     max_parents: int = 3
     smoothing: float = 1.0
     restarts: int = 5
-    seed: int = 0
 
     __post_init__ = check_fields
 
@@ -400,14 +399,15 @@ def _random_start(
     return edges
 
 
-def learn_structure(data: DataSet, config: LearnConfig) -> Dag:
+def learn_structure(data: DataSet, config: LearnConfig, seed: int = 0) -> Dag:
     """Greedy BIC hill climbing with random restarts.
 
     Restart 0 starts from the empty graph; each further restart starts
-    from a random DAG drawn from a stream derived from ``config.seed``.
-    The best-scoring result wins; exact ties go to the lexicographically
+    from a random DAG drawn from a stream derived from ``seed``. The
+    best-scoring result wins; exact ties go to the lexicographically
     smallest edge set. Deterministic for identical inputs.
     """
+    check_range("seed", seed)
     scorer = _FamilyScorer(data)
     if CLASS_COLUMN in scorer.index:
         sizes = scorer.family_counts(CLASS_COLUMN, ())[0]
@@ -415,7 +415,7 @@ def learn_structure(data: DataSet, config: LearnConfig) -> Dag:
             if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
     starts = [set()] + [
-        _random_start(scorer.variables, config.max_parents, derive_rng(config.seed, restart))
+        _random_start(scorer.variables, config.max_parents, derive_rng(seed, restart))
         for restart in range(1, config.restarts + 1)
     ]
     climbs = _Climber(scorer, config.max_parents).climb_all(starts)
@@ -438,15 +438,15 @@ def fit_cpts(dag: Dag, data: DataSet, alpha: float = 1.0) -> BayesNet:
     return BayesNet(dag=dag, cpts=cpts, domains=domains)
 
 
-def _class_posteriors(net: BayesNet, codes: np.ndarray, class_node: str) -> Iterator[list[float]]:
+def _class_posteriors(net: BayesNet, codes: np.ndarray) -> Iterator[list[float]]:
     """Class posterior of each row of domain positions, one column per ``net.dag.nodes``.
 
     Log joints add ``math.log`` of one CPT entry per node in node order
     (``-inf`` on a zero entry); a row's own class code is ignored.
     """
-    k = len(net.domains[class_node])
+    k = len(net.domains[CLASS_COLUMN])
     full = np.repeat(codes, k, axis=0)
-    full[:, net.dag.nodes.index(class_node)] = np.tile(np.arange(k), len(codes))
+    full[:, net.dag.nodes.index(CLASS_COLUMN)] = np.tile(np.arange(k), len(codes))
     log_joint = np.zeros(len(full))
     for j, node in enumerate(net.dag.nodes):
         cpt = net.cpts[node]
@@ -464,10 +464,10 @@ def _class_posteriors(net: BayesNet, codes: np.ndarray, class_node: str) -> Iter
         yield [w / total for w in weights]
 
 
-def _check_evidence(net: BayesNet, given: Iterable[str], class_node: str) -> None:
-    if class_node not in net.dag.nodes:
-        raise ValueError(f"network has no class node {class_node!r}")
-    expected, given = set(net.dag.nodes) - {class_node}, set(given)
+def _check_evidence(net: BayesNet, given: Iterable[str]) -> None:
+    if CLASS_COLUMN not in net.dag.nodes:
+        raise ValueError(f"network has no class node {CLASS_COLUMN!r}")
+    expected, given = set(net.dag.nodes) - {CLASS_COLUMN}, set(given)
     if given != expected:
         missing, extra = sorted(expected - given), sorted(given - expected)
         raise ValueError(
@@ -475,34 +475,30 @@ def _check_evidence(net: BayesNet, given: Iterable[str], class_node: str) -> Non
         )
 
 
-def class_posterior(
-    net: BayesNet, row: Mapping[str, str], class_node: str = CLASS_COLUMN
-) -> dict[str, float]:
-    """Exact posterior over the class node given a fully observed row.
+def class_posterior(net: BayesNet, row: Mapping[str, str]) -> dict[str, float]:
+    """Exact posterior over the class node ``CLASS_COLUMN`` given a fully observed row.
 
     ``row`` must assign every non-class node a value from its domain.
     Joint terms are accumulated in log space and normalized at the end;
     the result sums to one.
     """
-    _check_evidence(net, row, class_node)
+    _check_evidence(net, row)
     for node in row:
         if row[node] not in net.domains[node]:
             raise ValueError(f"{node}: value {row[node]!r} not in domain")
-    codes = [0 if n == class_node else net.domains[n].index(row[n]) for n in net.dag.nodes]
-    (posterior,) = _class_posteriors(net, np.array([codes]), class_node)
-    return dict(zip(net.domains[class_node], posterior))
+    codes = [0 if n == CLASS_COLUMN else net.domains[n].index(row[n]) for n in net.dag.nodes]
+    (posterior,) = _class_posteriors(net, np.array([codes]))
+    return dict(zip(net.domains[CLASS_COLUMN], posterior))
 
 
-def classify(
-    net: BayesNet, row: Mapping[str, str], class_node: str = CLASS_COLUMN
-) -> str:
+def classify(net: BayesNet, row: Mapping[str, str]) -> str:
     """Most probable class value; exact ties go to the earlier domain value."""
-    posterior = class_posterior(net, row, class_node)
+    posterior = class_posterior(net, row)
     # max keeps the first of equal maxima.
-    return max(net.domains[class_node], key=posterior.__getitem__)
+    return max(net.domains[CLASS_COLUMN], key=posterior.__getitem__)
 
 
-def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> float:
+def accuracy(net: BayesNet, test: DataSet) -> float:
     """Fraction of test rows whose class is predicted correctly.
 
     Each distinct code row is classified once as :func:`classify` would,
@@ -511,8 +507,8 @@ def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> fl
     """
     if test.n_rows == 0:
         raise ValueError("empty test set")
-    test.column_index(class_node)  # rejects datasets without the label column
-    _check_evidence(net, (c for c in test.columns if c != class_node), class_node)
+    test.column_index(CLASS_COLUMN)  # rejects datasets without the label column
+    _check_evidence(net, (c for c in test.columns if c != CLASS_COLUMN))
     rows, copies = test._distinct_rows()
     codes = np.empty((len(rows), len(net.dag.nodes)), dtype=np.int64)
     for j, node in enumerate(net.dag.nodes):
@@ -520,11 +516,11 @@ def accuracy(net: BayesNet, test: DataSet, class_node: str = CLASS_COLUMN) -> fl
         column = rows[:, test.column_index(node)]
         codes[:, j] = np.array([domain.index(v) if v in domain else -1 for v in values])[column]
         outside = codes[:, j] < 0
-        if node != class_node and outside.any():
+        if node != CLASS_COLUMN and outside.any():
             raise ValueError(f"{node}: value {values[column[outside.argmax()]]!r} not in domain")
     # index finds the first of equal maxima, as classify's max does.
-    predicted = [p.index(max(p)) for p in _class_posteriors(net, codes, class_node)]
-    hits = copies[np.array(predicted) == codes[:, net.dag.nodes.index(class_node)]].sum()
+    predicted = [p.index(max(p)) for p in _class_posteriors(net, codes)]
+    hits = copies[np.array(predicted) == codes[:, net.dag.nodes.index(CLASS_COLUMN)]].sum()
     return int(hits) / test.n_rows
 
 
@@ -557,14 +553,12 @@ def bayesnet_from_json(text: str) -> BayesNet:
     for node in nodes:
         entry = payload["cpts"][node]
         parents = tuple(entry["parents"])
-        parent_domains = [domains[p] for p in parents]
-        table = np.zeros((math.prod(map(len, parent_domains)), len(domains[node])))
-        for key, row in entry["rows"].items():
-            values = key.split(",") if key else []
-            index = 0
-            for domain, value in zip(parent_domains, values):
-                index = index * len(domain) + domain.index(value)
-            table[index] = row
+        # Rows are keyed as the writer keys them, in the writer's row order.
+        keys = [",".join(a) for a in product(*(domains[p] for p in parents))]
+        rows = entry["rows"]
+        if sorted(rows) != sorted(keys):
+            raise ValueError(f"{node}: CPT rows must be keyed by the parents' value tuples")
+        table = np.array([rows[key] for key in keys], dtype=float)
         cpts[node] = Cpt(node=node, parents=parents, table=table)
     return BayesNet(dag=dag, cpts=cpts, domains=domains)
 

@@ -248,7 +248,9 @@ def _checked_columns(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
 class SessionLog:
     """One session of one player, stored as four integer columns.
 
-    The columns are read-only arrays of one length, one entry per tick
+    A log holds its ``player`` and its records, as the JSONL format does;
+    the seed and scenario that made it are the caller's to keep. The
+    columns are read-only arrays of one length, one entry per tick
     record in stream order:
 
     - ``ticks`` (``int64``): the tick number;
@@ -263,18 +265,14 @@ class SessionLog:
     decodes them to :class:`BehaviorRecord` values on demand. The columns
     may hold what a clean session would not (repeated ticks, another
     player's records, infeasible behaviors); :func:`validate_session`
-    reports those. Equality compares by value.
+    reports those. Equality compares the player and the records.
     """
 
-    __slots__ = (
-        "player", "seed", "scenario_id", "ticks", "players", "contexts", "behaviors", "records"
-    )
+    __slots__ = ("player", "ticks", "players", "contexts", "behaviors", "records")
 
     def __init__(
         self,
         player: PlayerId,
-        seed: int,
-        scenario_id: str,
         *,
         ticks: np.ndarray,
         players: np.ndarray,
@@ -284,7 +282,7 @@ class SessionLog:
         columns = _checked_columns((ticks, players, contexts, behaviors))
         for name, value in zip(
             self.__slots__,
-            (player, seed, scenario_id, *columns, SessionRecords(*columns)),
+            (player, *columns, SessionRecords(*columns)),
         ):
             object.__setattr__(self, name, value)
 
@@ -295,24 +293,17 @@ class SessionLog:
         # Pickle and copy through the constructor, which re-checks the
         # columns and makes them read-only again.
         columns = {name: getattr(self, name) for name, _, _ in _COLUMNS}
-        return partial(SessionLog, self.player, self.seed, self.scenario_id, **columns), ()
+        return partial(SessionLog, self.player, **columns), ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SessionLog):
             return NotImplemented
-        return (
-            (self.player, self.seed, self.scenario_id)
-            == (other.player, other.seed, other.scenario_id)
-            and self.records == other.records
-        )
+        return self.player == other.player and self.records == other.records
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return (
-            f"SessionLog(player={self.player!r}, seed={self.seed!r}, "
-            f"scenario_id={self.scenario_id!r}, n_ticks={len(self.ticks)})"
-        )
+        return f"SessionLog(player={self.player!r}, n_ticks={len(self.ticks)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -690,21 +681,14 @@ def _line_table() -> tuple[dict[str, int], dict[tuple[int, int, int], int], np.n
     return suffixes, {triple: key for key, triple in enumerate(triples)}, table
 
 
-def read_session_jsonl(
-    path: str | Path,
-    *,
-    player: PlayerId | None = None,
-    seed: int = 0,
-    scenario_id: str = "",
-) -> SessionLog:
+def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> SessionLog:
     """Load a session log from a JSONL file.
 
     Blank lines are skipped, and any other line that :func:`_parse_line`
     accepts is read: a line exactly as :func:`write_session_jsonl` writes
-    it decodes by table lookup, any other through ``json.loads``. The
-    line format carries only records, so seed and scenario id must be
-    supplied if they matter downstream. Player is inferred from the first
-    record unless given explicitly.
+    it decodes by table lookup, any other through ``json.loads``. Player
+    is inferred from the first record unless given explicitly; an empty
+    file, such as a 0-tick session, can only be read with it.
     """
     suffix_keys, triple_keys, table = _line_table()
     ticks: list[int] = []
@@ -728,7 +712,7 @@ def read_session_jsonl(
         player = PLAYERS[table[0, keys[0]]]
     stacked = (np.array(ticks, dtype=np.int64), *table[:, keys])
     columns = {name: column for (name, _, _), column in zip(_COLUMNS, stacked)}
-    return SessionLog(player=player, seed=seed, scenario_id=scenario_id, **columns)
+    return SessionLog(player, **columns)
 
 
 def dataset_to_csv(data: DataSet) -> str:

@@ -16,7 +16,7 @@ stdout; errors go to stderr with stable one-line prefixes.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -191,11 +191,9 @@ def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -
         expert,
         learner,
         config.scenario,
-        window=config.dataset.window,
-        split_ratio=config.dataset.split_ratio,
+        **asdict(config.dataset),
         learn=config.learning,
         seed=config.seed,
-        iteration=0,
     )
     run_dir = _prepare_run_dir(config)
     write_bayesnet(result.network, run_dir / "network.json")
@@ -209,18 +207,6 @@ def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     _echo(quiet, summary)
 
 
-def _transfer_config(config: ExperimentConfig) -> TransferConfig:
-    return TransferConfig(
-        scenario=config.scenario,
-        learning_rate=config.transfer.learning_rate,
-        stop_threshold=config.transfer.stop_threshold,
-        max_iterations=config.transfer.max_iterations,
-        window=config.dataset.window,
-        split_ratio=config.dataset.split_ratio,
-        learn=config.learning,
-    )
-
-
 @main.command()
 @_common
 @_guarded
@@ -229,9 +215,13 @@ def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     config = _load(config_path, seed, out)
     _require_split_rows(config)
     expert, learner = resolve_profiles(config)
-    trace = run_transfer(expert, learner, _transfer_config(config), config.seed)
-    if not trace.iterations:
-        raise RuntimeError("transfer loop produced no iterations")
+    params = TransferConfig(
+        config.scenario,
+        **asdict(config.transfer),
+        **asdict(config.dataset),
+        learn=config.learning,
+    )
+    trace = run_transfer(expert, learner, params, config.seed)
     run_dir = _prepare_run_dir(config)
     (run_dir / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8")
     (run_dir / "trace.json").write_text(trace_to_json(trace), encoding="utf-8")

@@ -90,10 +90,9 @@ class _Reader:
     def read(self, obj: dict, default, path: str):
         """``default`` with each field read from ``obj``, in declaration order.
 
-        Sections recurse; ``learning.seed`` is not a config key, because the
-        pipeline derives it from the run seed.
+        Every field of ``default`` is a config key, and sections recurse.
         """
-        names = [f.name for f in fields(default) if f"{path}{f.name}" != "learning.seed"]
+        names = [f.name for f in fields(default)]
         for key in sorted(set(obj) - set(names)):
             self.complain(f"{path}{key}", "unknown key")
         values: dict[str, object] = {}
@@ -104,12 +103,8 @@ class _Reader:
                 value = self.read(self.section(obj, name, key), base, key + ".")
             elif key in _PROFILE_PATHS:
                 value = self.profile_path(obj.get(name), key, values["source"])
-            elif isinstance(BOUNDS.get(name), int):
-                value = self.integer(obj, name, path, base)
-            elif name in BOUNDS:
-                value = self.number(obj, name, path, base)
             else:
-                value = self.string(obj, name, path, base)
+                value = self.scalar(obj, name, key, base)
             if key == "profiles.source" and value not in (BUILTIN_PROFILES, FILE_PROFILES):
                 self.complain(
                     key, f"must be {BUILTIN_PROFILES!r} or {FILE_PROFILES!r}, got {value!r}"
@@ -118,35 +113,32 @@ class _Reader:
             values[name] = value
         return replace(default, **values)
 
-    def in_range(self, value: float, key: str, path: str, default: float) -> float:
-        violation = range_violation(key, value)
+    def scalar(self, obj: dict, name: str, key: str, default):
+        """``obj[name]``, or ``default`` when absent or invalid; ``key`` is its path.
+
+        The kind comes from ``BOUNDS[name]``: no entry, a string; an integer
+        minimum, an integer; otherwise a number, read as a float (an integer
+        beyond the float range as an infinity). Bounded values must lie in range.
+        """
+        value = obj.get(name, default)
+        bound = BOUNDS.get(name)
+        if bound is None:
+            kind, types = "a string", str
+        elif isinstance(bound, int):
+            kind, types = "an integer", int
+        else:
+            kind, types = "a number", (int, float)
+        if isinstance(value, bool) or not isinstance(value, types):
+            self.complain(key, f"expected {kind}, got {value!r}")
+            return default
+        if kind == "a number":
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf if value > 0 else -math.inf
+        violation = None if bound is None else range_violation(bound, value)
         if violation is not None:
-            self.complain(f"{path}{key}", violation)
-            return default
-        return value
-
-    def number(self, obj: dict, key: str, path: str, default: float) -> float:
-        value = obj.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.complain(f"{path}{key}", f"expected a number, got {value!r}")
-            return default
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf if value > 0 else -math.inf
-        return self.in_range(value, key, path, default)
-
-    def integer(self, obj: dict, key: str, path: str, default: int) -> int:
-        value = obj.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.complain(f"{path}{key}", f"expected an integer, got {value!r}")
-            return default
-        return self.in_range(value, key, path, default)
-
-    def string(self, obj: dict, key: str, path: str, default: str) -> str:
-        value = obj.get(key, default)
-        if not isinstance(value, str):
-            self.complain(f"{path}{key}", f"expected a string, got {value!r}")
+            self.complain(key, violation)
             return default
         return value
 
@@ -193,11 +185,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical JSON with all fields explicit; parse round-trips equal.
 
-    Every field but ``learning.seed``, which the pipeline derives from the
-    run seed; the profile paths appear only when profiles come from files.
+    The profile paths appear only when profiles come from files.
     """
     payload = asdict(config)
-    del payload["learning"]["seed"]
     if config.profiles.source != FILE_PROFILES:
         del payload["profiles"]["expert_path"], payload["profiles"]["learner_path"]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -278,9 +278,7 @@ def run_session(
         contexts[start:stop] = codes
         behaviors[start:stop] = _EVENT_VALUES[table.draw(codes, u[:, -2], u[:, -1])]
     return SessionLog(
-        player=player,
-        seed=seed,
-        scenario_id=scenario.scenario_id,
+        player,
         ticks=np.arange(ticks),
         players=np.full(ticks, PLAYERS.index(player)),
         contexts=contexts,

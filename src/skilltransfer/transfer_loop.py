@@ -138,9 +138,7 @@ def run_identification(
     learn = learn or LearnConfig()
     data = to_dataset(simulate_pair(expert, learner, scenario, seed, iteration), window)
     train, test = split(data, split_ratio, derive_seed(seed, STREAM_SPLIT, iteration))
-    dag = learn_structure(
-        train, replace(learn, seed=derive_seed(seed, STREAM_LEARN, iteration))
-    )
+    dag = learn_structure(train, learn, derive_seed(seed, STREAM_LEARN, iteration))
     net = fit_cpts(dag, train, learn.smoothing)
     return IdentificationResult(
         network=net,

@@ -20,9 +20,7 @@ from skilltransfer.behavior_data import (
 )
 
 
-def log_of(
-    records, player: PlayerId = PlayerId.ID1, seed: int = 0, scenario_id: str = "test"
-) -> SessionLog:
+def log_of(records, player: PlayerId = PlayerId.ID1) -> SessionLog:
     """The log whose columns hold ``records``, in order."""
     rows = [
         (r.tick, PLAYERS.index(r.player), CONTEXTS.index(r.context), r.behavior.value)
@@ -30,8 +28,7 @@ def log_of(
     ]
     ticks, players, contexts, behaviors = np.array(rows, dtype=np.int64).reshape(-1, 4).T
     return SessionLog(
-        player, seed, scenario_id,
-        ticks=ticks, players=players, contexts=contexts, behaviors=behaviors,
+        player, ticks=ticks, players=players, contexts=contexts, behaviors=behaviors
     )
 
 

@@ -205,8 +205,8 @@ def test_structure_search_is_deterministic_and_order_free():
             "b": rng.integers(0, 2, size=n),
         }
     )
-    first = learn_structure(data, LearnConfig(seed=4))
-    second = learn_structure(data, LearnConfig(seed=4))
+    first = learn_structure(data, LearnConfig(), seed=4)
+    second = learn_structure(data, LearnConfig(), seed=4)
     assert first == second
 
     order = rng.permutation(data.n_rows)
@@ -215,7 +215,7 @@ def test_structure_search_is_deterministic_and_order_free():
         domains=dict(data.domains),
         rows=tuple(data.rows[i] for i in order),
     )
-    assert learn_structure(shuffled, LearnConfig(seed=4)) == first
+    assert learn_structure(shuffled, LearnConfig(), seed=4) == first
 
 
 def test_local_score_ignores_the_order_of_the_parents(base_scenario, table1_pair):
@@ -613,6 +613,12 @@ def test_learn_config_validates_its_knobs():
         LearnConfig(restarts=-1)
 
 
+def test_structure_search_rejects_a_negative_seed():
+    data = _table({"ID": np.tile([0, 1], 4), "a": np.tile([0, 1], 4)})
+    with pytest.raises(ValueError, match="^seed: -1 is below the minimum 0$"):
+        learn_structure(data, LearnConfig(), seed=-1)
+
+
 # --- CPT estimation -----------------------------------------------------------------
 
 def test_laplace_smoothing_examples():
@@ -730,8 +736,9 @@ def test_posterior_rejects_malformed_evidence():
         class_posterior(net, {"a": OCCURRED, "b": ABSENT, "z": OCCURRED})
     with pytest.raises(ValueError, match="not in domain"):
         class_posterior(net, {"a": "sideways", "b": ABSENT})
-    with pytest.raises(ValueError, match="no class node"):
-        class_posterior(net, {"a": OCCURRED, "b": ABSENT}, class_node="weather")
+    headless = _net(nodes=("a", "b"), edges=set(), cpts={"a": [[0.9, 0.1]], "b": [[0.5, 0.5]]})
+    with pytest.raises(ValueError, match="no class node 'ID'"):
+        class_posterior(headless, {"a": OCCURRED, "b": ABSENT})
 
 
 def test_impossible_evidence_is_an_error():
@@ -959,3 +966,17 @@ def test_bayesnet_json_round_trip_is_canonical(tmp_path):
     path = tmp_path / "network.json"
     write_bayesnet(net, path)
     assert bayesnet_to_json(read_bayesnet(path)) == text
+
+
+def test_bayesnet_json_round_trip_keeps_parent_values_holding_commas():
+    rng = np.random.default_rng(23)
+    data = DataSet(
+        columns=("p", "q", "c"),
+        domains={"p": ("x,y", "z"), "q": ("u", "v,w"), "c": BINARY},
+        codes=rng.integers(0, 2, size=(60, 3)),
+    )
+    net = fit_cpts(Dag(nodes=data.columns, edges=frozenset({("p", "c"), ("q", "c")})), data)
+    again = bayesnet_from_json(bayesnet_to_json(net))
+    assert again.domains == net.domains
+    for node in net.dag.nodes:
+        assert again.cpts[node].table.tolist() == net.cpts[node].table.tolist()

@@ -436,7 +436,7 @@ def test_session_jsonl_round_trip(tmp_path, base_scenario, table1_pair):
     log = run_session(scenario, expert, PlayerId.ID1, seed=5)
     path = tmp_path / "expert.jsonl"
     write_session_jsonl(log, path)
-    loaded = read_session_jsonl(path, seed=log.seed, scenario_id=log.scenario_id)
+    loaded = read_session_jsonl(path)
     assert loaded == log
 
 

@@ -10,9 +10,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from skilltransfer.bayes import Dag, LearnConfig, fit_cpts
+from skilltransfer.bayes import Dag, LearnConfig, fit_cpts, learn_structure
 from skilltransfer.behavior_data import DataSet
-from skilltransfer.config import ExperimentConfig, parse_config
+from skilltransfer.config import ExperimentConfig, parse_config, serialize_config
 from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, ConfigError
 from skilltransfer.game_domain import ConditionKey, default_scenario, table1_profiles
 from skilltransfer.transfer_loop import TransferConfig, nudge_profile
@@ -25,7 +25,7 @@ def _config_paths(config, prefix: str = "") -> dict[str, str]:
         value = getattr(config, f.name)
         if is_dataclass(value):
             paths.update(_config_paths(value, f"{prefix}{f.name}."))
-        elif f"{prefix}{f.name}" != "learning.seed":
+        else:
             paths[f.name] = prefix + f.name
     return paths
 
@@ -37,6 +37,9 @@ def _owner(name: str):
     """The library dataclass or function that owns field ``name``, as a one-value call."""
     if name == "linkage_strength":
         return table1_profiles
+    if name == "seed":
+        data = DataSet(columns=("a",), domains={"a": ("x", "y")}, codes=np.array([[0], [1]]))
+        return lambda value: learn_structure(data, LearnConfig(), seed=value)
     for instance in (default_scenario(), LearnConfig(), TransferConfig(default_scenario())):
         if name in {f.name for f in fields(instance)}:
             return lambda value: replace(instance, **{name: value})
@@ -81,6 +84,11 @@ def test_reader_and_library_agree_on_every_range(name):
         with pytest.raises(ConfigError) as err:
             parse_config(_document(path, value))
         assert err.value.violations == [f"{path}: {text}"]
+
+
+def test_the_learning_section_is_exactly_the_learn_config():
+    learning = json.loads(serialize_config(ExperimentConfig()))["learning"]
+    assert sorted(learning) == sorted(f.name for f in fields(LearnConfig))
 
 
 def test_smoothing_too_large_for_finite_cpt_rows_is_rejected_by_the_library():

@@ -167,7 +167,6 @@ def test_zero_ticks_make_an_empty_log(table1_pair):
     expert, _ = table1_pair
     log = run_session(_scenario(ticks_per_session=0), expert, PlayerId.ID1, seed=0)
     assert log.records == ()
-    assert log.scenario_id == "test"
 
 
 def test_same_seed_replays_the_same_session(base_scenario, table1_pair):

@@ -114,7 +114,7 @@ def test_columnar_log_agrees_with_its_record_stream(
     tmp_path_factory, player, stream, first_tick, data
 ):
     records = _records(stream, first_tick)
-    log = log_of(records, player, seed=4, scenario_id="prop")
+    log = log_of(records, player)
     view = log.records
 
     assert view == tuple(records)
@@ -140,16 +140,15 @@ def test_columnar_log_agrees_with_its_record_stream(
     assert [
         BehaviorRecord(PLAYERS[p], tick, CONTEXTS[c], AttributeId(b)) for tick, p, c, b in parsed
     ] == records
-    assert read_session_jsonl(path, player=player, seed=4, scenario_id="prop") == log
+    assert read_session_jsonl(path, player=player) == log
 
 
 def test_logs_compare_by_value():
     records = _records([(1, PlayerId.ID1, CONTEXTS[5], AttributeId.FIGHTING)] * 3, 0)
-    log = log_of(records, PlayerId.ID1, seed=1, scenario_id="s")
-    assert log == log_of(records, PlayerId.ID1, seed=1, scenario_id="s")
-    assert log != log_of(records, PlayerId.ID2, seed=1, scenario_id="s")
-    assert log != log_of(records, PlayerId.ID1, seed=2, scenario_id="s")
-    assert log != log_of(records[1:], PlayerId.ID1, seed=1, scenario_id="s")
+    log = log_of(records, PlayerId.ID1)
+    assert log == log_of(records, PlayerId.ID1)
+    assert log != log_of(records, PlayerId.ID2)
+    assert log != log_of(records[1:], PlayerId.ID1)
     assert log.records != tuple(records[:2])
     assert log.records != list(records)
 
@@ -165,7 +164,7 @@ def test_simulated_log_columns(base_scenario, table1_pair):
     assert (log.contexts & 1).astype(bool).tolist() == [
         r.context.location_indoor for r in log.records
     ]
-    rebuilt = log_of(log.records, log.player, log.seed, log.scenario_id)
+    rebuilt = log_of(log.records, log.player)
     assert rebuilt == log
     for column in columns:
         with pytest.raises(ValueError):
@@ -198,25 +197,25 @@ def test_log_columns_reject_out_of_range_codes(name, bad):
     column = _columns()[name].copy()
     column[-1] = bad
     with pytest.raises(ValueError, match=f"{name} codes outside"):
-        SessionLog(PlayerId.ID1, 0, "t", **_columns(**{name: column}))
+        SessionLog(PlayerId.ID1, **_columns(**{name: column}))
 
 
 def test_log_columns_must_be_one_length_of_integers():
     with pytest.raises(ValueError, match="unequal lengths"):
-        SessionLog(PlayerId.ID1, 0, "t", **_columns(contexts=np.zeros(2, dtype=np.int64)))
+        SessionLog(PlayerId.ID1, **_columns(contexts=np.zeros(2, dtype=np.int64)))
     with pytest.raises(ValueError, match="integers"):
-        SessionLog(PlayerId.ID1, 0, "t", **_columns(ticks=np.arange(3.0)))
+        SessionLog(PlayerId.ID1, **_columns(ticks=np.arange(3.0)))
     with pytest.raises(ValueError, match="one-dimensional"):
-        SessionLog(PlayerId.ID1, 0, "t", **_columns(players=np.zeros((3, 1), dtype=int)))
+        SessionLog(PlayerId.ID1, **_columns(players=np.zeros((3, 1), dtype=int)))
     with pytest.raises(TypeError, match="ticks"):
-        SessionLog(PlayerId.ID1, 0, "t")
+        SessionLog(PlayerId.ID1)
     with pytest.raises(TypeError, match="records"):
-        SessionLog(PlayerId.ID1, 0, "t", records=(), **_columns(0))
+        SessionLog(PlayerId.ID1, records=(), **_columns(0))
     partial = _columns()
     del partial["behaviors"]
     with pytest.raises(TypeError, match="behaviors"):
-        SessionLog(PlayerId.ID1, 0, "t", **partial)
-    log = SessionLog(PlayerId.ID1, 0, "t", **_columns())
+        SessionLog(PlayerId.ID1, **partial)
+    log = SessionLog(PlayerId.ID1, **_columns())
     assert validate_session(log) == []
 
 
@@ -255,7 +254,7 @@ def test_logs_survive_pickling_and_copying(base_scenario, table1_pair):
         assert not clone.behaviors.flags.writeable
 
 
-def _reference_read(path, *, player=None, seed=0, scenario_id=""):
+def _reference_read(path, *, player=None):
     """read_session_jsonl as it was before canonical lines decoded by lookup."""
     with open(path, encoding="utf-8") as handle:
         rows = [behavior_data._parse_line(line) for line in handle if line.strip()]
@@ -265,9 +264,7 @@ def _reference_read(path, *, player=None, seed=0, scenario_id=""):
         player = PLAYERS[rows[0][1]]
     columns = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
     names = ("ticks", "players", "contexts", "behaviors")
-    return SessionLog(
-        player=player, seed=seed, scenario_id=scenario_id, **dict(zip(names, columns))
-    )
+    return SessionLog(player, **dict(zip(names, columns)))
 
 
 _INT64_MAX = 2**63 - 1
@@ -370,8 +367,9 @@ def test_jsonl_reader_agrees_with_the_json_loads_reader(
         text = text[: -len(lines[-1][1])]
     path = tmp_path_factory.getbasetemp() / "near-canonical.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
-    kwargs = {"player": player, "seed": 3, "scenario_id": "near"}
-    assert _outcome(read_session_jsonl, path, **kwargs) == _outcome(_reference_read, path, **kwargs)
+    assert _outcome(read_session_jsonl, path, player=player) == _outcome(
+        _reference_read, path, player=player
+    )
 
 
 def test_jsonl_decoding_table_covers_every_parsed_triple():
