@@ -10,7 +10,6 @@ from .behavior_data import (
     DATASET_COLUMNS,
     DOMAINS,
     AttributeId,
-    BehaviorRecord,
     DataSet,
     PlayerId,
     SessionLog,

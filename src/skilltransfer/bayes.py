@@ -532,8 +532,10 @@ def bayesnet_to_json(net: BayesNet) -> str:
     for node in net.dag.nodes:
         cpt = net.cpts[node]
         # Parent assignments in row order: the first parent varies slowest.
-        assignments = product(*(net.domains[p] for p in cpt.parents))
-        rows = {",".join(key): [float(p) for p in row] for key, row in zip(assignments, cpt.table)}
+        keys = [",".join(a) for a in product(*(net.domains[p] for p in cpt.parents))]
+        rows = {key: [float(p) for p in row] for key, row in zip(keys, cpt.table)}
+        if len(rows) < len(keys):
+            raise ValueError(f"{node}: two parent value tuples join to one CPT row key")
         cpts[node] = {"parents": list(cpt.parents), "rows": rows}
     payload = {
         "nodes": list(net.dag.nodes),

@@ -1,14 +1,14 @@
 """Behavior vocabulary, session logs, and dataset construction.
 
 Raw play is a stream of (stimulus context, chosen behavior) events, one
-per game tick. A :class:`SessionLog` stores that stream as four integer
-columns (tick, player index, context code, behavior value) and is built
-only from them; :class:`BehaviorRecord` values exist only when a caller
-indexes or iterates a log's records. This module defines the vocabulary
-and the one feasibility table, :data:`FEASIBILITY`, validates logs, and
-aggregates them into the categorical table that the network classifier
-consumes: fixed-width windows of ticks become one row each, with the
-player identity in the class column.
+per game tick. A :class:`SessionLog` is built from four integer columns
+(tick, player index, context code, behavior value) and stores them as
+one packed record array; no per-tick object is ever built. This module
+defines the vocabulary and the one feasibility table,
+:data:`FEASIBILITY`, validates logs, and aggregates them into the
+categorical table that the network classifier consumes: fixed-width
+windows of ticks become one row each, with the player identity in the
+class column.
 
 The JSONL and CSV readers accept whatever their general parsers
 (``json.loads`` per line, ``csv.reader``) accept. A line in the form the
@@ -155,63 +155,7 @@ def _feasibility_table() -> np.ndarray:
 FEASIBILITY: np.ndarray = _feasibility_table()
 
 
-@dataclass(frozen=True, slots=True)
-class BehaviorRecord:
-    """One tick of play: who did what under which stimuli."""
-
-    player: PlayerId
-    tick: int
-    context: StimulusContext
-    behavior: AttributeId
-
-
-_ATTRIBUTE_OF_VALUE = {a.value: a for a in AttributeId}
 _PLAYER_INDEX = {p: i for i, p in enumerate(PLAYERS)}
-
-
-def _record(tick: int, player: int, context: int, behavior: int) -> BehaviorRecord:
-    """The record of one row of a log's columns."""
-    return BehaviorRecord(
-        PLAYERS[player], tick, CONTEXTS[context], _ATTRIBUTE_OF_VALUE[behavior]
-    )
-
-
-class SessionRecords(Sequence):
-    """Read-only :class:`BehaviorRecord` view of a log's four columns.
-
-    Records are decoded on indexing and iteration and never stored, so
-    ``len`` and slicing (which gives another view) decode nothing. A view
-    equals a tuple of the same records and a view over equal columns.
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, *columns: np.ndarray) -> None:
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SessionRecords(*(column[index] for column in self._columns))
-        return _record(*(int(column[index]) for column in self._columns))
-
-    def __iter__(self):
-        return map(_record, *(column.tolist() for column in self._columns))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SessionRecords):
-            return all(map(np.array_equal, self._columns, other._columns))
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"SessionRecords(<{len(self)} records>)"
-
 
 #: Name, stored dtype and valid codes of each column, in constructor order.
 _COLUMNS: tuple[tuple[str, type, range | None], ...] = (
@@ -221,10 +165,15 @@ _COLUMNS: tuple[tuple[str, type, range | None], ...] = (
     ("behaviors", np.int8, range(1, max(a.value for a in AttributeId) + 1)),
 )
 
+#: One packed tick record of a :class:`SessionLog`: the columns as fields,
+#: 11 bytes a tick.
+RECORD_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _COLUMNS])
 
-def _checked_columns(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
-    checked = []
-    for (name, dtype, valid), column in zip(_COLUMNS, columns):
+
+def _packed_records(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The checked columns packed into one read-only ``RECORD_DTYPE`` array."""
+    raws = []
+    for (name, _, valid), column in zip(_COLUMNS, columns):
         raw = np.asarray(column)
         if raw.ndim != 1:
             raise ValueError(f"{name} must be one-dimensional, got shape {raw.shape}")
@@ -236,22 +185,25 @@ def _checked_columns(columns: Sequence[np.ndarray]) -> list[np.ndarray]:
             wide = raw.astype(np.intp)
             if (wide < valid.start).any() or (wide >= valid.stop).any():
                 raise ValueError(f"{name} codes outside [{valid.start}, {valid.stop})")
-        array = raw.astype(dtype)
-        array.flags.writeable = False
-        checked.append(array)
-    lengths = [len(array) for array in checked]
+        raws.append(raw)
+    lengths = [len(raw) for raw in raws]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns {[c[0] for c in _COLUMNS]} have unequal lengths {lengths}")
-    return checked
+    records = np.empty(lengths[0], dtype=RECORD_DTYPE)
+    for (name, _, _), raw in zip(_COLUMNS, raws):
+        records[name] = raw
+    records.flags.writeable = False
+    return records
 
 
 class SessionLog:
-    """One session of one player, stored as four integer columns.
+    """One session of one player, stored as one packed record array.
 
     A log holds its ``player`` and its records, as the JSONL format does;
-    the seed and scenario that made it are the caller's to keep. The
-    columns are read-only arrays of one length, one entry per tick
-    record in stream order:
+    the seed and scenario that made it are the caller's to keep.
+    ``records`` is a read-only array of :data:`RECORD_DTYPE`, one record
+    per tick in stream order, and each of its fields is also a read-only
+    view of the same name:
 
     - ``ticks`` (``int64``): the tick number;
     - ``players`` (``int8``): the record's player, an index into
@@ -261,14 +213,13 @@ class SessionLog:
     - ``behaviors`` (``int8``): the behavior's ``AttributeId`` value.
 
     The columns are passed by keyword and checked for equal lengths and
-    in-range codes. :attr:`records` is a :class:`SessionRecords` view that
-    decodes them to :class:`BehaviorRecord` values on demand. The columns
-    may hold what a clean session would not (repeated ticks, another
-    player's records, infeasible behaviors); :func:`validate_session`
-    reports those. Equality compares the player and the records.
+    in-range codes. They may hold what a clean session would not
+    (repeated ticks, another player's records, infeasible behaviors);
+    :func:`validate_session` reports those. Equality compares the player
+    and the records.
     """
 
-    __slots__ = ("player", "ticks", "players", "contexts", "behaviors", "records")
+    __slots__ = ("player", "records", "ticks", "players", "contexts", "behaviors")
 
     def __init__(
         self,
@@ -279,12 +230,11 @@ class SessionLog:
         contexts: np.ndarray,
         behaviors: np.ndarray,
     ) -> None:
-        columns = _checked_columns((ticks, players, contexts, behaviors))
-        for name, value in zip(
-            self.__slots__,
-            (player, *columns, SessionRecords(*columns)),
-        ):
-            object.__setattr__(self, name, value)
+        records = _packed_records((ticks, players, contexts, behaviors))
+        object.__setattr__(self, "player", player)
+        object.__setattr__(self, "records", records)
+        for name, _, _ in _COLUMNS:
+            object.__setattr__(self, name, records[name])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"SessionLog is immutable; cannot set {name!r}")
@@ -298,7 +248,7 @@ class SessionLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SessionLog):
             return NotImplemented
-        return self.player == other.player and self.records == other.records
+        return self.player == other.player and np.array_equal(self.records, other.records)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -387,10 +337,10 @@ class DataSet:
                 raise ValueError(f"no domain declared for column {name!r}")
             if len(domains[name]) < 2:
                 raise ValueError(f"domain of {name!r} needs at least two values")
-            if len(domains[name]) > _MAX_DOMAIN:
+            if len(domains[name]) > MAX_DOMAIN:
                 raise ValueError(
                     f"domain of {name!r} has {len(domains[name])} values, "
-                    f"at most {_MAX_DOMAIN} fit the int8 codes"
+                    f"at most {MAX_DOMAIN} fit the int8 codes"
                 )
             # A value's code is its one position in the domain.
             repeated = [v for k, v in enumerate(domains[name]) if v in domains[name][:k]]
@@ -475,7 +425,7 @@ class DataSet:
 
 
 #: Largest domain an ``int8`` code column can index.
-_MAX_DOMAIN = int(np.iinfo(np.int8).max) + 1
+MAX_DOMAIN = int(np.iinfo(np.int8).max) + 1
 
 
 def _encode_rows(

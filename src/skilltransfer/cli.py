@@ -282,8 +282,6 @@ def report(
         trace = trace_from_json(source.read_text(encoding="utf-8"))
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataValidationError(f"trace {source}: {type(exc).__name__}: {exc}") from exc
-    if not trace.iterations:
-        raise DataValidationError(f"trace {source} records no iterations")
     run_dir.mkdir(parents=True, exist_ok=True)
     text = _render_report(trace)
     (run_dir / "report.txt").write_text(text, encoding="utf-8")

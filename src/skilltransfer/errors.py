@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import fields
 
-from .behavior_data import CONTEXT_FIELDS, DOMAINS
+from .behavior_data import CONTEXT_FIELDS, MAX_DOMAIN
 
 
 class ConfigError(Exception):
@@ -36,9 +36,10 @@ class DataValidationError(Exception):
 
 
 #: Largest smoothing whose CPT rows still sum to a finite value: a row
-#: holds at most one cell per value of the widest domain, each cell the
-#: smoothing plus a count, so half the float range per cell is safe.
-MAX_SMOOTHING = sys.float_info.max / (2 * max(len(d) for d in DOMAINS.values()))
+#: holds at most one cell per value of the widest domain a ``DataSet``
+#: accepts, each cell the smoothing plus a count, so half the float range
+#: per cell is safe.
+MAX_SMOOTHING = sys.float_info.max / (2 * MAX_DOMAIN)
 
 Bound = int | tuple[float, float, bool, bool]
 

@@ -18,9 +18,9 @@ profile must give it at least one always-feasible behavior.
 Each profile carries a table of these restricted distributions, one
 inverse CDF per (governing key, context code), built once on first use.
 ``run_session``, the one simulator, draws whole blocks of ticks from it
-and writes their context codes and behavior values straight into the
-columns of the :class:`~skilltransfer.behavior_data.SessionLog`; no
-per-tick object is built. Feasibility is read from the one table,
+into one context-code and one behavior-value column, which the
+:class:`~skilltransfer.behavior_data.SessionLog` packs into its record
+array; no per-tick object is built. Feasibility is read from the one table,
 :data:`~skilltransfer.behavior_data.FEASIBILITY`. The random stream
 layout is documented in :mod:`skilltransfer.seeds`.
 """

@@ -363,6 +363,8 @@ def trace_from_json(text: str) -> TransferTrace:
         )
         for position, entry in enumerate(payload["iterations"], 1)
     )
+    if not records:
+        raise ValueError("the trace records no iterations; every run records at least one")
     for position, record in enumerate(records, 1):
         if record.iteration != position:
             raise ValueError(

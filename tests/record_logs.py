@@ -1,11 +1,14 @@
-"""Session logs written as records, and feasibility as its rules state it.
+"""Session logs as decoded records, and feasibility as its rules state it.
 
 The package builds a :class:`SessionLog` only from its four integer
-columns and reads feasibility only from its ``FEASIBILITY`` table; tests
-that write a log record by record, or check the table, use these.
+columns, stores it as one packed array of code records, and reads
+feasibility only from its ``FEASIBILITY`` table. Tests that write a log
+record by record, read one back as values, or check the table use these.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +21,24 @@ from skilltransfer.behavior_data import (
     SessionLog,
     StimulusContext,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class Record:
+    """One tick of play as values: who did what under which stimuli."""
+
+    player: PlayerId
+    tick: int
+    context: StimulusContext
+    behavior: AttributeId
+
+
+def records_of(log: SessionLog) -> tuple[Record, ...]:
+    """The records of ``log``, decoded in stream order."""
+    return tuple(
+        Record(PLAYERS[player], tick, CONTEXTS[context], AttributeId(behavior))
+        for tick, player, context, behavior in log.records.tolist()
+    )
 
 
 def log_of(records, player: PlayerId = PlayerId.ID1) -> SessionLog:
@@ -36,4 +57,3 @@ def feasible(behavior: AttributeId, context: StimulusContext) -> bool:
     """Whether ``behavior`` can occur under ``context``; LOCATION never can."""
     needs = FEASIBILITY_REQUIREMENTS.get(behavior, ())
     return behavior is not AttributeId.LOCATION and all(getattr(context, f) for f in needs)
-

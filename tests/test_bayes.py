@@ -980,3 +980,15 @@ def test_bayesnet_json_round_trip_keeps_parent_values_holding_commas():
     assert again.domains == net.domains
     for node in net.dag.nodes:
         assert again.cpts[node].table.tolist() == net.cpts[node].table.tolist()
+
+
+def test_bayesnet_json_rejects_parent_values_whose_joined_keys_collide():
+    # ("a,b", "c") and ("a", "b,c") both join to "a,b,c": 4 rows, 3 keys.
+    data = DataSet(
+        columns=("p", "q", "c"),
+        domains={"p": ("a,b", "a"), "q": ("c", "b,c"), "c": BINARY},
+        codes=np.random.default_rng(5).integers(0, 2, size=(40, 3)),
+    )
+    net = fit_cpts(Dag(nodes=data.columns, edges=frozenset({("p", "c"), ("q", "c")})), data)
+    with pytest.raises(ValueError, match="^c: "):
+        bayesnet_to_json(net)

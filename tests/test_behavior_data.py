@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from record_logs import log_of
+from record_logs import Record, log_of, records_of
 from skilltransfer import behavior_data
 from skilltransfer.behavior_data import (
     ABSENT,
@@ -26,7 +26,6 @@ from skilltransfer.behavior_data import (
     DOMAINS,
     OCCURRED,
     AttributeId,
-    BehaviorRecord,
     DataSet,
     PlayerId,
     SessionLog,
@@ -49,8 +48,8 @@ def _context(**overrides) -> StimulusContext:
     return StimulusContext(**fields)
 
 
-def _record(tick, behavior, player=PlayerId.ID1, **ctx) -> BehaviorRecord:
-    return BehaviorRecord(player=player, tick=tick, context=_context(**ctx), behavior=behavior)
+def _record(tick, behavior, player=PlayerId.ID1, **ctx) -> Record:
+    return Record(player=player, tick=tick, context=_context(**ctx), behavior=behavior)
 
 
 def _log(records, player=PlayerId.ID1) -> SessionLog:
@@ -275,7 +274,7 @@ def test_to_dataset_matches_the_per_window_reference(streams, window):
         for player, stream in streams
     ]
     want = tuple(
-        _reference_row(log.records[start : start + window], log.player)
+        _reference_row(records_of(log)[start : start + window], log.player)
         for log in logs
         for start in range(0, len(log.records) - window + 1, window)
     )
@@ -447,7 +446,7 @@ def test_empty_session_file_needs_an_explicit_player(tmp_path):
         read_session_jsonl(path)
     loaded = read_session_jsonl(path, player=PlayerId.ID2)
     assert loaded.player is PlayerId.ID2
-    assert loaded.records == ()
+    assert records_of(loaded) == ()
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -104,6 +104,16 @@ def test_smoothing_too_large_for_finite_cpt_rows_is_rejected_by_the_library():
     assert fit_cpts(dag, data, alpha=MAX_SMOOTHING).cpts["a"].table.tolist() == [[0.5, 0.5]]
 
 
+def test_the_largest_smoothing_fits_the_widest_domain_a_table_accepts():
+    # A DataSet accepts domains of up to 128 values, the int8 code range.
+    values = tuple(f"v{k}" for k in range(128))
+    data = DataSet(columns=("a",), domains={"a": values}, codes=np.array([[0], [127]]))
+    dag = Dag(nodes=("a",), edges=frozenset())
+    table = fit_cpts(dag, data, alpha=MAX_SMOOTHING).cpts["a"].table
+    assert table.shape == (1, 128)
+    assert table.sum(axis=1).tolist() == [1.0]
+
+
 def test_function_arguments_are_named_in_their_range_errors():
     expert, learner = table1_profiles()
     with pytest.raises(ValueError, match=r"^eta: 1\.5 outside \(0\.0, 1\.0\]$"):

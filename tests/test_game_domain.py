@@ -13,13 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from record_logs import feasible
+from record_logs import Record, feasible, records_of
 from skilltransfer.behavior_data import (
     CONTEXT_FIELDS,
     CONTEXTS,
     EVENT_ATTRIBUTES,
     AttributeId,
-    BehaviorRecord,
     PlayerId,
     StimulusContext,
 )
@@ -166,7 +165,7 @@ def test_exhausted_rejections_fall_back_to_the_default_key():
 def test_zero_ticks_make_an_empty_log(table1_pair):
     expert, _ = table1_pair
     log = run_session(_scenario(ticks_per_session=0), expert, PlayerId.ID1, seed=0)
-    assert log.records == ()
+    assert records_of(log) == ()
 
 
 def test_same_seed_replays_the_same_session(base_scenario, table1_pair):
@@ -195,7 +194,7 @@ def test_a_sole_feasible_behavior_is_drawn_however_small_its_mass():
     )
     scenario = _scenario(ticks_per_session=2000, obstacle_present=1.0)
     log = run_session(scenario, profile, PlayerId.ID1, seed=11)
-    assert {r.behavior for r in log.records} == {AttributeId.FIGHTING}
+    assert {r.behavior for r in records_of(log)} == {AttributeId.FIGHTING}
 
 
 def test_a_short_session_is_a_prefix_of_a_longer_one(base_scenario, table1_pair):
@@ -207,7 +206,7 @@ def test_a_short_session_is_a_prefix_of_a_longer_one(base_scenario, table1_pair)
     long = run_session(
         replace(base_scenario, ticks_per_session=2 * ticks), expert, PlayerId.ID1, seed=5
     )
-    assert short.records == long.records[:ticks]
+    assert records_of(short) == records_of(long)[:ticks]
 
 
 def _replayed_behavior(
@@ -251,8 +250,8 @@ def test_a_tick_by_tick_replay_of_the_stream_layout_matches_the_session(
             keys = active_keys(context)
             key = keys[math.floor(u[7] * len(keys))]
             behavior = _replayed_behavior(profile, key, context, u[8])
-            replayed.append(BehaviorRecord(PlayerId.ID2, tick, context, behavior))
-        assert log.records == tuple(replayed), profile.profile_id
+            replayed.append(Record(PlayerId.ID2, tick, context, behavior))
+        assert records_of(log) == tuple(replayed), profile.profile_id
 
 
 def test_a_drawn_dead_row_is_a_config_error():
@@ -277,7 +276,7 @@ def test_event_marginals_match_the_oracle(base_scenario, table1_pair, which):
     ticks = 50_000
     scenario = replace(base_scenario, ticks_per_session=ticks)
     log = run_session(scenario, profile, PlayerId.ID1, seed=2024)
-    counts = Counter(r.behavior for r in log.records)
+    counts = Counter(r.behavior for r in records_of(log))
     expected = oracles.event_tick_probability(profile, scenario)
     for behavior in EVENT_ATTRIBUTES:
         p = expected.get(behavior, 0.0)

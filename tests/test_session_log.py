@@ -1,4 +1,4 @@
-"""The columnar session log: its records view, validation, and the JSONL codec."""
+"""The session log: its packed record array, validation, and the JSONL codec."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from record_logs import feasible, log_of
+from record_logs import Record, feasible, log_of, records_of
 from skilltransfer import behavior_data
 from skilltransfer.behavior_data import (
     CONTEXT_FIELDS,
@@ -20,8 +20,8 @@ from skilltransfer.behavior_data import (
     FEASIBILITY,
     FEASIBILITY_REQUIREMENTS,
     PLAYERS,
+    RECORD_DTYPE,
     AttributeId,
-    BehaviorRecord,
     PlayerId,
     SessionLog,
     Violation,
@@ -72,7 +72,7 @@ def _reference_violations(player: PlayerId, records) -> list[Violation]:
     return violations
 
 
-def _reference_line(record: BehaviorRecord) -> str:
+def _reference_line(record: Record) -> str:
     payload = {
         "tick": record.tick,
         "player": record.player.value,
@@ -95,11 +95,11 @@ _streams = st.lists(
 )
 
 
-def _records(stream, first_tick: int) -> list[BehaviorRecord]:
+def _records(stream, first_tick: int) -> list[Record]:
     records, tick = [], first_tick
     for step, player, context, behavior in stream:
         tick += step
-        records.append(BehaviorRecord(player, tick, context, behavior))
+        records.append(Record(player, tick, context, behavior))
     return records
 
 
@@ -115,20 +115,17 @@ def test_columnar_log_agrees_with_its_record_stream(
 ):
     records = _records(stream, first_tick)
     log = log_of(records, player)
-    view = log.records
 
-    assert view == tuple(records)
-    assert tuple(records) == view
-    assert list(view) == records
-    assert len(view) == len(records)
+    assert records_of(log) == tuple(records)
+    assert len(log.records) == len(records)
     n = len(records)
     start, stop = (data.draw(st.integers(min_value=-n - 2, max_value=n + 2)) for _ in "ab")
     step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
-    assert view[start:stop:step] == tuple(records[start:stop:step])
-    assert len(view[start:stop:step]) == len(records[start:stop:step])
+    sliced = log_of(records[start:stop:step], player)
+    assert np.array_equal(log.records[start:stop:step], sliced.records)
     if records:
         index = data.draw(st.integers(min_value=-n, max_value=n - 1))
-        assert view[index] == records[index]
+        assert log.records[index] == log_of([records[index]], player).records[0]
 
     assert validate_session(log) == _reference_violations(player, records)
 
@@ -138,7 +135,7 @@ def test_columnar_log_agrees_with_its_record_stream(
     assert lines == [_reference_line(r) for r in records]
     parsed = [behavior_data._parse_line(line) for line in lines]
     assert [
-        BehaviorRecord(PLAYERS[p], tick, CONTEXTS[c], AttributeId(b)) for tick, p, c, b in parsed
+        Record(PLAYERS[p], tick, CONTEXTS[c], AttributeId(b)) for tick, p, c, b in parsed
     ] == records
     assert read_session_jsonl(path, player=player) == log
 
@@ -149,8 +146,6 @@ def test_logs_compare_by_value():
     assert log == log_of(records, PlayerId.ID1)
     assert log != log_of(records, PlayerId.ID2)
     assert log != log_of(records[1:], PlayerId.ID1)
-    assert log.records != tuple(records[:2])
-    assert log.records != list(records)
 
 
 def test_simulated_log_columns(base_scenario, table1_pair):
@@ -162,9 +157,9 @@ def test_simulated_log_columns(base_scenario, table1_pair):
     assert log.ticks.tolist() == list(range(300))
     assert set(log.players.tolist()) == {PLAYERS.index(PlayerId.ID1)}
     assert (log.contexts & 1).astype(bool).tolist() == [
-        r.context.location_indoor for r in log.records
+        r.context.location_indoor for r in records_of(log)
     ]
-    rebuilt = log_of(log.records, log.player)
+    rebuilt = log_of(records_of(log), log.player)
     assert rebuilt == log
     for column in columns:
         with pytest.raises(ValueError):
@@ -219,22 +214,37 @@ def test_log_columns_must_be_one_length_of_integers():
     assert validate_session(log) == []
 
 
-def test_len_and_slices_of_the_records_view_decode_nothing(
-    monkeypatch, base_scenario, table1_pair
-):
+def test_a_log_is_one_read_only_record_array(base_scenario, table1_pair):
     expert, _ = table1_pair
-    scenario = replace(base_scenario, ticks_per_session=100_000)
-    log = run_session(scenario, expert, PlayerId.ID1, seed=3)
+    log = run_session(replace(base_scenario, ticks_per_session=1000), expert, PlayerId.ID1, 3)
+    records = log.records
+    assert isinstance(records, np.ndarray)
+    assert records.dtype == RECORD_DTYPE
+    assert records.dtype.itemsize == 11
+    assert records.dtype.names == ("ticks", "players", "contexts", "behaviors")
+    assert not records.flags.writeable
+    with pytest.raises(ValueError):
+        records[0] = records[1]
+    for name in records.dtype.names:
+        column = getattr(log, name)
+        assert np.shares_memory(column, records)
+        assert np.array_equal(column, records[name])
+    part = records[10:-10]
+    assert np.shares_memory(part, records)
+    assert len(part) == 980
+    assert not part.flags.writeable
 
-    def no_decoding(*args, **kwargs):
-        raise AssertionError("a record was decoded")
+    columns = {name: records[name] for name in records.dtype.names}
+    assert SessionLog(PlayerId.ID1, **columns) == log
+    assert SessionLog(PlayerId.ID2, **columns) != log
+    assert SessionLog(PlayerId.ID1, **{**columns, "ticks": records["ticks"] + 1}) != log
 
-    monkeypatch.setattr(behavior_data, "BehaviorRecord", no_decoding)
-    assert len(log.records) == 100_000
-    assert len(log.records[10:-10]) == 99_980
-    # The patched builder is the one indexing goes through.
-    with pytest.raises(AssertionError, match="decoded"):
-        log.records[0]
+    empty = run_session(replace(base_scenario, ticks_per_session=0), expert, PlayerId.ID1, 3)
+    assert empty.records.dtype == RECORD_DTYPE
+    assert len(empty.records) == 0
+    assert empty == SessionLog(PlayerId.ID1, **{n: c[:0] for n, c in columns.items()})
+    assert empty != SessionLog(PlayerId.ID2, **{n: c[:0] for n, c in columns.items()})
+    assert empty != log
 
 
 def test_feasibility_table_agrees_with_the_requirements():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +403,13 @@ def test_final_curve_is_uniformly_closer_on_nudged_keys(default_trace):
 
 def test_trace_json_round_trip(default_trace):
     assert trace_from_json(trace_to_json(default_trace)) == default_trace
+
+
+def test_a_trace_without_iterations_is_rejected_by_the_reader(default_trace):
+    payload = json.loads(trace_to_json(default_trace))
+    payload["iterations"] = []
+    with pytest.raises(ValueError, match="no iterations"):
+        trace_from_json(json.dumps(payload))
 
 
 def test_trace_csv_layout(default_trace):
