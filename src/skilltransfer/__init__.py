@@ -43,9 +43,11 @@ from .game_domain import (
     table1_profiles,
 )
 from .transfer_loop import (
+    DatasetConfig,
     IdentificationResult,
     TerminalReason,
     TransferConfig,
+    TransferParams,
     TransferTrace,
     build_schedule,
     discriminative_attributes,

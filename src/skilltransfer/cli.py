@@ -16,7 +16,7 @@ stdout; errors go to stderr with stable one-line prefixes.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -37,7 +37,7 @@ from .config import (
     run_directory,
     serialize_config,
 )
-from .errors import ConfigError, DataValidationError, range_violation
+from .errors import MALFORMED_DOCUMENT, ConfigError, DataValidationError, range_violation
 from .game_domain import simulate_pair
 from .transfer_loop import (
     TransferConfig,
@@ -51,7 +51,6 @@ from .transfer_loop import (
 )
 from .bayes import write_bayesnet
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ANOMALY = 4
@@ -134,8 +133,6 @@ def _guarded(fn):
             _fail("config", "; ".join(exc.violations), EXIT_CONFIG)
         except DataValidationError as exc:
             _fail("data", str(exc), EXIT_DATA)
-        except click.exceptions.Exit:
-            raise
         except Exception as exc:  # never expected; defensive
             _fail("anomaly", f"{type(exc).__name__}: {exc}", EXIT_ANOMALY)
 
@@ -188,12 +185,8 @@ def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     _require_split_rows(config)
     expert, learner = resolve_profiles(config)
     result = run_identification(
-        expert,
-        learner,
-        config.scenario,
-        **asdict(config.dataset),
-        learn=config.learning,
-        seed=config.seed,
+        expert, learner, config.scenario,
+        dataset=config.dataset, learn=config.learning, seed=config.seed,
     )
     run_dir = _prepare_run_dir(config)
     write_bayesnet(result.network, run_dir / "network.json")
@@ -215,12 +208,7 @@ def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     config = _load(config_path, seed, out)
     _require_split_rows(config)
     expert, learner = resolve_profiles(config)
-    params = TransferConfig(
-        config.scenario,
-        **asdict(config.transfer),
-        **asdict(config.dataset),
-        learn=config.learning,
-    )
+    params = TransferConfig(config.scenario, config.transfer, config.dataset, config.learning)
     trace = run_transfer(expert, learner, params, config.seed)
     run_dir = _prepare_run_dir(config)
     (run_dir / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8")
@@ -275,13 +263,13 @@ def report(
     """Summarize a transfer trace in plain text."""
     config = _load(config_path, seed, out)
     run_dir = run_directory(config)
-    source = Path(trace_path) if trace_path else run_dir / "trace.json"
-    if not source.is_file():
-        raise ConfigError([f"trace: file not found: {source} (run `transfer` first?)"])
+    trace_file = Path(trace_path) if trace_path else run_dir / "trace.json"
+    if not trace_file.is_file():
+        raise ConfigError([f"trace: file not found: {trace_file} (run `transfer` first?)"])
     try:
-        trace = trace_from_json(source.read_text(encoding="utf-8"))
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise DataValidationError(f"trace {source}: {type(exc).__name__}: {exc}") from exc
+        trace = trace_from_json(trace_file.read_text(encoding="utf-8"))
+    except MALFORMED_DOCUMENT as exc:
+        raise DataValidationError(f"trace {trace_file}: {type(exc).__name__}: {exc}") from exc
     run_dir.mkdir(parents=True, exist_ok=True)
     text = _render_report(trace)
     (run_dir / "report.txt").write_text(text, encoding="utf-8")

@@ -4,8 +4,8 @@ Configs are JSON documents. Every field has a documented default, so the
 empty document is a valid config. Validation is exhaustive: all problems
 are collected and reported together, each prefixed with the offending
 field's path, and unknown keys anywhere are rejected. The numeric ranges
-come from :data:`errors.BOUNDS`, which the library checks too, and the
-dataset and transfer defaults from :class:`TransferConfig`.
+come from :data:`errors.BOUNDS`, which the library checks too, and every
+section but ``profiles`` is the library's own dataclass, defaults included.
 """
 
 from __future__ import annotations
@@ -18,48 +18,28 @@ from pathlib import Path
 
 from .bayes import LearnConfig
 from .errors import BOUNDS, ConfigError, range_violation
-from .game_domain import (
-    LINKAGE_STRENGTH,
-    PlayerProfile,
-    Scenario,
-    default_scenario,
-    read_profile,
-    table1_profiles,
-)
-from .transfer_loop import TransferConfig
-
-BUILTIN_PROFILES = "table1"
-FILE_PROFILES = "file"
+from .game_domain import LINKAGE_STRENGTH, PlayerProfile, Scenario, read_profile, table1_profiles
+from .transfer_loop import DatasetConfig, TransferParams
 
 
 @dataclass(frozen=True)
 class ProfilesConfig:
-    """Where the expert/learner pair comes from."""
+    """Where the expert/learner pair comes from.
 
-    source: str = BUILTIN_PROFILES
+    Profiles are read from files exactly when both paths are given;
+    otherwise the built-in pair is built with ``linkage_strength``.
+    """
+
     linkage_strength: float = LINKAGE_STRENGTH
     expert_path: str | None = None
     learner_path: str | None = None
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    window: int = TransferConfig.window
-    split_ratio: float = TransferConfig.split_ratio
-
-
-@dataclass(frozen=True)
-class TransferParams:
-    learning_rate: float = TransferConfig.learning_rate
-    stop_threshold: float = TransferConfig.stop_threshold
-    max_iterations: int = TransferConfig.max_iterations
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 0
     output_dir: str = "runs"
-    scenario: Scenario = field(default_factory=default_scenario)
+    scenario: Scenario = field(default_factory=Scenario)
     profiles: ProfilesConfig = field(default_factory=ProfilesConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     learning: LearnConfig = field(default_factory=LearnConfig)
@@ -102,14 +82,9 @@ class _Reader:
             if is_dataclass(base):
                 value = self.read(self.section(obj, name, key), base, key + ".")
             elif key in _PROFILE_PATHS:
-                value = self.profile_path(obj.get(name), key, values["source"])
+                value = self.profile_path(obj, name, key)
             else:
                 value = self.scalar(obj, name, key, base)
-            if key == "profiles.source" and value not in (BUILTIN_PROFILES, FILE_PROFILES):
-                self.complain(
-                    key, f"must be {BUILTIN_PROFILES!r} or {FILE_PROFILES!r}, got {value!r}"
-                )
-                value = BUILTIN_PROFILES
             values[name] = value
         return replace(default, **values)
 
@@ -142,14 +117,17 @@ class _Reader:
             return default
         return value
 
-    def profile_path(self, value: object, path: str, source: str) -> str | None:
-        if source == FILE_PROFILES:
-            if not isinstance(value, str) or not value:
-                self.complain(path, "required when source is 'file'")
-            elif not Path(value).is_file():
-                self.complain(path, f"file not found: {value}")
-        elif value is not None:
-            self.complain(path, "only allowed when source is 'file'")
+    def profile_path(self, obj: dict, name: str, path: str) -> str | None:
+        """``obj[name]``, an existing file, or None when both profile paths are absent."""
+        value = obj.get(name)
+        (other,) = {"expert_path", "learner_path"} - {name}
+        if value is None:
+            if obj.get(other) is not None:
+                self.complain(path, f"required when profiles.{other} is given")
+        elif not isinstance(value, str) or not value:
+            self.complain(path, f"expected a file path, got {value!r}")
+        elif not Path(value).is_file():
+            self.complain(path, f"file not found: {value}")
         return value if isinstance(value, str) else None
 
 
@@ -185,23 +163,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical JSON with all fields explicit; parse round-trips equal.
 
-    The profile paths appear only when profiles come from files.
+    The profile paths appear only when they are given.
     """
     payload = asdict(config)
-    if config.profiles.source != FILE_PROFILES:
-        del payload["profiles"]["expert_path"], payload["profiles"]["learner_path"]
+    payload["profiles"] = {k: v for k, v in payload["profiles"].items() if v is not None}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def resolve_profiles(config: ExperimentConfig) -> tuple[PlayerProfile, PlayerProfile]:
-    """Materialize the expert/learner pair the config names."""
-    if config.profiles.source == BUILTIN_PROFILES:
-        return table1_profiles(config.profiles.linkage_strength)
-    assert config.profiles.expert_path and config.profiles.learner_path
-    return (
-        read_profile(config.profiles.expert_path),
-        read_profile(config.profiles.learner_path),
-    )
+    """The expert/learner pair the config names: its profile files, or the built-in pair."""
+    profiles = config.profiles
+    if profiles.expert_path is None:
+        return table1_profiles(profiles.linkage_strength)
+    return read_profile(profiles.expert_path), read_profile(profiles.learner_path)
 
 
 def run_directory(config: ExperimentConfig) -> Path:

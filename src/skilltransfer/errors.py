@@ -35,6 +35,18 @@ class DataValidationError(Exception):
     """Session data violates a structural or feasibility rule."""
 
 
+#: What reading a malformed profile or trace document raises.
+MALFORMED_DOCUMENT = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def json_number(value: object, what: str, integer: bool = False) -> int | float:
+    """``value``, a JSON number but never a bool; ``what`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{what}: expected {kind}, got {value!r}")
+    return value
+
+
 #: Largest smoothing whose CPT rows still sum to a finite value: a row
 #: holds at most one cell per value of the widest domain a ``DataSet``
 #: accepts, each cell the smoothing plus a count, so half the float range

@@ -12,8 +12,9 @@ stimuli is present; one of them is picked uniformly at random. Only when
 no stimulus is active does the location key (indoor or outdoor) govern
 the tick. The ``default`` key is never selected directly; when a
 governing key puts no mass at all on a feasible behavior, the tick is
-drawn from the default distribution restricted the same way, so every
-profile must give it at least one always-feasible behavior.
+drawn from the default distribution restricted the same way. A session
+refuses to start, whatever its length and seed, when some context its
+scenario can produce falls back on a default with no feasible behavior.
 
 Each profile carries a table of these restricted distributions, one
 inverse CDF per (governing key, context code), built once on first use.
@@ -48,7 +49,7 @@ from .behavior_data import (
     SessionLog,
     StimulusContext,
 )
-from .errors import ConfigError, check_fields, check_range
+from .errors import MALFORMED_DOCUMENT, ConfigError, check_fields, check_range, json_number
 from .seeds import ROLE_EXPERT, ROLE_LEARNER, STREAM_SESSION, derive_rng, derive_seed
 
 
@@ -79,39 +80,27 @@ STIMULUS_KEY_FIELDS: dict[ConditionKey, str] = {
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """Per-tick stimulus probabilities plus session length."""
+    """Per-tick stimulus probabilities plus session length; the defaults are the default world.
 
-    scenario_id: str
-    ticks_per_session: int
-    location_indoor: float
-    obstacle_present: float
-    soldier_present: float
-    civilian_present: float
-    horse_available: float
-    climbable_present: float
-    person_facing: float
+    Stimuli are frequent (0.6 each) because several linked behaviors are only
+    feasible when two stimuli coincide; rarer stimuli starve the classifier.
+    """
+
+    ticks_per_session: int = 2000
+    location_indoor: float = 0.5
+    obstacle_present: float = 0.6
+    soldier_present: float = 0.6
+    civilian_present: float = 0.6
+    horse_available: float = 0.6
+    climbable_present: float = 0.6
+    person_facing: float = 0.6
 
     __post_init__ = check_fields
 
 
 def default_scenario() -> Scenario:
-    """The documented default world used when a config leaves it out.
-
-    Stimuli are frequent (0.6 each) because several linked behaviors are
-    only feasible when two stimuli coincide; rarer stimuli starve the
-    classifier of those co-occurrences.
-    """
-    return Scenario(
-        scenario_id="default",
-        ticks_per_session=2000,
-        location_indoor=0.5,
-        obstacle_present=0.6,
-        soldier_present=0.6,
-        civilian_present=0.6,
-        horse_available=0.6,
-        climbable_present=0.6,
-        person_facing=0.6,
-    )
+    """The documented default world: ``Scenario()``."""
+    return Scenario()
 
 
 Distribution = dict[AttributeId, float]
@@ -208,6 +197,10 @@ _ACTIVE_ROWS = np.array(
         for code, keys in enumerate(_ACTIVE)
     ]
 )
+#: Which entries of ``_ACTIVE_ROWS`` are rows rather than padding.
+_ACTIVE_MASK = np.arange(len(STIMULUS_KEY_FIELDS)) < _N_ACTIVE[:, None]
+#: Per context code, whether each ``CONTEXT_FIELDS`` entry is present.
+_CODE_FIELDS = (np.arange(_N_CODES)[:, None] >> np.arange(len(CONTEXT_FIELDS))) & 1 == 1
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
@@ -220,10 +213,11 @@ class _BehaviorTable:
     ``EVENT_ATTRIBUTES`` of governing key ``_GOVERNING[k]`` under context
     ``code``, restricted to the feasible behaviors and renormalized. A key
     with no feasible mass there uses the default key restricted the same
-    way; a row where the default has none either is ``dead``.
+    way; a row where the default has none either is dead, and
+    ``dead_codes`` marks the context codes with a dead governing row.
     """
 
-    __slots__ = ("profile_id", "cdf", "dead")
+    __slots__ = ("profile_id", "cdf", "dead_codes")
 
     def __init__(self, profile: PlayerProfile) -> None:
         def masked(key: ConditionKey) -> np.ndarray:  # (code, behavior)
@@ -243,8 +237,18 @@ class _BehaviorTable:
         # feasible behavior on exactly 1.0, so a uniform in [0, 1) never lands
         # past it.
         self.cdf = cumulative / np.where(dead[:, None], 1.0, total)
-        self.dead = dead
+        self.dead_codes = (dead[_ACTIVE_ROWS] & _ACTIVE_MASK).any(axis=1)
         self.profile_id = profile.profile_id
+
+    def check(self, p: np.ndarray) -> None:
+        """Refuse stimulus probabilities ``p`` that can produce a context with a dead row."""
+        # A context is reachable when its present fields have p > 0 and its absent ones p < 1.
+        reachable = np.where(_CODE_FIELDS, p > 0.0, p < 1.0).all(axis=1)
+        if self.dead_codes[reachable].any():
+            raise ConfigError(
+                f"profile {self.profile_id!r}: default condition has no feasible "
+                "behavior for a context the scenario can produce"
+            )
 
     def draw(self, codes: np.ndarray, u_key: np.ndarray, u_behavior: np.ndarray) -> np.ndarray:
         """Behavior indices into ``EVENT_ATTRIBUTES``, one per tick."""
@@ -252,11 +256,6 @@ class _BehaviorTable:
         # n_active, so the pick is always one of the active keys.
         pick = (u_key * _N_ACTIVE[codes]).astype(np.intp)
         rows = _ACTIVE_ROWS[codes, pick]
-        if self.dead[rows].any():
-            raise ConfigError(
-                f"profile {self.profile_id!r}: default condition has no feasible "
-                "behavior for the current context"
-            )
         return (u_behavior[:, None] >= self.cdf[rows]).sum(axis=1)
 
 
@@ -268,6 +267,7 @@ def run_session(
     table = profile._table
     # Column i of a block is the draw of CONTEXT_FIELDS[i].
     p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
+    table.check(p)
     ticks = scenario.ticks_per_session
     contexts = np.empty(ticks, dtype=np.uint8)
     behaviors = np.empty(ticks, dtype=np.int8)
@@ -419,20 +419,24 @@ def profile_payload(profile: PlayerProfile) -> dict:
 
 
 def profile_from_payload(payload: dict) -> PlayerProfile:
-    """The profile of a :func:`profile_payload` object; raises the errors of a malformed one."""
+    """The profile of a :func:`profile_payload` object; raises ``MALFORMED_DOCUMENT`` errors."""
     distributions = {
         ConditionKey(key): {
-            AttributeId.from_column(column): float(p) for column, p in dist.items()
+            AttributeId.from_column(column): float(json_number(p, f"{key}/{column}"))
+            for column, p in dist.items()
         }
         for key, dist in payload["distributions"].items()
     }
-    return PlayerProfile(profile_id=str(payload["profile_id"]), distributions=distributions)
+    profile_id = payload["profile_id"]
+    if not isinstance(profile_id, str):
+        raise ValueError(f"profile_id: expected a string, got {profile_id!r}")
+    return PlayerProfile(profile_id=profile_id, distributions=distributions)
 
 
 def profile_from_json(text: str) -> PlayerProfile:
     try:
         return profile_from_payload(json.loads(text))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except MALFORMED_DOCUMENT as exc:
         raise ConfigError(f"invalid profile document: {exc}") from exc
 
 

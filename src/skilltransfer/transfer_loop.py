@@ -43,7 +43,7 @@ from .behavior_data import (
     split,
     to_dataset,
 )
-from .errors import check_fields, check_range
+from .errors import check_fields, check_range, json_number
 from .game_domain import (
     ConditionKey,
     Distribution,
@@ -64,18 +64,34 @@ _DIVERGENCE_RANGE = (0.0, math.inf, False, True)
 
 
 @dataclass(frozen=True)
-class TransferConfig:
-    """Loop parameters. ``scenario`` is the unboosted base world."""
+class DatasetConfig:
+    """How sessions become a table: ticks per window, and the share of rows trained on."""
 
-    scenario: Scenario
+    window: int = 5
+    split_ratio: float = 0.5
+
+    __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class TransferParams:
+    """How far each nudge moves the learner, and when the loop stops."""
+
     learning_rate: float = 0.5
     stop_threshold: float = 0.55
     max_iterations: int = 50
-    window: int = 5
-    split_ratio: float = 0.5
-    learn: LearnConfig = field(default_factory=LearnConfig)
 
     __post_init__ = check_fields
+
+
+@dataclass(frozen=True)
+class TransferConfig:
+    """The loop's sections. ``scenario`` is the unboosted base world."""
+
+    scenario: Scenario = field(default_factory=Scenario)
+    loop: TransferParams = field(default_factory=TransferParams)
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    learn: LearnConfig = field(default_factory=LearnConfig)
 
 
 class TerminalReason(Enum):
@@ -124,9 +140,8 @@ def run_identification(
     learner: PlayerProfile,
     scenario: Scenario,
     *,
-    window: int = TransferConfig.window,
-    split_ratio: float = TransferConfig.split_ratio,
-    learn: LearnConfig | None = None,
+    dataset: DatasetConfig = DatasetConfig(),
+    learn: LearnConfig = LearnConfig(),
     seed: int = 0,
     iteration: int = 0,
 ) -> IdentificationResult:
@@ -135,9 +150,8 @@ def run_identification(
     All randomness derives from ``seed`` and ``iteration`` through the
     documented stream paths, so repeated calls are bit-identical.
     """
-    learn = learn or LearnConfig()
-    data = to_dataset(simulate_pair(expert, learner, scenario, seed, iteration), window)
-    train, test = split(data, split_ratio, derive_seed(seed, STREAM_SPLIT, iteration))
+    data = to_dataset(simulate_pair(expert, learner, scenario, seed, iteration), dataset.window)
+    train, test = split(data, dataset.split_ratio, derive_seed(seed, STREAM_SPLIT, iteration))
     dag = learn_structure(train, learn, derive_seed(seed, STREAM_LEARN, iteration))
     net = fit_cpts(dag, train, learn.smoothing)
     return IdentificationResult(
@@ -260,19 +274,18 @@ def run_transfer(
     scenario = config.scenario
     records: list[IterationRecord] = []
     reason = TerminalReason.MAX_ITERATIONS
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, config.loop.max_iterations + 1):
         result = run_identification(
             expert,
             learner,
             scenario,
-            window=config.window,
-            split_ratio=config.split_ratio,
+            dataset=config.dataset,
             learn=config.learn,
             seed=seed,
             iteration=iteration,
         )
         gap = divergence(learner, expert)
-        finished = result.accuracy <= config.stop_threshold or not result.attributes
+        finished = result.accuracy <= config.loop.stop_threshold or not result.attributes
         nudged: tuple[ConditionKey, ...] = ()
         if not finished:
             nudged = _keys_to_nudge(learner, expert, result.attributes)
@@ -290,7 +303,7 @@ def run_transfer(
             reason = TerminalReason.THRESHOLD_REACHED
             break
         if nudged:
-            learner = nudge_profile(learner, expert, nudged, config.learning_rate)
+            learner = nudge_profile(learner, expert, nudged, config.loop.learning_rate)
         scenario = build_schedule(frozenset(result.attributes), config.scenario)
     return TransferTrace(
         expert_profile=expert, iterations=tuple(records), terminal_reason=reason
@@ -338,23 +351,16 @@ def trace_to_json(trace: TransferTrace) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _json_number(entry: dict, name: str, position: int, integer: bool = False) -> int | float:
-    """Field ``name`` of the iteration at ``position``, a JSON number but never a bool."""
-    value = entry[name]
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{name} at position {position}: expected {kind}, got {value!r}")
-    return value
-
-
 def trace_from_json(text: str) -> TransferTrace:
     """Read a trace back, rejecting one that no run could have written."""
     payload = json.loads(text)
     records = tuple(
         IterationRecord(
-            iteration=_json_number(entry, "iteration", position, integer=True),
-            accuracy=float(_json_number(entry, "accuracy", position)),
-            divergence=float(_json_number(entry, "divergence", position)),
+            iteration=json_number(entry["iteration"], f"iteration at position {position}", True),
+            accuracy=float(json_number(entry["accuracy"], f"accuracy at position {position}")),
+            divergence=float(
+                json_number(entry["divergence"], f"divergence at position {position}")
+            ),
             targeted_attributes=tuple(
                 AttributeId.from_column(c) for c in entry["targeted_attributes"]
             ),

@@ -166,7 +166,6 @@ def test_fighting_occurrence_rate_matches_the_analytic_product():
         },
     )
     scenario = Scenario(
-        scenario_id="obstacle-only",
         ticks_per_session=10_000,
         location_indoor=0.5,
         obstacle_present=0.5,
@@ -202,7 +201,6 @@ def test_simulated_windows_always_pass_domain_validation(seed, ticks):
     # DataSet construction rejects out-of-domain cells, so building the
     # table is itself the assertion.
     scenario = Scenario(
-        scenario_id="fuzz",
         ticks_per_session=ticks,
         location_indoor=0.5,
         obstacle_present=0.4,

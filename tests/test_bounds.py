@@ -12,10 +12,10 @@ import pytest
 
 from skilltransfer.bayes import Dag, LearnConfig, fit_cpts, learn_structure
 from skilltransfer.behavior_data import DataSet
-from skilltransfer.config import ExperimentConfig, parse_config, serialize_config
+from skilltransfer.config import ExperimentConfig, ProfilesConfig, parse_config, serialize_config
 from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, ConfigError
-from skilltransfer.game_domain import ConditionKey, default_scenario, table1_profiles
-from skilltransfer.transfer_loop import TransferConfig, nudge_profile
+from skilltransfer.game_domain import ConditionKey, Scenario, default_scenario, table1_profiles
+from skilltransfer.transfer_loop import DatasetConfig, TransferParams, nudge_profile
 
 
 def _config_paths(config, prefix: str = "") -> dict[str, str]:
@@ -40,7 +40,7 @@ def _owner(name: str):
     if name == "seed":
         data = DataSet(columns=("a",), domains={"a": ("x", "y")}, codes=np.array([[0], [1]]))
         return lambda value: learn_structure(data, LearnConfig(), seed=value)
-    for instance in (default_scenario(), LearnConfig(), TransferConfig(default_scenario())):
+    for instance in (Scenario(), DatasetConfig(), LearnConfig(), TransferParams()):
         if name in {f.name for f in fields(instance)}:
             return lambda value: replace(instance, **{name: value})
     raise AssertionError(f"no library owner for {name}")
@@ -84,6 +84,15 @@ def test_reader_and_library_agree_on_every_range(name):
         with pytest.raises(ConfigError) as err:
             parse_config(_document(path, value))
         assert err.value.violations == [f"{path}: {text}"]
+
+
+def test_every_section_but_profiles_is_the_library_dataclass():
+    config = ExperimentConfig()
+    sections = {f.name: type(getattr(config, f.name)) for f in fields(config)}
+    assert sections == {
+        "seed": int, "output_dir": str, "scenario": Scenario, "profiles": ProfilesConfig,
+        "dataset": DatasetConfig, "learning": LearnConfig, "transfer": TransferParams,
+    }
 
 
 def test_the_learning_section_is_exactly_the_learn_config():

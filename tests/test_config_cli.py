@@ -90,26 +90,49 @@ def test_document_must_be_a_json_object():
 
 
 def test_file_profiles_demand_existing_paths(tmp_path):
+    missing = str(tmp_path / "missing.json")
     with pytest.raises(ConfigError) as err:
-        parse_config('{"profiles": {"source": "file"}}')
-    assert any("expert_path" in line for line in err.value.violations)
-    assert any("learner_path" in line for line in err.value.violations)
+        parse_config(json.dumps({"profiles": {"expert_path": missing, "learner_path": missing}}))
+    assert err.value.violations == [
+        f"profiles.expert_path: file not found: {missing}",
+        f"profiles.learner_path: file not found: {missing}",
+    ]
+    with pytest.raises(ConfigError) as err:
+        parse_config('{"profiles": {"expert_path": "", "learner_path": 3}}')
+    assert err.value.violations == [
+        "profiles.expert_path: expected a file path, got ''",
+        "profiles.learner_path: expected a file path, got 3",
+    ]
 
-    with pytest.raises(ConfigError, match="file not found"):
-        parse_config(
-            json.dumps(
-                {
-                    "profiles": {
-                        "source": "file",
-                        "expert_path": str(tmp_path / "missing.json"),
-                        "learner_path": str(tmp_path / "missing.json"),
-                    }
-                }
-            )
-        )
-    # Built-in profiles take no paths.
-    with pytest.raises(ConfigError, match="only allowed"):
-        parse_config('{"profiles": {"expert_path": "x.json"}}')
+
+def _simulate_with(tmp_path, document: dict, *flags):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(document), encoding="utf-8")
+    return _invoke(["simulate", "--config", config_path, "--out", tmp_path / "runs", *flags])
+
+
+@pytest.mark.parametrize(
+    "document, path",
+    [
+        ({"scenario": {"scenario_id": "x"}}, "scenario.scenario_id"),
+        ({"profiles": {"source": "table1"}}, "profiles.source"),
+    ],
+)
+def test_a_removed_key_exits_two_as_unknown(tmp_path, document, path):
+    result = _simulate_with(tmp_path, document)
+    assert result.exit_code == 2
+    assert result.stderr == f"error: config: {path}: unknown key\n"
+
+
+@pytest.mark.parametrize("given, missing", [("expert_path", "learner_path"),
+                                            ("learner_path", "expert_path")])
+def test_one_profile_path_alone_exits_two_naming_the_other(tmp_path, given, missing):
+    path = _write_profile(tmp_path / "profile.json", profile_payload(table1_profiles()[0]))
+    result = _simulate_with(tmp_path, {"profiles": {given: str(path)}})
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"error: config: profiles.{missing}: required when profiles.{given} is given\n"
+    )
 
 
 def test_load_config_reports_unreadable_files(tmp_path):
@@ -137,7 +160,6 @@ def _config_documents(draw, max_ticks=500, max_iterations=60, max_restarts=8):
         }
     if draw(st.booleans()):
         document["profiles"] = {
-            "source": "table1",
             "linkage_strength": draw(st.floats(min_value=0.05, max_value=1.0)),
         }
     if draw(st.booleans()):
@@ -173,10 +195,10 @@ def test_serialize_parse_round_trip(text):
 
 def test_serialized_config_names_profile_paths_only_for_file_profiles(tmp_path):
     builtin = json.loads(serialize_config(parse_config("{}")))
-    assert set(builtin["profiles"]) == {"source", "linkage_strength"}
+    assert set(builtin["profiles"]) == {"linkage_strength"}
     assert set(builtin["learning"]) == {"max_parents", "smoothing", "restarts"}
     path = _write_profile(tmp_path / "profile.json", profile_payload(table1_profiles()[0]))
-    document = {"source": "file", "expert_path": str(path), "learner_path": str(path)}
+    document = {"expert_path": str(path), "learner_path": str(path)}
     text = serialize_config(parse_config(json.dumps({"profiles": document})))
     assert json.loads(text)["profiles"] == {**document, "linkage_strength": 0.7}
     assert serialize_config(parse_config(text)) == text
@@ -279,7 +301,6 @@ def test_transfer_from_the_expert_stops_at_iteration_one(tmp_path):
             {
                 "output_dir": str(tmp_path / "runs"),
                 "profiles": {
-                    "source": "file",
                     "expert_path": str(profile_path),
                     "learner_path": str(profile_path),
                 },
@@ -301,6 +322,27 @@ def test_transfer_from_the_expert_stops_at_iteration_one(tmp_path):
     assert report.exit_code == 0
     assert "terminal reason: threshold_reached" in report.stdout
     assert (run_dir / "report.txt").read_text(encoding="utf-8") == report.stdout
+
+
+def test_the_built_in_pair_read_from_files_gives_the_built_in_run(tmp_path):
+    files = {
+        name: str(_write_profile(tmp_path / f"{name}.json", profile_payload(profile)))
+        for name, profile in zip(("expert_path", "learner_path"), table1_profiles())
+    }
+    outputs = []
+    for profiles in ({}, files):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps({"output_dir": str(tmp_path / "runs"), "profiles": profiles}),
+            encoding="utf-8",
+        )
+        for command in ("identify", "transfer"):
+            assert _invoke([command, "--config", config_path, "--quiet"]).exit_code == 0
+        run_dir = _run_dir(config_path)
+        names = ("network.json", "trace.json")
+        outputs.append({name: (run_dir / name).read_bytes() for name in names})
+    assert load_config(config_path).scenario.ticks_per_session == 2000
+    assert outputs[0] == outputs[1]
 
 
 def test_quiet_and_seed_flags(quick_config):
@@ -508,9 +550,7 @@ def test_a_profile_probability_beyond_the_float_range_exits_two(tmp_path):
             {
                 "scenario": {"ticks_per_session": 10},
                 "output_dir": str(tmp_path / "runs"),
-                "profiles": {
-                    "source": "file", "expert_path": str(path), "learner_path": str(path),
-                },
+                "profiles": {"expert_path": str(path), "learner_path": str(path)},
             }
         ),
         encoding="utf-8",
@@ -518,6 +558,76 @@ def test_a_profile_probability_beyond_the_float_range_exits_two(tmp_path):
     result = _invoke(["simulate", "--config", config_path])
     assert result.exit_code == 2, result.stderr
     assert result.stderr.startswith("error: config: invalid profile document:")
+
+
+_NOT_QUITE_JSON_PROFILES = [
+    pytest.param(("distributions", "indoor"), {"fighting": True},
+                 "indoor/fighting: expected a number, got True", id="bool-probability"),
+    pytest.param(("distributions", "indoor"), {"fighting": "1e0"},
+                 "indoor/fighting: expected a number, got '1e0'", id="string-probability"),
+    pytest.param(("profile_id",), 12, "profile_id: expected a string, got 12",
+                 id="integer-profile-id"),
+]
+
+
+def _learner_payload_with(path: tuple, value) -> dict:
+    """The built-in learner's payload with the entry at ``path`` replaced by ``value``."""
+    payload = profile_payload(table1_profiles()[1])
+    *parents, last = path
+    parent = payload
+    for key in parents:
+        parent = parent[key]
+    parent[last] = value
+    return payload
+
+
+@pytest.mark.parametrize("path, value, needle", _NOT_QUITE_JSON_PROFILES)
+def test_a_profile_file_is_read_as_strictly_as_a_trace(tmp_path, path, value, needle):
+    expert = _write_profile(tmp_path / "expert.json", profile_payload(table1_profiles()[0]))
+    learner = _write_profile(tmp_path / "learner.json", _learner_payload_with(path, value))
+    result = _simulate_with(
+        tmp_path, {"profiles": {"expert_path": str(expert), "learner_path": str(learner)}}
+    )
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr == f"error: config: invalid profile document: {needle}\n"
+
+
+@pytest.mark.parametrize("path, value, needle", _NOT_QUITE_JSON_PROFILES)
+def test_a_trace_learner_profile_is_read_strictly(quick_config, tmp_path, path, value, needle):
+    expert = profile_payload(table1_profiles()[0])
+    text = _trace_text(expert, _learner_payload_with(path, value))
+    assert f"ValueError: {needle}" in _report_on(quick_config, tmp_path, text)
+
+
+def _dead_fallback_files(tmp_path) -> dict:
+    """Profile paths whose learner watched by a person faces soldiers, else rides.
+
+    Without a soldier the watched key has no feasible behavior, and without
+    a horse neither has the default key it falls back on.
+    """
+    learner = profile_payload(table1_profiles()[1])
+    learner["distributions"]["person_facing"] = {"facing_sol": 1.0}
+    learner["distributions"]["default"] = {"riding_hrs": 1.0}
+    expert = profile_payload(table1_profiles()[0])
+    return {
+        "expert_path": str(_write_profile(tmp_path / "expert.json", expert)),
+        "learner_path": str(_write_profile(tmp_path / "learner.json", learner)),
+    }
+
+
+@pytest.mark.parametrize("ticks", [0, 20])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_dead_fallback_row_fails_whatever_the_seed_and_length(tmp_path, seed, ticks):
+    document = {
+        "scenario": {"ticks_per_session": ticks},
+        "profiles": _dead_fallback_files(tmp_path),
+    }
+    result = _simulate_with(tmp_path, document, "--seed", seed)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr == (
+        "error: config: profile 'learner-table1': default condition has no feasible "
+        "behavior for a context the scenario can produce\n"
+    )
 
 
 def test_report_on_a_trace_with_an_accuracy_beyond_the_float_range_exits_three(
@@ -668,7 +778,6 @@ def test_a_mutated_profile_file_never_exits_four(data):
                 {
                     "scenario": {"ticks_per_session": 50},
                     "profiles": {
-                        "source": "file",
                         "expert_path": str(paths["expert"]),
                         "learner_path": str(paths["learner"]),
                     },

@@ -11,18 +11,10 @@ from hypothesis import strategies as st
 
 from skilltransfer.bayes import LearnConfig
 from skilltransfer.behavior_data import CONTEXT_FIELDS
-from skilltransfer.config import (
-    BUILTIN_PROFILES,
-    FILE_PROFILES,
-    DatasetConfig,
-    ExperimentConfig,
-    ProfilesConfig,
-    TransferParams,
-    parse_config,
-    serialize_config,
-)
+from skilltransfer.config import ExperimentConfig, ProfilesConfig, parse_config, serialize_config
 from skilltransfer.errors import MAX_SMOOTHING, ConfigError
 from skilltransfer.game_domain import Scenario, default_scenario, profile_payload, table1_profiles
+from skilltransfer.transfer_loop import DatasetConfig, TransferParams
 
 
 class _ReferenceReader:
@@ -101,12 +93,9 @@ def _reference_parse_config(text: str) -> ExperimentConfig:
     output_dir = r.string(document, "output_dir", "", "runs")
 
     scenario_obj = r.section(document, "scenario", "scenario")
-    r.reject_unknown(
-        scenario_obj, ("scenario_id", "ticks_per_session") + CONTEXT_FIELDS, "scenario."
-    )
+    r.reject_unknown(scenario_obj, ("ticks_per_session",) + CONTEXT_FIELDS, "scenario.")
     base = default_scenario()
     scenario = Scenario(
-        scenario_id=r.string(scenario_obj, "scenario_id", "scenario.", base.scenario_id),
         ticks_per_session=r.integer(
             scenario_obj, "ticks_per_session", "scenario.", base.ticks_per_session, low=0
         ),
@@ -117,33 +106,24 @@ def _reference_parse_config(text: str) -> ExperimentConfig:
     )
 
     profiles_obj = r.section(document, "profiles", "profiles")
-    r.reject_unknown(
-        profiles_obj, ("source", "linkage_strength", "expert_path", "learner_path"), "profiles."
-    )
-    source = r.string(profiles_obj, "source", "profiles.", BUILTIN_PROFILES)
-    if source not in (BUILTIN_PROFILES, FILE_PROFILES):
-        r.complain(
-            "profiles.source",
-            f"must be {BUILTIN_PROFILES!r} or {FILE_PROFILES!r}, got {source!r}",
-        )
-        source = BUILTIN_PROFILES
+    r.reject_unknown(profiles_obj, ("linkage_strength", "expert_path", "learner_path"), "profiles.")
     linkage = r.number(
         profiles_obj, "linkage_strength", "profiles.", 0.7, 0.0, 1.0, low_open=True
     )
     expert_path = profiles_obj.get("expert_path")
     learner_path = profiles_obj.get("learner_path")
-    if source == FILE_PROFILES:
-        for name, value in (("expert_path", expert_path), ("learner_path", learner_path)):
-            if not isinstance(value, str) or not value:
-                r.complain(f"profiles.{name}", "required when source is 'file'")
-            elif not Path(value).is_file():
-                r.complain(f"profiles.{name}", f"file not found: {value}")
-    else:
-        for name, value in (("expert_path", expert_path), ("learner_path", learner_path)):
-            if value is not None:
-                r.complain(f"profiles.{name}", "only allowed when source is 'file'")
+    for name, value, other, other_value in (
+        ("expert_path", expert_path, "learner_path", learner_path),
+        ("learner_path", learner_path, "expert_path", expert_path),
+    ):
+        if value is None:
+            if other_value is not None:
+                r.complain(f"profiles.{name}", f"required when profiles.{other} is given")
+        elif not isinstance(value, str) or not value:
+            r.complain(f"profiles.{name}", f"expected a file path, got {value!r}")
+        elif not Path(value).is_file():
+            r.complain(f"profiles.{name}", f"file not found: {value}")
     profiles = ProfilesConfig(
-        source=source,
         linkage_strength=linkage,
         expert_path=expert_path if isinstance(expert_path, str) else None,
         learner_path=learner_path if isinstance(learner_path, str) else None,
@@ -207,7 +187,6 @@ _VALID = {
         "output_dir": st.text(max_size=4),
     },
     "scenario": {
-        "scenario_id": st.text(max_size=4),
         "ticks_per_session": st.integers(0, 10**6),
         **{f: st.floats(0.0, 1.0) for f in CONTEXT_FIELDS},
     },
@@ -243,7 +222,9 @@ _JUNK = st.one_of(
         [0.0, -0.0, 0.5, 0.55, 1.0, 2.0, 1e308, MAX_SMOOTHING, float("inf"), float("nan")]
     ),
 )
-_UNKNOWN_KEYS = st.lists(st.sampled_from(["mystery", "seed", "Window", "z"]), max_size=2)
+_UNKNOWN_KEYS = st.lists(
+    st.sampled_from(["mystery", "seed", "Window", "z", "scenario_id", "source"]), max_size=2
+)
 
 
 @st.composite
@@ -282,15 +263,11 @@ def _reference_documents(draw):
 def _profile_sources(clean: bool):
     paths = st.sampled_from([_GOOD_PATH, "", "nowhere/absent.json"])
     if clean:
-        file = st.fixed_dictionaries(
-            {"source": st.just(FILE_PROFILES), "expert_path": st.just(_GOOD_PATH),
-             "learner_path": st.just(_GOOD_PATH)}
-        )
-        return st.one_of(st.just({}), st.just({"source": BUILTIN_PROFILES}), file)
+        files = {"expert_path": _GOOD_PATH, "learner_path": _GOOD_PATH}
+        return st.sampled_from([{}, files])
     return st.fixed_dictionaries(
         {},
         optional={
-            "source": st.one_of(st.sampled_from([BUILTIN_PROFILES, FILE_PROFILES, "x"]), _JUNK),
             "expert_path": st.one_of(paths, _JUNK),
             "learner_path": st.one_of(paths, _JUNK),
         },
@@ -327,8 +304,10 @@ def test_config_reader_matches_the_field_by_field_reference(profile_file, docume
         '{"learning": {"seed": 3}}',
         '{"scenario": [], "dataset": {"window": 0, "split_ratio": 0}, "zz": 1}',
         '{"transfer": {"max_iterations": 0, "stop_threshold": 1, "learning_rate": 0}}',
-        '{"profiles": {"source": "file", "expert_path": "", "learner_path": 3}}',
+        '{"profiles": {"expert_path": "", "learner_path": 3}}',
         '{"profiles": {"source": "x", "learner_path": "a.json", "linkage_strength": 0}}',
+        '{"profiles": {"expert_path": null, "learner_path": "a.json"}}',
+        '{"scenario": {"scenario_id": "default", "ticks_per_session": -1}}',
     ],
 )
 def test_config_reader_matches_the_reference_on_hand_picked_documents(text):

@@ -49,7 +49,6 @@ def _context(**overrides) -> StimulusContext:
 
 def _scenario(**overrides) -> Scenario:
     fields = dict(
-        scenario_id="test",
         ticks_per_session=10,
         location_indoor=0.0,
         obstacle_present=0.0,

@@ -15,9 +15,11 @@ from skilltransfer.bayes import bayesnet_to_json
 from skilltransfer.behavior_data import AttributeId, PlayerId
 from skilltransfer.game_domain import ConditionKey, PlayerProfile, Scenario
 from skilltransfer.transfer_loop import (
+    DatasetConfig,
     IterationRecord,
     TerminalReason,
     TransferConfig,
+    TransferParams,
     TransferTrace,
     build_schedule,
     curves_to_csv,
@@ -37,7 +39,6 @@ MOVE = AttributeId.MOVEMENT
 
 def _scenario(**overrides) -> Scenario:
     fields = dict(
-        scenario_id="loop-test",
         ticks_per_session=200,
         location_indoor=0.5,
         obstacle_present=0.6,
@@ -109,7 +110,7 @@ def test_schedule_keeps_a_stimulus_already_above_the_floor():
     assert scenario.horse_available == 0.8
     assert scenario.obstacle_present == 0.9  # already above the floor
     assert scenario.soldier_present == 0.0
-    assert (scenario.scenario_id, scenario.ticks_per_session) == ("loop-test", 200)
+    assert scenario.ticks_per_session == 200
 
 
 def test_schedule_never_touches_location():
@@ -254,7 +255,7 @@ def test_full_rate_transfer_zeroes_divergence_after_one_nudge(table1_pair, base_
     )
     trace = run_transfer(
         expert, learner,
-        TransferConfig(scenario=base_scenario, learning_rate=1.0),
+        TransferConfig(scenario=base_scenario, loop=TransferParams(learning_rate=1.0)),
         seed=0,
     )
     assert trace.terminal_reason is TerminalReason.THRESHOLD_REACHED
@@ -266,7 +267,9 @@ def test_full_rate_transfer_zeroes_divergence_after_one_nudge(table1_pair, base_
 
 def test_transfer_is_deterministic(table1_pair):
     expert, learner = table1_pair
-    config = TransferConfig(scenario=_scenario(ticks_per_session=500), max_iterations=2)
+    config = TransferConfig(
+        scenario=_scenario(ticks_per_session=500), loop=TransferParams(max_iterations=2)
+    )
     first = run_transfer(expert, learner, config, seed=9)
     second = run_transfer(expert, learner, config, seed=9)
     assert first == second
@@ -287,19 +290,18 @@ def test_divergence_strictly_decreases_after_every_nudge(default_trace):
             assert after.divergence < before.divergence
 
 
-def test_transfer_config_validates_its_ranges(base_scenario):
-    good = dict(scenario=base_scenario)
-    for field, bad in [
-        ("learning_rate", 0.0),
-        ("learning_rate", 1.5),
-        ("stop_threshold", 0.4),
-        ("stop_threshold", 1.0),
-        ("max_iterations", 0),
-        ("window", 0),
-        ("split_ratio", 1.0),
+def test_transfer_config_validates_its_ranges():
+    for section, field, bad in [
+        (TransferParams, "learning_rate", 0.0),
+        (TransferParams, "learning_rate", 1.5),
+        (TransferParams, "stop_threshold", 0.4),
+        (TransferParams, "stop_threshold", 1.0),
+        (TransferParams, "max_iterations", 0),
+        (DatasetConfig, "window", 0),
+        (DatasetConfig, "split_ratio", 1.0),
     ]:
         with pytest.raises(ValueError, match=field):
-            TransferConfig(**{**good, field: bad})
+            section(**{field: bad})
 
 
 # --- curves ------------------------------------------------------------------------------
