@@ -70,9 +70,17 @@ def _load(config_path: str, seed: int | None, out: str | None) -> ExperimentConf
     return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _prepare_run_dir(config: ExperimentConfig) -> Path:
+def _make_run_dir(config: ExperimentConfig) -> Path:
     run_dir = run_directory(config)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot create {run_dir}: {exc.strerror}") from exc
+    return run_dir
+
+
+def _prepare_run_dir(config: ExperimentConfig) -> Path:
+    run_dir = _make_run_dir(config)
     (run_dir / "config.json").write_text(serialize_config(config), encoding="utf-8")
     return run_dir
 
@@ -270,7 +278,7 @@ def report(
         trace = trace_from_json(trace_file.read_text(encoding="utf-8"))
     except MALFORMED_DOCUMENT as exc:
         raise DataValidationError(f"trace {trace_file}: {type(exc).__name__}: {exc}") from exc
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _make_run_dir(config)
     text = _render_report(trace)
     (run_dir / "report.txt").write_text(text, encoding="utf-8")
     if not quiet:

@@ -2,26 +2,27 @@
 
 A scenario is a bundle of independent per-tick stimulus probabilities. A
 player profile maps each condition key to a categorical distribution over
-behaviors. Each tick samples a context, picks the condition governing it,
-then draws a behavior from that condition's distribution restricted to
-the behaviors the context makes feasible and renormalized.
+behaviors. The keys governing a tick's context share it equally; under each,
+the behavior follows the key's distribution restricted to the behaviors the
+context makes feasible and renormalized.
 
 Condition precedence: stimulus-driven keys (obstacle, person facing,
-climbable, horse, soldier, civilian) govern whenever any of their
-stimuli is present; one of them is picked uniformly at random. Only when
-no stimulus is active does the location key (indoor or outdoor) govern
-the tick. The ``default`` key is never selected directly; when a
-governing key puts no mass at all on a feasible behavior, the tick is
-drawn from the default distribution restricted the same way. A session
-refuses to start, whatever its length and seed, when some context its
-scenario can produce falls back on a default with no feasible behavior.
+climbable, horse, soldier, civilian) govern whenever any of their stimuli
+is present. Only when no stimulus is active does the location key (indoor
+or outdoor) govern the tick. The ``default`` key is never selected
+directly; when a governing key puts no mass at all on a feasible behavior,
+its share follows the default distribution restricted the same way. A
+session refuses to start, whatever its length and seed, when some context
+its scenario can produce falls back on a default with no feasible behavior.
 
-Each profile carries a table of these restricted distributions, one
-inverse CDF per (governing key, context code), built once on first use.
-``run_session``, the one simulator, draws whole blocks of ticks from it
-into one context-code and one behavior-value column, which the
+No log records which key governed a tick, so the key pick is a mixture that
+is summed out: each profile carries one behavior law per context code, built
+once on first use. ``run_session``, the one simulator, weights it by the
+scenario's context probabilities into one joint (context, behavior) law per
+session and draws each tick from it with one uniform, in blocks, into one
+context-code and one behavior-value column, which the
 :class:`~skilltransfer.behavior_data.SessionLog` packs into its record
-array; no per-tick object is built. Feasibility is read from the one table,
+array. Feasibility is read from the one table,
 :data:`~skilltransfer.behavior_data.FEASIBILITY`. The random stream
 layout is documented in :mod:`skilltransfer.seeds`.
 """
@@ -176,68 +177,47 @@ def active_keys(context: StimulusContext) -> tuple[ConditionKey, ...]:
 _GOVERNING: tuple[ConditionKey, ...] = tuple(
     k for k in ConditionKey if k is not ConditionKey.DEFAULT
 )
-_N_CODES = len(CONTEXTS)
-#: Uniforms one tick reads: the context fields, the key pick, the behavior.
-_DRAWS_PER_TICK = len(CONTEXT_FIELDS) + 2
 #: Ticks drawn per block; the stream layout makes the output independent of it.
 _CHUNK = 4096
-_CODE_WEIGHTS = 1 << np.arange(len(CONTEXT_FIELDS))
-_EVENT_INDEX = {b: i for i, b in enumerate(EVENT_ATTRIBUTES)}
 #: ``AttributeId`` value of each ``EVENT_ATTRIBUTES`` index.
 _EVENT_VALUES = np.array([b.value for b in EVENT_ATTRIBUTES], dtype=np.int8)
 
-#: Per context code: how many keys govern it, and their behavior-table rows
-#: (key position in ``_GOVERNING`` times ``_N_CODES`` plus the code), padded.
-_ACTIVE = tuple(active_keys(c) for c in CONTEXTS)
-_N_ACTIVE = np.array([len(keys) for keys in _ACTIVE])
-_ACTIVE_ROWS = np.array(
-    [
-        [_GOVERNING.index(k) * _N_CODES + code for k in keys]
-        + [0] * (len(STIMULUS_KEY_FIELDS) - len(keys))
-        for code, keys in enumerate(_ACTIVE)
-    ]
-)
-#: Which entries of ``_ACTIVE_ROWS`` are rows rather than padding.
-_ACTIVE_MASK = np.arange(len(STIMULUS_KEY_FIELDS)) < _N_ACTIVE[:, None]
+#: ``_GOVERNS[code, k]``: key ``_GOVERNING[k]`` governs context ``CONTEXTS[code]``.
+_GOVERNS = np.array([[k in active_keys(c) for k in _GOVERNING] for c in CONTEXTS])
 #: Per context code, whether each ``CONTEXT_FIELDS`` entry is present.
-_CODE_FIELDS = (np.arange(_N_CODES)[:, None] >> np.arange(len(CONTEXT_FIELDS))) & 1 == 1
+_CODE_FIELDS = (np.arange(len(CONTEXTS))[:, None] >> np.arange(len(CONTEXT_FIELDS))) & 1 == 1
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
 
 
 class _BehaviorTable:
-    """Feasibility-restricted behavior distributions of one profile.
+    """Per-tick behavior law of one profile under each context.
 
-    Row ``k * _N_CODES + code`` of ``cdf`` holds the inverse CDF over
-    ``EVENT_ATTRIBUTES`` of governing key ``_GOVERNING[k]`` under context
-    ``code``, restricted to the feasible behaviors and renormalized. A key
-    with no feasible mass there uses the default key restricted the same
-    way; a row where the default has none either is dead, and
-    ``dead_codes`` marks the context codes with a dead governing row.
+    Row ``code`` of ``law`` is the law over ``EVENT_ATTRIBUTES`` of a tick
+    with context ``code``: the mean, over the keys governing that context,
+    of each key's distribution restricted to the feasible behaviors and
+    renormalized. A key with no feasible mass there uses the default key
+    restricted the same way; where the default has none either the key's
+    share is lost, and ``dead_codes`` marks that context.
     """
 
-    __slots__ = ("profile_id", "cdf", "dead_codes")
+    __slots__ = ("profile_id", "law", "dead_codes")
 
     def __init__(self, profile: PlayerProfile) -> None:
-        def masked(key: ConditionKey) -> np.ndarray:  # (code, behavior)
-            probs = np.zeros(len(EVENT_ATTRIBUTES))
-            for behavior, p in profile.distributions[key].items():
-                probs[_EVENT_INDEX[behavior]] = p
-            return probs * _FEASIBLE
-
-        rows = np.array([masked(k) for k in _GOVERNING])
-        rows = np.where(
-            rows.sum(axis=2, keepdims=True) > 0.0, rows, masked(ConditionKey.DEFAULT)
+        probs = np.array(
+            [
+                [profile.distributions[k].get(b, 0.0) for b in EVENT_ATTRIBUTES]
+                for k in (*_GOVERNING, ConditionKey.DEFAULT)
+            ]
         )
-        cumulative = np.cumsum(rows, axis=2).reshape(-1, len(EVENT_ATTRIBUTES))
-        total = cumulative[:, -1:]
-        dead = total[:, 0] == 0.0
-        # Dividing by the last cumulative sum makes every entry from the last
-        # feasible behavior on exactly 1.0, so a uniform in [0, 1) never lands
-        # past it.
-        self.cdf = cumulative / np.where(dead[:, None], 1.0, total)
-        self.dead_codes = (dead[_ACTIVE_ROWS] & _ACTIVE_MASK).any(axis=1)
+        masked = probs[:, None, :] * _FEASIBLE  # (key, code, behavior), the default last
+        rows = np.where(masked[:-1].sum(axis=2, keepdims=True) > 0.0, masked[:-1], masked[-1])
+        total = rows.sum(axis=2, keepdims=True)
+        dead = total[:, :, 0].T == 0.0  # (code, key)
+        rows = rows / np.where(total == 0.0, 1.0, total) * _GOVERNS.T[:, :, None]
+        self.law = rows.sum(axis=0) / _GOVERNS.sum(axis=1, keepdims=True)
+        self.dead_codes = (dead & _GOVERNS).any(axis=1)
         self.profile_id = profile.profile_id
 
     def check(self, p: np.ndarray) -> None:
@@ -250,14 +230,6 @@ class _BehaviorTable:
                 "behavior for a context the scenario can produce"
             )
 
-    def draw(self, codes: np.ndarray, u_key: np.ndarray, u_behavior: np.ndarray) -> np.ndarray:
-        """Behavior indices into ``EVENT_ATTRIBUTES``, one per tick."""
-        # u_key < 1, and for n_active <= 6 the float64 product stays below
-        # n_active, so the pick is always one of the active keys.
-        pick = (u_key * _N_ACTIVE[codes]).astype(np.intp)
-        rows = _ACTIVE_ROWS[codes, pick]
-        return (u_behavior[:, None] >= self.cdf[rows]).sum(axis=1)
-
 
 def run_session(
     scenario: Scenario, profile: PlayerProfile, player: PlayerId, seed: int
@@ -265,18 +237,24 @@ def run_session(
     """Simulate one full session; bit-identical for identical arguments."""
     rng = derive_rng(seed)
     table = profile._table
-    # Column i of a block is the draw of CONTEXT_FIELDS[i].
     p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
     table.check(p)
+    # Inverse CDF of the joint law of (context code, behavior index), code-major:
+    # each context's weight times its behavior law. A pair without mass repeats
+    # the entry before it, so ``side="right"`` never lands on it, and dividing by
+    # the last entry makes it exactly 1.0, past every uniform in [0, 1).
+    weights = np.where(_CODE_FIELDS, p, 1.0 - p).prod(axis=1)
+    cdf = np.cumsum(weights[:, None] * table.law)
+    cdf /= cdf[-1]
     ticks = scenario.ticks_per_session
     contexts = np.empty(ticks, dtype=np.uint8)
     behaviors = np.empty(ticks, dtype=np.int8)
     for start in range(0, ticks, _CHUNK):
-        u = rng.random((min(_CHUNK, ticks - start), _DRAWS_PER_TICK))
+        u = rng.random(min(_CHUNK, ticks - start))
         stop = start + len(u)
-        codes = (u[:, : len(CONTEXT_FIELDS)] < p) @ _CODE_WEIGHTS
+        codes, events = np.divmod(np.searchsorted(cdf, u, side="right"), len(EVENT_ATTRIBUTES))
         contexts[start:stop] = codes
-        behaviors[start:stop] = _EVENT_VALUES[table.draw(codes, u[:, -2], u[:, -1])]
+        behaviors[start:stop] = _EVENT_VALUES[events]
     return SessionLog(
         player,
         ticks=np.arange(ticks),
@@ -433,13 +411,16 @@ def profile_from_payload(payload: dict) -> PlayerProfile:
     return PlayerProfile(profile_id=profile_id, distributions=distributions)
 
 
-def profile_from_json(text: str) -> PlayerProfile:
+def profile_from_json(document: str | bytes) -> PlayerProfile:
+    """The profile a JSON document holds; bytes are decoded as UTF-8."""
     try:
-        return profile_from_payload(json.loads(text))
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        return profile_from_payload(json.loads(document))
     except MALFORMED_DOCUMENT as exc:
         raise ConfigError(f"invalid profile document: {exc}") from exc
 
 
 def read_profile(path: str | Path) -> PlayerProfile:
-    return profile_from_json(Path(path).read_text(encoding="utf-8"))
+    return profile_from_json(Path(path).read_bytes())
 

@@ -16,20 +16,18 @@ for the one-shot identification commands and 1-based inside the transfer
 loop.
 
 Session stream layout. ``run_session`` keeps one ``derive_rng(seed)``
-Philox stream per session and reads it as consecutive row-major
-``(chunk, 9)`` float64 blocks, one row per tick:
+Philox stream per session and reads one float64 per tick, in blocks of
+consecutive doubles. A tick's double ``u`` is decoded by the inverse CDF
+of the session's joint law over (context code, behavior index) pairs,
+laid out row-major: pair ``code * 9 + b`` for the context code of
+``CONTEXTS`` and behavior ``b`` in ``EVENT_ATTRIBUTES`` order, with mass
+equal to the context's probability times the behavior's probability under
+it. The tick is the first pair whose cumulative mass, divided by the total,
+exceeds ``u``.
 
-    columns 0-6   context Bernoullis, field i present when u < p_i, in
-                  ``CONTEXT_FIELDS`` order
-    column 7      governing key, ``floor(u * n_active)`` into the active
-                  keys: the stimulus keys present, in ``STIMULUS_KEY_FIELDS``
-                  order, or the single location key when none is
-    column 8      behavior, inverse CDF over ``EVENT_ATTRIBUTES`` order of
-                  the key's feasibility-restricted distribution
-
-Every tick reads exactly nine doubles, so a session of T ticks is the
+Every tick reads exactly one double, so a session of T ticks is the
 first T ticks of any longer session with the same seed, whatever the
-block size, and a replay that reads nine doubles per tick from
+block size, and a replay that reads one double per tick from
 ``derive_rng(seed)`` gives back ``run_session``'s ticks one by one.
 """
 

@@ -522,22 +522,48 @@ def test_the_smallest_linkage_strength_identifies(tmp_path):
     assert result.exit_code == 0, result.stderr
 
 
-def test_unwritable_output_directory_exits_four(tmp_path):
+def test_an_output_directory_that_cannot_be_created_exits_two(tmp_path):
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("in the way", encoding="utf-8")
     config_path = tmp_path / "config.json"
-    config_path.write_text(
-        json.dumps(
-            {
-                "scenario": {"ticks_per_session": 10},
-                "output_dir": str(blocker),
-            }
-        ),
+    config_path.write_text(json.dumps({"scenario": {"ticks_per_session": 100}}), encoding="utf-8")
+    nested = tmp_path / "nested.json"
+    nested.write_text(
+        json.dumps({"scenario": {"ticks_per_session": 100}, "output_dir": str(blocker / "sub")}),
         encoding="utf-8",
     )
-    result = _invoke(["simulate", "--config", config_path])
-    assert result.exit_code == 4
-    assert result.stderr.startswith("error: anomaly:")
+    written = _invoke(["transfer", "--config", config_path, "--out", tmp_path / "runs"])
+    assert written.exit_code == 0, written.stderr
+    (trace,) = (tmp_path / "runs").glob("*/trace.json")
+    for args in (
+        ["simulate", "--config", config_path, "--out", blocker],
+        ["identify", "--config", config_path, "--out", blocker],
+        ["simulate", "--config", nested],
+        ["report", "--config", config_path, "--out", blocker, "--trace", trace],
+    ):
+        result = _invoke(args)
+        assert result.exit_code == 2, (args, result.stderr)
+        assert result.stderr.startswith("error: config: output_dir: cannot create "), args
+        assert result.stderr.count("\n") == 1, args
+
+
+def test_a_config_file_that_is_not_utf8_exits_two(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b"\xff\xfe")
+    result = _invoke(["simulate", "--config", config_path, "--out", tmp_path / "runs"])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith(f"error: config: document: cannot read {config_path} (")
+
+
+def test_a_profile_file_that_is_not_utf8_exits_two(tmp_path):
+    expert = _write_profile(tmp_path / "expert.json", profile_payload(table1_profiles()[0]))
+    learner = tmp_path / "learner.json"
+    learner.write_bytes(b"\xff\xfe")
+    result = _simulate_with(
+        tmp_path, {"profiles": {"expert_path": str(expert), "learner_path": str(learner)}}
+    )
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: config: invalid profile document: ")
 
 
 def test_a_profile_probability_beyond_the_float_range_exits_two(tmp_path):

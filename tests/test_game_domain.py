@@ -6,7 +6,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
-from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +20,7 @@ from skilltransfer.behavior_data import (
     AttributeId,
     PlayerId,
     StimulusContext,
+    validate_session,
 )
 from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
@@ -208,49 +208,76 @@ def test_a_short_session_is_a_prefix_of_a_longer_one(base_scenario, table1_pair)
     assert records_of(short) == records_of(long)[:ticks]
 
 
-def _replayed_behavior(
-    profile: PlayerProfile, key: ConditionKey, context: StimulusContext, u: float
-) -> AttributeId:
-    """Inverse CDF over the key's feasible behaviors, else over the default's."""
-    for k in (key, ConditionKey.DEFAULT):
-        dist = profile.distributions[k]
-        weights = [dist.get(b, 0.0) if feasible(b, context) else 0.0 for b in EVENT_ATTRIBUTES]
-        cumulative = list(accumulate(weights))
-        if cumulative[-1] > 0.0:
-            return next(
-                b for b, c in zip(EVENT_ATTRIBUTES, cumulative) if u < c / cumulative[-1]
-            )
-    raise AssertionError("no feasible behavior")
+def _fallback_profile() -> PlayerProfile:
+    """Its obstacle key has no feasible mass without a horse, so the default draws those ticks."""
+    return _flat_profile(
+        obstacle={AttributeId.RIDING_HRS: 1.0},
+        default={AttributeId.FIGHTING: 0.3, AttributeId.OBSTACLE: 0.3, MOVE: 0.4},
+    )
+
+
+def _oracle_pairs(
+    profile: PlayerProfile, scenario: Scenario
+) -> list[tuple[StimulusContext, AttributeId, float]]:
+    """The oracle's (context, behavior, cumulative mass), context code-major."""
+    pairs = []
+    total = 0.0
+    weighted = oracles.context_weights(scenario)
+    for context, weight in sorted(weighted, key=lambda cw: CONTEXTS.index(cw[0])):
+        law = oracles.tick_distribution(profile, context)
+        for behavior in EVENT_ATTRIBUTES:
+            total += weight * law.get(behavior, 0.0)
+            pairs.append((context, behavior, total))
+    return pairs
 
 
 def test_a_tick_by_tick_replay_of_the_stream_layout_matches_the_session(
     base_scenario, table1_pair
 ):
     # The session stream layout of skilltransfer.seeds, one tick at a time:
-    # nine doubles per tick, the context from the first seven, the governing
-    # key from the eighth, the behavior from the ninth. The second profile's
-    # obstacle key has no feasible mass without a horse, so the default key
-    # draws those ticks.
+    # one double per tick, decoded through the inverse CDF of the oracle's
+    # joint (context, behavior) law in context code-major order.
     _, learner = table1_pair
-    fallback = _flat_profile(
-        obstacle={AttributeId.RIDING_HRS: 1.0},
-        default={AttributeId.FIGHTING: 0.3, AttributeId.OBSTACLE: 0.3, MOVE: 0.4},
-    )
     scenario = replace(base_scenario, ticks_per_session=300)
-    for profile in (learner, fallback):
+    for profile in (learner, _fallback_profile()):
         log = run_session(scenario, profile, PlayerId.ID2, seed=9)
+        pairs = _oracle_pairs(profile, scenario)
+        total = pairs[-1][2]
         rng = derive_rng(9)
         replayed = []
         for tick in range(300):
-            u = rng.random(len(CONTEXT_FIELDS) + 2).tolist()
-            context = StimulusContext(
-                **{f: u[i] < getattr(scenario, f) for i, f in enumerate(CONTEXT_FIELDS)}
-            )
-            keys = active_keys(context)
-            key = keys[math.floor(u[7] * len(keys))]
-            behavior = _replayed_behavior(profile, key, context, u[8])
+            u = rng.random()
+            context, behavior, _ = next(pair for pair in pairs if u < pair[2] / total)
             replayed.append(Record(PlayerId.ID2, tick, context, behavior))
         assert records_of(log) == tuple(replayed), profile.profile_id
+
+
+@pytest.mark.parametrize("strength", [0.1, 0.4, 0.7, 1.0])
+def test_the_behavior_law_of_each_context_is_the_oracle_mixture(strength):
+    for profile in (*table1_profiles(strength), _fallback_profile()):
+        law = profile._table.law
+        for code, context in enumerate(CONTEXTS):
+            want = oracles.tick_distribution(profile, context)
+            assert law[code].tolist() == pytest.approx(
+                [want.get(b, 0.0) for b in EVENT_ATTRIBUTES], rel=0.0, abs=1e-15
+            ), (profile.profile_id, context)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    probabilities=st.lists(
+        st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0]),
+        min_size=len(CONTEXT_FIELDS), max_size=len(CONTEXT_FIELDS),
+    ),
+    which=st.sampled_from([0, 1, 2]),
+)
+def test_degenerate_scenarios_never_draw_a_pair_without_mass(probabilities, which):
+    profile = (*table1_profiles(), _fallback_profile())[which]
+    scenario = _scenario(ticks_per_session=2000, **dict(zip(CONTEXT_FIELDS, probabilities)))
+    log = run_session(scenario, profile, PlayerId.ID1, seed=4)
+    assert validate_session(log) == []
+    reachable = {CONTEXTS.index(context) for context, _ in oracles.context_weights(scenario)}
+    assert set(log.contexts.tolist()) <= reachable
 
 
 def test_a_drawn_dead_row_is_a_config_error():
