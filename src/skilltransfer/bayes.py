@@ -7,13 +7,14 @@ unfinished one a step, over a stack of boolean adjacency matrices, with
 legality from boolean masks and reachability, and deltas read from one
 table of family scores, the only store of them. BIC is a sum of
 per-family local scores, so a move's delta reads only the families it
-touches, and those the table lacks are counted one node at a time, in
-one pass. Moves are ranked in a fixed order, adds by column then deletes
-and reverses by edge name, and an exact tie goes to the first, so the
-learned graph is that of a sequential scan. Inference is exact: a
-classification query instantiates every attribute, so the class
-posterior is the factorized joint evaluated once per class value and
-normalized in log space.
+touches. Those the table lacks at a step are counted together, across
+all children, in one call whose bounded passes each take one integer
+product and one ``bincount``. Moves are ranked in a fixed order, adds by
+column then deletes and reverses by edge name, and an exact tie goes to
+the first, so the learned graph is that of a sequential scan. Inference
+is exact: a classification query instantiates every attribute, so the
+class posterior is the factorized joint evaluated once per class value
+and normalized in log space.
 
 Learning, scoring and :func:`accuracy` read a table's distinct integer
 code rows, each with its count: family counts are the exact integers of
@@ -29,7 +30,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import accumulate, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -175,46 +176,54 @@ class _FamilyScorer:
             raise ValueError(f"dataset lacks columns for nodes: {missing}")
         self.variables = data.columns
         self.index = {name: i for i, name in enumerate(data.columns)}
-        self._cards = [len(data.domains[c]) for c in data.columns]
+        self._cards = np.array([len(data.domains[c]) for c in data.columns], dtype=np.int64)
+        # Node indices in name order, and each node's position in that order.
+        order = sorted(range(len(data.columns)), key=data.columns.__getitem__)
+        self._name_order = np.array(order, dtype=np.int64)
+        self._rank = np.argsort(self._name_order)
+        self._named_cards = self._cards[self._name_order]
         rows, self.copies = data._distinct_rows()
-        # Widened once, because family indices overflow int8 arithmetic,
-        # and stored column by column, because a family reads whole columns.
-        self.codes = rows.astype(np.int64, order="F")
+        # Widened once, because cell indices overflow int8 arithmetic, with
+        # the columns in name order, the order of a family's strides.
+        self.codes = rows[:, self._name_order].astype(np.int64)
         self.n = data.n_rows
         self._log_n = math.log(self.n)
-        self._name_order = sorted(range(len(self.variables)), key=self.variables.__getitem__)
 
     def family_counts(self, node: str, parents: Sequence[str]) -> np.ndarray:
-        """Count matrix with one row per parent assignment."""
-        return self._counts(self.index[node], [[self.index[p] for p in parents]])
+        """Count matrix with one row per parent assignment, first parent most significant."""
+        child, js = self.index[node], [self.index[p] for p in parents]
+        strides, cells = self._layout(np.array([child]), np.array([sum(1 << j for j in js)]))
+        counts = self._count(strides, cells).astype(np.int64)
+        # Counted with the parents in name order, then put in the caller's.
+        named = sorted(js, key=self._rank.__getitem__)
+        shape = [self._cards[j] for j in named] + [self._cards[child]]
+        axes = [named.index(j) for j in js] + [len(js)]
+        return counts.reshape(shape).transpose(axes).reshape(-1, self._cards[child])
 
-    def _counts(self, child: int, families: Sequence[Sequence[int]]) -> np.ndarray:
-        """The count matrices of ``child`` with each parent list of ``families``, stacked.
+    def _layout(self, children: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each family's stride per column of :attr:`codes`, and its count cells.
 
-        A family's matrix has one row per parent assignment, first parent
-        most significant, and one column per child value. All of them come
-        from one ``bincount`` over the distinct rows, one block per family.
+        A family's cells list its parents in name order, row-major, and the
+        child value last: a parent's stride is the child's cardinality times
+        the cardinalities of the parents after it, the child's is 1 and every
+        other column's 0.
         """
-        r = self._cards[child]
-        width = max(map(len, families))
-        columns, strides, offsets = [], [], [0]
-        for parents in families:
-            # Padding in front reads the child column with stride 0; the
-            # child value itself is the last digit.
-            pad, row, stride = width - len(parents), [1], r
-            for j in reversed(parents):
-                row.append(stride)
-                stride *= self._cards[j]
-            columns.append([child] * pad + list(parents) + [child])
-            strides.append([0] * pad + row[::-1])
-            offsets.append(offsets[-1] + stride)
-        # idx[f, i]: the cell of distinct row i in the block of family f.
-        idx = np.einsum("fkd,fk->fd", self.codes.T[np.array(columns)], np.array(strides))
-        idx += np.array(offsets[:-1])[:, None]
-        weights = np.concatenate([self.copies] * len(families))
+        bits = masks[:, None] >> self._name_order & 1
+        factors = self._named_cards ** bits
+        # suffix[f, k]: the product of family f's factors from column k on.
+        suffix = np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1]
+        r = self._cards[children]
+        strides = bits * (r[:, None] * suffix // factors)
+        strides[np.arange(len(children)), self._rank[children]] = 1
+        return strides, r * suffix[:, 0]
+
+    def _count(self, strides: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The families' count cells, one block after another, as exact floats."""
+        idx = strides @ self.codes.T
+        idx += (np.cumsum(cells) - cells)[:, None]
+        weights = self.copies[None].repeat(len(cells), axis=0).ravel()
         # The sums are integers below 2**53, so the float cells are exact.
-        counts = np.bincount(idx.ravel(), weights=weights, minlength=offsets[-1])
-        return counts.astype(np.int64).reshape(-1, r)
+        return np.bincount(idx.ravel(), weights=weights, minlength=int(cells.sum()))
 
     def local_score(self, node: str, parents: Sequence[str]) -> float:
         mask = 0
@@ -222,44 +231,49 @@ class _FamilyScorer:
             mask |= 1 << self.index[parent]
         return float(self.score_families(self.index[node], [mask])[0])
 
-    def score_families(self, child: int, masks: Iterable[int]) -> np.ndarray:
-        """Local scores of node ``child`` with each parent bitmask of ``masks``.
+    def score_families(self, children: int | np.ndarray, masks: Sequence[int]) -> np.ndarray:
+        """Local scores of each family (child, parent bitmask), a child broadcast over ``masks``.
 
-        The families are counted together, in passes of at most
-        ``_PASS_CELLS`` row indices plus count cells.
-        Parents in name order fix a family's count layout, and with it the
-        float summation order, so that a family has one score whatever the
-        order in which a caller names its parents: its terms are summed by
-        one ``.sum()`` over its own nonzero cells in row-major order.
+        All the families are counted together, in passes of at most
+        ``_PASS_CELLS`` row indices plus count cells, whichever children
+        they belong to. Parents in name order fix a family's count layout,
+        and with it the float summation order, so that a family has one
+        score whatever the order in which a caller names its parents and
+        whatever pass it lands in: its terms are summed by one ``.sum()``
+        over its own nonzero cells in row-major order.
         """
-        scores: list[float] = []
-        batch, size = [], 0
-        for mask in map(int, masks):
-            parents = [j for j in self._name_order if mask >> j & 1]
-            cells = self._cards[child] * math.prod([self._cards[j] for j in parents])
-            if batch and size + len(self.copies) + cells > _PASS_CELLS:
-                scores += self._score_pass(child, batch)
-                batch, size = [], 0
-            batch.append((parents, cells))
-            size += len(self.copies) + cells
-        if batch:
-            scores += self._score_pass(child, batch)
-        return np.array(scores)
+        masks = np.asarray(masks, dtype=np.int64)
+        children = np.broadcast_to(np.asarray(children, dtype=np.int64), masks.shape)
+        strides, cells = self._layout(children, masks)
+        r = self._cards[children]
+        scores = np.empty(len(masks))
+        start, size = 0, 0
+        for f, need in enumerate((cells + len(self.copies)).tolist()):
+            if f > start and size + need > _PASS_CELLS:
+                scores[start:f] = self._score_pass(strides[start:f], cells[start:f], r[start:f])
+                start, size = f, 0
+            size += need
+        if len(masks):
+            scores[start:] = self._score_pass(strides[start:], cells[start:], r[start:])
+        return scores
 
-    def _score_pass(self, child: int, batch: list[tuple[list[int], int]]) -> list[float]:
-        """The scores of the families (parents, cells) of ``batch``."""
-        r = self._cards[child]
-        counts = self._counts(child, [parents for parents, _ in batch])
-        offsets = np.array(list(accumulate([cells for _, cells in batch], initial=0)))
-        # The nonzero cells and their row totals, in row-major order.
+    def _score_pass(self, strides: np.ndarray, cells: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The scores of the families of one pass, with child cardinalities ``r``."""
+        counts = self._count(strides, cells)
+        ends = np.cumsum(cells)
+        # The nonzero cells in row-major order, and the row total of each,
+        # found by its (family, parent row) id.
         at = np.flatnonzero(counts)
-        seen = counts.ravel()[at]
-        totals = counts.sum(axis=1)[at // r]
+        seen = counts[at]
+        family = np.searchsorted(ends, at, side="right")
+        q = cells // r
+        row = (np.cumsum(q) - q)[family] + (at - (ends - cells)[family]) // r[family]
+        totals = np.bincount(row, weights=seen)[row]
         terms = seen * (np.log(seen) - np.log(totals))
-        ends = np.searchsorted(at, offsets).tolist()
-        log_likelihood = np.array([terms[a:b].sum() for a, b in zip(ends, ends[1:])])
-        penalty = 0.5 * self._log_n * (np.diff(offsets) // r) * (r - 1)
-        return (log_likelihood - penalty).tolist()
+        bounds = np.searchsorted(at, ends).tolist()
+        log_likelihood = np.array([terms[a:b].sum() for a, b in zip([0] + bounds, bounds)])
+        penalty = 0.5 * self._log_n * q * (r - 1)
+        return log_likelihood - penalty
 
 
 def bic_score(dag: Dag, data: DataSet) -> float:
@@ -283,9 +297,10 @@ class _Climber:
     reversing it unless a path of two or more edges leads from u to v.
     Deltas are read from :attr:`family`, a table of local scores indexed
     by (child, parent bitmask); the families a legal move needs and the
-    table lacks are scored in one batch per child, so the scorer sees only
-    the families a full rescan would score. A toggle delta is ``family -
-    current`` and a reverse delta ``(toggle + family) - current``.
+    table lacks are scored in one :meth:`_FamilyScorer.score_families` call
+    per step, across all children, so the scorer sees only the families a
+    full rescan would score. A toggle delta is ``family - current`` and a
+    reverse delta ``(toggle + family) - current``.
     """
 
     def __init__(self, scorer: _FamilyScorer, max_parents: int):
@@ -375,9 +390,8 @@ class _Climber:
             width = self.family.shape[1]
             # return_index keeps numpy.ma unimported.
             keys = np.unique((nodes * width + masks)[lacking], return_index=True)[0]
-            for child in set((keys // width).tolist()):
-                group = keys[keys // width == child] % width
-                self.family[child, group] = self.scorer.score_families(child, group)
+            children, group = np.divmod(keys, width)
+            self.family[children, group] = self.scorer.score_families(children, group)
             got = self.family[nodes, masks]
         return got
 

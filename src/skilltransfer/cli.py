@@ -16,7 +16,9 @@ stdout; errors go to stderr with stable one-line prefixes.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import click
@@ -79,9 +81,23 @@ def _make_run_dir(config: ExperimentConfig) -> Path:
     return run_dir
 
 
+def _write(path: Path, content: str | Callable[[Path], None]) -> None:
+    """Write ``content`` to ``path``: UTF-8 text, or a writer called with the path.
+
+    An ``OSError``, such as a directory of that name, is a configuration error.
+    """
+    try:
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            content(path)
+    except OSError as exc:
+        raise ConfigError(f"output_dir: cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _prepare_run_dir(config: ExperimentConfig) -> Path:
     run_dir = _make_run_dir(config)
-    (run_dir / "config.json").write_text(serialize_config(config), encoding="utf-8")
+    _write(run_dir / "config.json", serialize_config(config))
     return run_dir
 
 
@@ -165,7 +181,7 @@ def simulate(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     run_dir = _prepare_run_dir(config)
     names = {PlayerId.ID1: "expert.jsonl", PlayerId.ID2: "learner.jsonl"}
     for log in logs:
-        write_session_jsonl(log, run_dir / names[log.player])
+        _write(run_dir / names[log.player], partial(write_session_jsonl, log))
     ticks = config.scenario.ticks_per_session
     _echo(quiet, f"simulate files=2 ticks_per_session={ticks} run_dir={run_dir}")
 
@@ -180,7 +196,7 @@ def dataset(config_path: str, seed: int | None, out: str | None, quiet: bool) ->
     logs = _simulate_sessions(config)
     data = to_dataset(logs, config.dataset.window)
     run_dir = _prepare_run_dir(config)
-    write_dataset_csv(data, run_dir / "dataset.csv")
+    _write(run_dir / "dataset.csv", partial(write_dataset_csv, data))
     _echo(quiet, f"dataset rows={data.n_rows} window={config.dataset.window} run_dir={run_dir}")
 
 
@@ -197,14 +213,14 @@ def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -
         dataset=config.dataset, learn=config.learning, seed=config.seed,
     )
     run_dir = _prepare_run_dir(config)
-    write_bayesnet(result.network, run_dir / "network.json")
+    _write(run_dir / "network.json", partial(write_bayesnet, result.network))
     summary = (
         f"identify accuracy={result.accuracy!r} "
         f"attributes={'|'.join(a.column for a in result.attributes)} "
         f"train_rows={result.train_rows} test_rows={result.test_rows} "
         f"run_dir={run_dir}"
     )
-    (run_dir / "identify.txt").write_text(summary + "\n", encoding="utf-8")
+    _write(run_dir / "identify.txt", summary + "\n")
     _echo(quiet, summary)
 
 
@@ -219,9 +235,9 @@ def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     params = TransferConfig(config.scenario, config.transfer, config.dataset, config.learning)
     trace = run_transfer(expert, learner, params, config.seed)
     run_dir = _prepare_run_dir(config)
-    (run_dir / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8")
-    (run_dir / "trace.json").write_text(trace_to_json(trace), encoding="utf-8")
-    (run_dir / "curves.csv").write_text(curves_to_csv(trace), encoding="utf-8")
+    _write(run_dir / "trace.csv", trace_to_csv(trace))
+    _write(run_dir / "trace.json", trace_to_json(trace))
+    _write(run_dir / "curves.csv", curves_to_csv(trace))
     last = trace.iterations[-1]
     _echo(
         quiet,
@@ -280,7 +296,7 @@ def report(
         raise DataValidationError(f"trace {trace_file}: {type(exc).__name__}: {exc}") from exc
     _make_run_dir(config)
     text = _render_report(trace)
-    (run_dir / "report.txt").write_text(text, encoding="utf-8")
+    _write(run_dir / "report.txt", text)
     if not quiet:
         click.echo(text, nl=False)
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -564,6 +565,76 @@ def test_batch_scores_equal_the_reference_for_any_masks(case):
         parents = [data.columns[j] for j in range(len(data.columns)) if mask >> j & 1]
         want = _reference_local_score(_FullTableCounts(data), data.columns[child], parents)
         assert score == want, (mask, parents)
+
+
+@st.composite
+def _mixed_batch_cases(draw):
+    """A _summary_cases table, families of several children, and a pass bound.
+
+    The families come interleaved by child, some repeated, the empty mask
+    among them; parents are bounded as in _batch_cases. The pass bound
+    lies between one row index and the whole batch, so that passes end
+    inside a child's families and between children.
+    """
+    data, _, _ = draw(_summary_cases())
+    k = len(data.columns)
+    most = 1 if k >= 10 else 2
+    families = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        child = draw(st.integers(min_value=0, max_value=k - 1))
+        others = [j for j in range(k) if j != child]
+        parent_sets = st.lists(st.sampled_from(others), unique=True, max_size=most)
+        parents = draw(parent_sets) if others else []
+        families.append((child, sum(1 << j for j in parents)))
+    families.append((draw(st.integers(min_value=0, max_value=k - 1)), 0))
+    families += draw(st.lists(st.sampled_from(families), max_size=6))
+    families = draw(st.permutations(families))
+    cards = [len(data.domains[c]) for c in data.columns]
+    rows = len(np.unique(data.codes, axis=0))
+    batch = sum(
+        rows + cards[child] * math.prod(cards[j] for j in range(k) if mask >> j & 1)
+        for child, mask in families
+    )
+    return data, families, draw(st.integers(min_value=1, max_value=batch))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mixed_batch_cases())
+def test_one_call_over_many_children_scores_each_family_as_alone(case):
+    data, families, pass_cells = case
+    children, masks = (np.array(column) for column in zip(*families))
+    with mock.patch.object(bayes, "_PASS_CELLS", pass_cells):
+        scores = bayes._FamilyScorer(data).score_families(children, masks)
+    assert len(scores) == len(families)
+    for (child, mask), score in zip(families, scores.tolist()):
+        parents = [data.columns[j] for j in range(len(data.columns)) if mask >> j & 1]
+        want = _reference_local_score(_FullTableCounts(data), data.columns[child], parents)
+        assert score == want, (child, mask)
+
+
+def test_each_lockstep_step_scores_its_missing_families_in_one_call(base_scenario, table1_pair):
+    scenario = replace(base_scenario, ticks_per_session=2000)
+    data = to_dataset(simulate_pair(*table1_pair, scenario, 5, 0), 5)
+    calls_per_step = []
+    score_families, scores = bayes._FamilyScorer.score_families, bayes._Climber._scores
+
+    def counted_score_families(self, *args):
+        calls_per_step[-1] += 1
+        return score_families(self, *args)
+
+    def counted_scores(self, *args):
+        calls_per_step.append(0)
+        return scores(self, *args)
+
+    with (
+        mock.patch.object(bayes._FamilyScorer, "score_families", counted_score_families),
+        mock.patch.object(bayes._Climber, "_scores", counted_scores),
+    ):
+        learn_structure(data, LearnConfig(restarts=20), seed=5)
+    assert len(data.columns) == 11
+    # Scoring one child at a time would make several calls in one step.
+    assert max(calls_per_step) == 1
+    assert sum(calls_per_step) > 1
 
 
 def test_a_one_row_table_scores_every_family_zero():

@@ -547,6 +547,31 @@ def test_an_output_directory_that_cannot_be_created_exits_two(tmp_path):
         assert result.stderr.count("\n") == 1, args
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("simulate", "config.json"),
+        ("simulate", "expert.jsonl"),
+        ("simulate", "learner.jsonl"),
+        ("dataset", "dataset.csv"),
+        ("identify", "network.json"),
+        ("identify", "identify.txt"),
+        ("transfer", "trace.csv"),
+        ("transfer", "trace.json"),
+        ("transfer", "curves.csv"),
+        ("report", "report.txt"),
+    ],
+)
+def test_an_output_file_whose_name_is_a_directory_exits_two(quick_config, command, name):
+    if command == "report":
+        assert _invoke(["transfer", "--config", quick_config]).exit_code == 0
+    blocked = _run_dir(quick_config) / name
+    blocked.mkdir(parents=True)
+    result = _invoke([command, "--config", quick_config])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr == f"error: config: output_dir: cannot write {blocked}: Is a directory\n"
+
+
 def test_a_config_file_that_is_not_utf8_exits_two(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_bytes(b"\xff\xfe")
