@@ -189,16 +189,17 @@ class _FamilyScorer:
         self.n = data.n_rows
         self._log_n = math.log(self.n)
 
-    def family_counts(self, node: str, parents: Sequence[str]) -> np.ndarray:
-        """Count matrix with one row per parent assignment, first parent most significant."""
-        child, js = self.index[node], [self.index[p] for p in parents]
-        strides, cells = self._layout(np.array([child]), np.array([sum(1 << j for j in js)]))
-        counts = self._count(strides, cells).astype(np.int64)
-        # Counted with the parents in name order, then put in the caller's.
-        named = sorted(js, key=self._rank.__getitem__)
-        shape = [self._cards[j] for j in named] + [self._cards[child]]
-        axes = [named.index(j) for j in js] + [len(js)]
-        return counts.reshape(shape).transpose(axes).reshape(-1, self._cards[child])
+    def family_counts(self, families: Sequence[tuple[str, Sequence[str]]]) -> list[np.ndarray]:
+        """Each (node, parents) family's count matrix, as exact floats, all from one count.
+
+        A matrix has one row per parent assignment, the parents in name
+        order and the first most significant, and one column per node value.
+        """
+        children = np.array([self.index[node] for node, _ in families], dtype=np.int64)
+        masks = np.array([sum(1 << self.index[p] for p in ps) for _, ps in families], np.int64)
+        strides, cells = self._layout(children, masks)
+        blocks = np.split(self._count(strides, cells), np.cumsum(cells)[:-1])
+        return [block.reshape(-1, r) for block, r in zip(blocks, self._cards[children].tolist())]
 
     def _layout(self, children: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each family's stride per column of :attr:`codes`, and its count cells.
@@ -424,8 +425,8 @@ def learn_structure(data: DataSet, config: LearnConfig, seed: int = 0) -> Dag:
     check_range("seed", seed)
     scorer = _FamilyScorer(data)
     if CLASS_COLUMN in scorer.index:
-        sizes = scorer.family_counts(CLASS_COLUMN, ())[0]
-        for label, size in zip(data.domains[CLASS_COLUMN], sizes):
+        (sizes,) = scorer.family_counts([(CLASS_COLUMN, ())])
+        for label, size in zip(data.domains[CLASS_COLUMN], sizes[0]):
             if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
     starts = [set()] + [
@@ -438,16 +439,18 @@ def learn_structure(data: DataSet, config: LearnConfig, seed: int = 0) -> Dag:
 
 
 def fit_cpts(dag: Dag, data: DataSet, alpha: float = 1.0) -> BayesNet:
-    """Estimate all CPTs with additive (Laplace) smoothing ``alpha``."""
+    """Estimate all CPTs with additive (Laplace) smoothing ``alpha``.
+
+    One ``family_counts`` call counts every family, its parents in name
+    order as ``Dag.parents_of`` lists them: the CPT's row layout.
+    """
     check_range("smoothing", alpha)
-    scorer = _FamilyScorer(data, dag.nodes)
+    families = [(node, dag.parents_of(node)) for node in dag.nodes]
+    counts = _FamilyScorer(data, dag.nodes).family_counts(families)
     cpts: dict[str, Cpt] = {}
-    for node in dag.nodes:
-        parents = dag.parents_of(node)
-        counts = scorer.family_counts(node, parents).astype(float)
-        counts += alpha
-        table = counts / counts.sum(axis=1, keepdims=True)
-        cpts[node] = Cpt(node=node, parents=parents, table=table)
+    for (node, parents), c in zip(families, counts):
+        c += alpha
+        cpts[node] = Cpt(node=node, parents=parents, table=c / c.sum(axis=1, keepdims=True))
     domains = {n: tuple(data.domains[n]) for n in dag.nodes}
     return BayesNet(dag=dag, cpts=cpts, domains=domains)
 

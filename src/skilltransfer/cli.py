@@ -76,8 +76,9 @@ def _make_run_dir(config: ExperimentConfig) -> Path:
     run_dir = run_directory(config)
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output_dir: cannot create {run_dir}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL character
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"output_dir: cannot create {run_dir}: {reason}") from exc
     return run_dir
 
 

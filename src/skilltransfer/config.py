@@ -141,7 +141,7 @@ def parse_config(text: str) -> ExperimentConfig:
         text = "{}"
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nested too deep, or an integer too long
         raise ConfigError([f"document: not valid JSON ({exc})"]) from exc
     if not isinstance(document, dict):
         raise ConfigError(["document: top level must be a JSON object"])

@@ -35,8 +35,10 @@ class DataValidationError(Exception):
     """Session data violates a structural or feasibility rule."""
 
 
-#: What reading a malformed profile or trace document raises.
-MALFORMED_DOCUMENT = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+#: What reading a malformed profile or trace document raises; ``json.loads``
+#: raises ``RecursionError`` on nesting deeper than the interpreter's stack.
+MALFORMED_DOCUMENT = (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+                      RecursionError)
 
 
 def json_number(value: object, what: str, integer: bool = False) -> int | float:

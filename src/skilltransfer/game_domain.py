@@ -19,8 +19,8 @@ No log records which key governed a tick, so the key pick is a mixture that
 is summed out: each profile carries one behavior law per context code, built
 once on first use. ``run_session``, the one simulator, weights it by the
 scenario's context probabilities into one joint (context, behavior) law per
-session and draws each tick from it with one uniform, in blocks, into one
-context-code and one behavior-value column, which the
+session and draws every tick from it in one call, one uniform per tick,
+into one context-code and one behavior-value column, which the
 :class:`~skilltransfer.behavior_data.SessionLog` packs into its record
 array. Feasibility is read from the one table,
 :data:`~skilltransfer.behavior_data.FEASIBILITY`. The random stream
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -155,8 +155,30 @@ class PlayerProfile:
         object.__setattr__(self, "distributions", copied)
 
     @cached_property
-    def _table(self) -> _BehaviorTable:
-        return _BehaviorTable(self)
+    def _law(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tick behavior law of this profile under each context, and its dead contexts.
+
+        Row ``code`` of the law is the law over ``EVENT_ATTRIBUTES`` of a
+        tick with context ``code``: the mean, over the keys governing that
+        context, of each key's distribution restricted to the feasible
+        behaviors and renormalized. A key with no feasible mass there uses
+        the default key restricted the same way; where the default has none
+        either the key's share is lost, and the second array marks that
+        context dead.
+        """
+        probs = np.array(
+            [
+                [self.distributions[k].get(b, 0.0) for b in EVENT_ATTRIBUTES]
+                for k in (*_GOVERNING, ConditionKey.DEFAULT)
+            ]
+        )
+        masked = probs[:, None, :] * _FEASIBLE  # (key, code, behavior), the default last
+        rows = np.where(masked[:-1].sum(axis=2, keepdims=True) > 0.0, masked[:-1], masked[-1])
+        total = rows.sum(axis=2, keepdims=True)
+        dead = total[:, :, 0].T == 0.0  # (code, key)
+        rows = rows / np.where(total == 0.0, 1.0, total) * _GOVERNS.T[:, :, None]
+        law = rows.sum(axis=0) / _GOVERNS.sum(axis=1, keepdims=True)
+        return law, (dead & _GOVERNS).any(axis=1)
 
 
 def active_keys(context: StimulusContext) -> tuple[ConditionKey, ...]:
@@ -177,8 +199,6 @@ def active_keys(context: StimulusContext) -> tuple[ConditionKey, ...]:
 _GOVERNING: tuple[ConditionKey, ...] = tuple(
     k for k in ConditionKey if k is not ConditionKey.DEFAULT
 )
-#: Ticks drawn per block; the stream layout makes the output independent of it.
-_CHUNK = 4096
 #: ``AttributeId`` value of each ``EVENT_ATTRIBUTES`` index.
 _EVENT_VALUES = np.array([b.value for b in EVENT_ATTRIBUTES], dtype=np.int8)
 
@@ -191,76 +211,33 @@ _CODE_FIELDS = (np.arange(len(CONTEXTS))[:, None] >> np.arange(len(CONTEXT_FIELD
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
 
 
-class _BehaviorTable:
-    """Per-tick behavior law of one profile under each context.
-
-    Row ``code`` of ``law`` is the law over ``EVENT_ATTRIBUTES`` of a tick
-    with context ``code``: the mean, over the keys governing that context,
-    of each key's distribution restricted to the feasible behaviors and
-    renormalized. A key with no feasible mass there uses the default key
-    restricted the same way; where the default has none either the key's
-    share is lost, and ``dead_codes`` marks that context.
-    """
-
-    __slots__ = ("profile_id", "law", "dead_codes")
-
-    def __init__(self, profile: PlayerProfile) -> None:
-        probs = np.array(
-            [
-                [profile.distributions[k].get(b, 0.0) for b in EVENT_ATTRIBUTES]
-                for k in (*_GOVERNING, ConditionKey.DEFAULT)
-            ]
-        )
-        masked = probs[:, None, :] * _FEASIBLE  # (key, code, behavior), the default last
-        rows = np.where(masked[:-1].sum(axis=2, keepdims=True) > 0.0, masked[:-1], masked[-1])
-        total = rows.sum(axis=2, keepdims=True)
-        dead = total[:, :, 0].T == 0.0  # (code, key)
-        rows = rows / np.where(total == 0.0, 1.0, total) * _GOVERNS.T[:, :, None]
-        self.law = rows.sum(axis=0) / _GOVERNS.sum(axis=1, keepdims=True)
-        self.dead_codes = (dead & _GOVERNS).any(axis=1)
-        self.profile_id = profile.profile_id
-
-    def check(self, p: np.ndarray) -> None:
-        """Refuse stimulus probabilities ``p`` that can produce a context with a dead row."""
-        # A context is reachable when its present fields have p > 0 and its absent ones p < 1.
-        reachable = np.where(_CODE_FIELDS, p > 0.0, p < 1.0).all(axis=1)
-        if self.dead_codes[reachable].any():
-            raise ConfigError(
-                f"profile {self.profile_id!r}: default condition has no feasible "
-                "behavior for a context the scenario can produce"
-            )
-
-
 def run_session(
     scenario: Scenario, profile: PlayerProfile, player: PlayerId, seed: int
 ) -> SessionLog:
     """Simulate one full session; bit-identical for identical arguments."""
-    rng = derive_rng(seed)
-    table = profile._table
+    law, dead = profile._law
     p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
-    table.check(p)
+    # A context is reachable when its present fields have p > 0 and its absent ones p < 1.
+    if dead[np.where(_CODE_FIELDS, p > 0.0, p < 1.0).all(axis=1)].any():
+        raise ConfigError(
+            f"profile {profile.profile_id!r}: default condition has no feasible "
+            "behavior for a context the scenario can produce"
+        )
     # Inverse CDF of the joint law of (context code, behavior index), code-major:
     # each context's weight times its behavior law. A pair without mass repeats
     # the entry before it, so ``side="right"`` never lands on it, and dividing by
     # the last entry makes it exactly 1.0, past every uniform in [0, 1).
     weights = np.where(_CODE_FIELDS, p, 1.0 - p).prod(axis=1)
-    cdf = np.cumsum(weights[:, None] * table.law)
+    cdf = np.cumsum(weights[:, None] * law)
     cdf /= cdf[-1]
     ticks = scenario.ticks_per_session
-    contexts = np.empty(ticks, dtype=np.uint8)
-    behaviors = np.empty(ticks, dtype=np.int8)
-    for start in range(0, ticks, _CHUNK):
-        u = rng.random(min(_CHUNK, ticks - start))
-        stop = start + len(u)
-        codes, events = np.divmod(np.searchsorted(cdf, u, side="right"), len(EVENT_ATTRIBUTES))
-        contexts[start:stop] = codes
-        behaviors[start:stop] = _EVENT_VALUES[events]
+    pairs = np.searchsorted(cdf, derive_rng(seed).random(ticks), side="right")
     return SessionLog(
         player,
         ticks=np.arange(ticks),
-        players=np.full(ticks, PLAYERS.index(player)),
-        contexts=contexts,
-        behaviors=behaviors,
+        players=np.full(ticks, PLAYERS.index(player), dtype=np.int8),
+        contexts=(pairs // len(EVENT_ATTRIBUTES)).astype(np.uint8),
+        behaviors=_EVENT_VALUES[pairs % len(EVENT_ATTRIBUTES)],
     )
 
 
@@ -272,15 +249,10 @@ def simulate_pair(
     iteration: int,
 ) -> tuple[SessionLog, SessionLog]:
     """One session per player on their ``(STREAM_SESSION, iteration, role)`` streams."""
+    stream = partial(derive_seed, seed, STREAM_SESSION, iteration)
     return (
-        run_session(
-            scenario, expert, PlayerId.ID1,
-            derive_seed(seed, STREAM_SESSION, iteration, ROLE_EXPERT),
-        ),
-        run_session(
-            scenario, learner, PlayerId.ID2,
-            derive_seed(seed, STREAM_SESSION, iteration, ROLE_LEARNER),
-        ),
+        run_session(scenario, expert, PlayerId.ID1, stream(ROLE_EXPERT)),
+        run_session(scenario, learner, PlayerId.ID2, stream(ROLE_LEARNER)),
     )
 
 

@@ -16,19 +16,19 @@ for the one-shot identification commands and 1-based inside the transfer
 loop.
 
 Session stream layout. ``run_session`` keeps one ``derive_rng(seed)``
-Philox stream per session and reads one float64 per tick, in blocks of
-consecutive doubles. A tick's double ``u`` is decoded by the inverse CDF
-of the session's joint law over (context code, behavior index) pairs,
-laid out row-major: pair ``code * 9 + b`` for the context code of
-``CONTEXTS`` and behavior ``b`` in ``EVENT_ATTRIBUTES`` order, with mass
-equal to the context's probability times the behavior's probability under
-it. The tick is the first pair whose cumulative mass, divided by the total,
-exceeds ``u``.
+Philox stream per session and reads its first T doubles in one call, the
+double at position t for tick t. A tick's double ``u`` is decoded by the
+inverse CDF of the session's joint law over (context code, behavior
+index) pairs, laid out row-major: pair ``code * 9 + b`` for the context
+code of ``CONTEXTS`` and behavior ``b`` in ``EVENT_ATTRIBUTES`` order,
+with mass equal to the context's probability times the behavior's
+probability under it. The tick is the first pair whose cumulative mass,
+divided by the total, exceeds ``u``.
 
 Every tick reads exactly one double, so a session of T ticks is the
-first T ticks of any longer session with the same seed, whatever the
-block size, and a replay that reads one double per tick from
-``derive_rng(seed)`` gives back ``run_session``'s ticks one by one.
+first T ticks of any longer session with the same seed, and a replay
+that reads one double per tick from ``derive_rng(seed)``, in any
+grouping, gives back ``run_session``'s ticks one by one.
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ def test_local_score_ignores_the_order_of_the_parents(base_scenario, table1_pair
 
 def _reference_local_score(scorer, node, parents) -> float:
     """The scorer's miss path as it was, with the row totals broadcast."""
-    counts = scorer.family_counts(node, sorted(parents))
+    (counts,) = scorer.family_counts([(node, parents)])
     row_totals = counts.sum(axis=1, keepdims=True)
     mask = counts > 0
     log_likelihood = float(
@@ -278,8 +278,8 @@ class _FullTableCounts:
     def __init__(self, data):
         self.data, self.n = data, data.n_rows
 
-    def family_counts(self, node, parents):
-        return _reference_family_counts(self.data, node, parents)
+    def family_counts(self, families):
+        return [_reference_family_counts(self.data, node, sorted(ps)) for node, ps in families]
 
 
 @st.composite
@@ -323,11 +323,61 @@ def test_counts_over_distinct_rows_match_the_full_table(case):
     data, node, parents = case
     scorer = bayes._FamilyScorer(data)
     assert len(scorer.codes) == len(np.unique(data.codes, axis=0))
-    counts = scorer.family_counts(node, parents)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, _reference_family_counts(data, node, parents))
+    (counts,) = scorer.family_counts([(node, parents)])
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, _reference_family_counts(data, node, sorted(parents)))
     want = _reference_local_score(_FullTableCounts(data), node, parents)
     assert scorer.local_score(node, parents) == want
+
+
+@st.composite
+def _dag_cases(draw):
+    """A _summary_cases table and the families of a random DAG over its columns.
+
+    Each node draws its parents, in random order, from the nodes before it
+    in a random order: at most two, one in a wide table, dropped from the
+    end until the family has at most 2**18 cells.
+    """
+    data, _, _ = draw(_summary_cases())
+    order = draw(st.permutations(data.columns))
+    most = 1 if len(data.columns) >= 10 else 2
+    families = []
+    for i, node in enumerate(order):
+        earlier = st.lists(st.sampled_from(order[:i]), unique=True, max_size=most)
+        parents = draw(earlier) if i else []
+        while math.prod(len(data.domains[c]) for c in [node, *parents]) > 1 << 18:
+            parents.pop()
+        families.append((node, parents))
+    return data, families
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_dag_cases())
+def test_one_count_over_a_whole_dag_matches_the_full_table_per_family(case):
+    data, families = case
+    counts = bayes._FamilyScorer(data).family_counts(families)
+    assert len(counts) == len(families)
+    for (node, parents), got in zip(families, counts):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _reference_family_counts(data, node, sorted(parents)))
+
+
+def test_fit_cpts_counts_a_whole_net_in_one_call(base_scenario, table1_pair):
+    scenario = replace(base_scenario, ticks_per_session=2000)
+    data = to_dataset(simulate_pair(*table1_pair, scenario, 5, 0), 5)
+    dag = learn_structure(data, LearnConfig(), seed=5)
+    count = bayes._FamilyScorer._count
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return count(self, *args)
+
+    with mock.patch.object(bayes._FamilyScorer, "_count", counted):
+        fit_cpts(dag, data)
+    assert len(dag.nodes) == 11 and dag.edges
+    # Counting one family per call would make one call per node.
+    assert len(calls) == 1
 
 
 def _has_path(children, source, target) -> bool:

@@ -611,6 +611,55 @@ def test_a_profile_probability_beyond_the_float_range_exits_two(tmp_path):
     assert result.stderr.startswith("error: config: invalid profile document:")
 
 
+
+#: JSON text nested deeper than ``json.loads`` can decode: it raises ``RecursionError``.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        pytest.param(_DEEP_JSON, "maximum recursion", id="nested-too-deep"),
+        pytest.param('{"seed": ' + "9" * 5000 + "}", "Exceeds the limit", id="integer-too-long"),
+    ],
+)
+def test_a_config_json_loads_cannot_decode_exits_two(tmp_path, text, reason):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text, encoding="utf-8")
+    result = _invoke(["simulate", "--config", config_path, "--out", tmp_path / "runs"])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith(f"error: config: document: not valid JSON ({reason}")
+    assert result.stderr.count("\n") == 1
+
+
+def test_a_profile_nested_too_deep_to_parse_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"profile_id": "deep", "distributions": ' + _DEEP_JSON + "}", encoding="utf-8"
+    )
+    profiles = {"expert_path": str(path), "learner_path": str(path)}
+    result = _simulate_with(tmp_path, {"profiles": profiles})
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: config: invalid profile document: maximum recursion")
+    assert result.stderr.count("\n") == 1
+
+
+def test_report_on_a_trace_nested_too_deep_to_parse_exits_three(quick_config, tmp_path):
+    assert "RecursionError: maximum recursion" in _report_on(quick_config, tmp_path, _DEEP_JSON)
+
+
+def test_an_output_directory_holding_a_nul_character_exits_two(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"scenario": {"ticks_per_session": 100}, "output_dir": "a\u0000b"}),
+        encoding="utf-8",
+    )
+    result = _invoke(["simulate", "--config", config_path])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("error: config: output_dir: cannot create a\0b")
+    assert result.stderr.endswith(": embedded null byte\n")
+    assert result.stderr.count("\n") == 1
+
 _NOT_QUITE_JSON_PROFILES = [
     pytest.param(("distributions", "indoor"), {"fighting": True},
                  "indoor/fighting: expected a number, got True", id="bool-probability"),

@@ -24,7 +24,6 @@ from skilltransfer.behavior_data import (
 )
 from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
-    _CHUNK,
     _FEASIBLE,
     _KEY_SUPPORT,
     ConditionKey,
@@ -198,7 +197,7 @@ def test_a_sole_feasible_behavior_is_drawn_however_small_its_mass():
 
 def test_a_short_session_is_a_prefix_of_a_longer_one(base_scenario, table1_pair):
     expert, _ = table1_pair
-    ticks = _CHUNK + 7  # straddles a block boundary
+    ticks = 4103  # more than 4096, and no power of two
     short = run_session(
         replace(base_scenario, ticks_per_session=ticks), expert, PlayerId.ID1, seed=5
     )
@@ -255,7 +254,7 @@ def test_a_tick_by_tick_replay_of_the_stream_layout_matches_the_session(
 @pytest.mark.parametrize("strength", [0.1, 0.4, 0.7, 1.0])
 def test_the_behavior_law_of_each_context_is_the_oracle_mixture(strength):
     for profile in (*table1_profiles(strength), _fallback_profile()):
-        law = profile._table.law
+        law, _ = profile._law
         for code, context in enumerate(CONTEXTS):
             want = oracles.tick_distribution(profile, context)
             assert law[code].tolist() == pytest.approx(
