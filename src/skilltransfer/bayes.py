@@ -164,7 +164,7 @@ class _FamilyScorer:
     multinomial log likelihood of X given U minus
     0.5 * ln(N) * |U configurations| * (|X| - 1).
 
-    Nodes are indices into :attr:`variables` and a parent set is a bitmask
+    Nodes are indices into :attr:`variables` and a parent set is a 0/1 row
     over them. Counts sum the table's distinct code rows weighted by their copies.
     """
 
@@ -196,12 +196,18 @@ class _FamilyScorer:
         order and the first most significant, and one column per node value.
         """
         children = np.array([self.index[node] for node, _ in families], dtype=np.int64)
-        masks = np.array([sum(1 << self.index[p] for p in ps) for _, ps in families], np.int64)
-        strides, cells = self._layout(children, masks)
+        strides, cells = self._layout(children, self._members([ps for _, ps in families]))
         blocks = np.split(self._count(strides, cells), np.cumsum(cells)[:-1])
         return [block.reshape(-1, r) for block, r in zip(blocks, self._cards[children].tolist())]
 
-    def _layout(self, children: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _members(self, parent_sets: Sequence[Sequence[str]]) -> np.ndarray:
+        """Each parent set as a 0/1 row over :attr:`variables`."""
+        member = np.zeros((len(parent_sets), len(self.variables)), dtype=np.int64)
+        for f, parents in enumerate(parent_sets):
+            member[f, [self.index[p] for p in parents]] = 1
+        return member
+
+    def _layout(self, children: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each family's stride per column of :attr:`codes`, and its count cells.
 
         A family's cells list its parents in name order, row-major, and the
@@ -209,7 +215,7 @@ class _FamilyScorer:
         the cardinalities of the parents after it, the child's is 1 and every
         other column's 0.
         """
-        bits = masks[:, None] >> self._name_order & 1
+        bits = member[:, self._name_order]
         factors = self._named_cards ** bits
         # suffix[f, k]: the product of family f's factors from column k on.
         suffix = np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1]
@@ -227,13 +233,11 @@ class _FamilyScorer:
         return np.bincount(idx.ravel(), weights=weights, minlength=int(cells.sum()))
 
     def local_score(self, node: str, parents: Sequence[str]) -> float:
-        mask = 0
-        for parent in parents:
-            mask |= 1 << self.index[parent]
-        return float(self.score_families(self.index[node], [mask])[0])
+        children = np.array([self.index[node]])
+        return float(self.score_families(children, self._members([parents]))[0])
 
-    def score_families(self, children: int | np.ndarray, masks: Sequence[int]) -> np.ndarray:
-        """Local scores of each family (child, parent bitmask), a child broadcast over ``masks``.
+    def score_families(self, children: np.ndarray, member: np.ndarray) -> np.ndarray:
+        """Local scores of each family: ``children[f]`` with the parents ``member[f]`` marks.
 
         All the families are counted together, in passes of at most
         ``_PASS_CELLS`` row indices plus count cells, whichever children
@@ -243,18 +247,16 @@ class _FamilyScorer:
         whatever pass it lands in: its terms are summed by one ``.sum()``
         over its own nonzero cells in row-major order.
         """
-        masks = np.asarray(masks, dtype=np.int64)
-        children = np.broadcast_to(np.asarray(children, dtype=np.int64), masks.shape)
-        strides, cells = self._layout(children, masks)
+        strides, cells = self._layout(children, member)
         r = self._cards[children]
-        scores = np.empty(len(masks))
+        scores = np.empty(len(children))
         start, size = 0, 0
         for f, need in enumerate((cells + len(self.copies)).tolist()):
             if f > start and size + need > _PASS_CELLS:
                 scores[start:f] = self._score_pass(strides[start:f], cells[start:f], r[start:f])
                 start, size = f, 0
             size += need
-        if len(masks):
+        if len(children):
             scores[start:] = self._score_pass(strides[start:], cells[start:], r[start:])
         return scores
 
@@ -392,7 +394,8 @@ class _Climber:
             # return_index keeps numpy.ma unimported.
             keys = np.unique((nodes * width + masks)[lacking], return_index=True)[0]
             children, group = np.divmod(keys, width)
-            self.family[children, group] = self.scorer.score_families(children, group)
+            member = group[:, None] >> nodes & 1
+            self.family[children, group] = self.scorer.score_families(children, member)
             got = self.family[nodes, masks]
         return got
 

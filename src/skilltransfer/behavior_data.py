@@ -404,21 +404,16 @@ class DataSet:
     def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct code rows in lexicographic order and their counts, cached.
 
-        Rows are keyed as mixed-radix ``int64`` numbers; partial keys that the
-        next column would carry past ``int64`` are renumbered to dense ranks first.
+        One sort orders the rows, the first column most significant, and each
+        row that differs from the one before it starts a group of copies.
         """
         if self._distinct is None:
-            key = np.zeros(self.n_rows, dtype=np.int64)
-            bound = 1  # every partial key is below this
-            for j, name in enumerate(self.columns):
-                size = len(self.domains[name])
-                if bound > np.iinfo(np.int64).max // size:
-                    distinct, key = np.unique(key, return_inverse=True)
-                    bound = len(distinct)
-                key = key * size + self.codes[:, j]
-                bound *= size
-            _, first, counts = np.unique(key, return_index=True, return_counts=True)
-            rows = self.codes[first]
+            # A constant last key, the most significant, lets a table without columns sort.
+            keys = [*self.codes.T[::-1], np.zeros(self.n_rows, dtype=bool)]
+            ordered = self.codes[np.lexsort(keys)]
+            changed = (ordered[1:] != ordered[:-1]).any(axis=1)
+            starts = np.flatnonzero(np.r_[self.n_rows > 0, changed])
+            rows, counts = ordered[starts], np.diff(starts, append=self.n_rows)
             rows.flags.writeable = counts.flags.writeable = False
             object.__setattr__(self, "_distinct", (rows, counts))
         return self._distinct

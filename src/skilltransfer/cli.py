@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from dataclasses import replace
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
 
 import click
@@ -137,21 +137,17 @@ def _simulate_sessions(config: ExperimentConfig):
     return logs
 
 
-def _common(fn):
-    fn = click.option("--quiet", is_flag=True, help="Suppress the summary line.")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
-                      help="Override the configured output directory.")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Override the configured master seed.")(fn)
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(), help="Path to the JSON config.")(fn)
-    return fn
+@click.group()
+@click.version_option(version=__version__, prog_name="skilltransfer")
+def main() -> None:
+    """Behavior identification and transfer between two simulated players."""
 
 
-def _guarded(fn):
-    """Map package errors onto the documented exit codes."""
+def _command(fn):
+    """Register ``fn`` as a subcommand with the shared options, its errors mapped to exit codes."""
 
-    def wrapper(*args, **kwargs):
+    @wraps(fn)
+    def guarded(*args, **kwargs):
         try:
             fn(*args, **kwargs)
         except ConfigError as exc:
@@ -161,20 +157,17 @@ def _guarded(fn):
         except Exception as exc:  # never expected; defensive
             _fail("anomaly", f"{type(exc).__name__}: {exc}", EXIT_ANOMALY)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+    guarded = click.option("--quiet", is_flag=True, help="Suppress the summary line.")(guarded)
+    guarded = click.option("--out", type=click.Path(), default=None,
+                           help="Override the configured output directory.")(guarded)
+    guarded = click.option("--seed", type=int, default=None,
+                           help="Override the configured master seed.")(guarded)
+    guarded = click.option("--config", "config_path", required=True,
+                           type=click.Path(), help="Path to the JSON config.")(guarded)
+    return main.command()(guarded)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="skilltransfer")
-def main() -> None:
-    """Behavior identification and transfer between two simulated players."""
-
-
-@main.command()
-@_common
-@_guarded
+@_command
 def simulate(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Write one session log per player."""
     config = _load(config_path, seed, out)
@@ -187,9 +180,7 @@ def simulate(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     _echo(quiet, f"simulate files=2 ticks_per_session={ticks} run_dir={run_dir}")
 
 
-@main.command()
-@_common
-@_guarded
+@_command
 def dataset(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Write the aggregated classification table."""
     config = _load(config_path, seed, out)
@@ -201,9 +192,7 @@ def dataset(config_path: str, seed: int | None, out: str | None, quiet: bool) ->
     _echo(quiet, f"dataset rows={data.n_rows} window={config.dataset.window} run_dir={run_dir}")
 
 
-@main.command()
-@_common
-@_guarded
+@_command
 def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Learn the identity classifier and report held-out accuracy."""
     config = _load(config_path, seed, out)
@@ -225,9 +214,7 @@ def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -
     _echo(quiet, summary)
 
 
-@main.command()
-@_common
-@_guarded
+@_command
 def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
     """Run the transfer loop; write its trace and behavior curves."""
     config = _load(config_path, seed, out)
@@ -274,13 +261,11 @@ def _render_report(trace: TransferTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command()
-@_common
+@_command
 @click.option(
     "--trace", "trace_path", type=click.Path(), default=None,
     help="Trace JSON to summarize (default: the run directory's trace).",
 )
-@_guarded
 def report(
     config_path: str, seed: int | None, out: str | None, quiet: bool,
     trace_path: str | None,

@@ -54,6 +54,10 @@ def json_number(value: object, what: str, integer: bool = False) -> int | float:
 #: accepts, each cell the smoothing plus a count, so half the float range
 #: per cell is safe.
 MAX_SMOOTHING = sys.float_info.max / (2 * MAX_DOMAIN)
+#: Smallest smoothing whose CPT entries are all positive: an entry is at
+#: least the smoothing over its row total, and 2**-1022 over a total below
+#: 2**53, where counts are exact, rounds to at least the least subnormal.
+MIN_SMOOTHING = sys.float_info.min
 
 Bound = int | tuple[float, float, bool, bool]
 
@@ -67,7 +71,7 @@ BOUNDS: dict[str, Bound] = {
     "window": 1,
     "split_ratio": (0.0, 1.0, True, True),
     "max_parents": 1,
-    "smoothing": (0.0, MAX_SMOOTHING, True, False),
+    "smoothing": (MIN_SMOOTHING, MAX_SMOOTHING, False, False),
     "restarts": 0,
     "learning_rate": (0.0, 1.0, True, False),
     "stop_threshold": (0.5, 1.0, False, True),

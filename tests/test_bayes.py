@@ -287,8 +287,7 @@ def _summary_cases(draw):
     """A generic table with many duplicate rows, and one family of it.
 
     Most tables have 1-8 columns; a wide one has 10-12 columns of at
-    least 90 values, so its mixed-radix keys pass 2**63 and the summary
-    renumbers them on the way.
+    least 90 values, so that its mixed-radix row keys would pass 2**63.
     """
     wide = draw(st.booleans())
     k = draw(st.integers(min_value=10, max_value=12) if wide else st.integers(1, 8))
@@ -300,7 +299,7 @@ def _summary_cases(draw):
     pool = np.stack([rng.integers(0, size, size=pool_size) for size in sizes], axis=1)
     # Near copies that differ in one column: with 128-value columns, rows
     # that differ only in the first column would share a key that wrapped
-    # around int64 instead of being renumbered.
+    # around int64.
     near = pool.copy()
     j = draw(st.integers(min_value=0, max_value=k - 1))
     near[:, j] = rng.integers(0, sizes[j], size=pool_size)
@@ -585,6 +584,11 @@ def test_lockstep_climbs_on_the_standard_schema_match_the_reference(base_scenari
     assert bayes._Climber(bayes._FamilyScorer(data), 3).climb_all(starts) == want
 
 
+def _member_rows(masks, k: int) -> np.ndarray:
+    """Each parent bitmask as the 0/1 row over k columns that score_families takes."""
+    return np.array(masks, dtype=np.int64)[:, None] >> np.arange(k) & 1
+
+
 @st.composite
 def _batch_cases(draw):
     """A _summary_cases table, one child, and parent masks with repeats.
@@ -609,7 +613,8 @@ def _batch_cases(draw):
 @given(case=_batch_cases())
 def test_batch_scores_equal_the_reference_for_any_masks(case):
     data, child, masks = case
-    scores = bayes._FamilyScorer(data).score_families(child, masks)
+    member = _member_rows(masks, len(data.columns))
+    scores = bayes._FamilyScorer(data).score_families(np.full(len(masks), child), member)
     assert len(scores) == len(masks)
     for mask, score in zip(masks, scores.tolist()):
         parents = [data.columns[j] for j in range(len(data.columns)) if mask >> j & 1]
@@ -654,7 +659,8 @@ def test_one_call_over_many_children_scores_each_family_as_alone(case):
     data, families, pass_cells = case
     children, masks = (np.array(column) for column in zip(*families))
     with mock.patch.object(bayes, "_PASS_CELLS", pass_cells):
-        scores = bayes._FamilyScorer(data).score_families(children, masks)
+        member = _member_rows(masks, len(data.columns))
+        scores = bayes._FamilyScorer(data).score_families(children, member)
     assert len(scores) == len(families)
     for (child, mask), score in zip(families, scores.tolist()):
         parents = [data.columns[j] for j in range(len(data.columns)) if mask >> j & 1]
@@ -694,7 +700,7 @@ def test_a_one_row_table_scores_every_family_zero():
     scorer = bayes._FamilyScorer(data)
     for child in range(3):
         masks = [mask for mask in range(8) if not mask >> child & 1]
-        scores = scorer.score_families(child, masks[::-1] + masks)
+        scores = scorer.score_families(np.full(8, child), _member_rows(masks[::-1] + masks, 3))
         for mask, score in zip(masks[::-1] + masks, scores.tolist()):
             parents = [data.columns[j] for j in range(3) if mask >> j & 1]
             want = _reference_local_score(_FullTableCounts(data), data.columns[child], parents)
@@ -710,6 +716,21 @@ def test_structure_search_rejects_more_columns_than_its_family_table_takes():
         learn_structure(wide, LearnConfig())
     widest = DataSet(columns=columns[:-1], domains=domains, codes=np.zeros((2, limit), int))
     assert learn_structure(widest, LearnConfig(restarts=1)).edges == frozenset()
+
+
+def test_fit_cpts_and_bic_score_take_parents_past_column_63():
+    # A parent at column 65 has no bit in an int64 mask.
+    columns = [f"c{j:02d}" for j in range(70)]
+    codes = np.random.default_rng(0).integers(0, 2, size=(40, 70))
+    data = DataSet(columns=columns, domains={name: BINARY for name in columns}, codes=codes)
+    dag = Dag(nodes=tuple(columns), edges=frozenset({("c65", "c00")}))
+    net = fit_cpts(dag, data)
+    pairs = codes[:, 65] * 2 + codes[:, 0]
+    want = np.bincount(pairs, minlength=4).reshape(2, 2) + 1.0
+    assert np.array_equal(net.cpts["c00"].table, want / want.sum(axis=1, keepdims=True))
+    reference = _FullTableCounts(data)
+    want_score = sum(_reference_local_score(reference, n, dag.parents_of(n)) for n in dag.nodes)
+    assert bic_score(dag, data) == want_score
 
 
 def test_climb_rejects_a_cyclic_start():

@@ -335,6 +335,17 @@ def test_dataset_rejects_a_domain_that_lists_a_value_twice():
             DataSet(columns=("a", "b"), domains=domains, **given)
 
 
+@pytest.mark.parametrize("n_rows, want_rows, want_counts", [(0, 0, []), (3, 1, [3])])
+def test_a_table_without_columns_has_one_distinct_empty_row_per_nonempty_table(
+    n_rows, want_rows, want_counts
+):
+    data = DataSet(columns=(), domains={}, codes=np.zeros((n_rows, 0), dtype=int))
+    rows, counts = data._distinct_rows()
+    assert rows.shape == (want_rows, 0) and rows.dtype == np.int8
+    assert counts.tolist() == want_counts and counts.dtype == np.int64
+    assert not rows.flags.writeable and not counts.flags.writeable
+
+
 # --- split ------------------------------------------------------------------
 
 def _synthetic_rows(n_per_class: int):

@@ -13,7 +13,7 @@ import pytest
 from skilltransfer.bayes import Dag, LearnConfig, fit_cpts, learn_structure
 from skilltransfer.behavior_data import DataSet
 from skilltransfer.config import ExperimentConfig, ProfilesConfig, parse_config, serialize_config
-from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, ConfigError
+from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, MIN_SMOOTHING, ConfigError
 from skilltransfer.game_domain import ConditionKey, Scenario, default_scenario, table1_profiles
 from skilltransfer.transfer_loop import DatasetConfig, TransferParams, nudge_profile
 
@@ -111,6 +111,19 @@ def test_smoothing_too_large_for_finite_cpt_rows_is_rejected_by_the_library():
         with pytest.raises(ValueError, match="^smoothing: "):
             fit_cpts(dag, data, alpha=smoothing)
     assert fit_cpts(dag, data, alpha=MAX_SMOOTHING).cpts["a"].table.tolist() == [[0.5, 0.5]]
+
+
+def test_smoothing_too_small_for_positive_cpt_entries_is_rejected_by_the_library():
+    # 5e-324 over a row total of 1000 underflowed to a zero CPT entry.
+    data = DataSet(columns=("a",), domains={"a": ("x", "y")}, codes=np.zeros((1000, 1), int))
+    dag = Dag(nodes=("a",), edges=frozenset())
+    for smoothing in (5e-324, math.nextafter(MIN_SMOOTHING, 0.0)):
+        with pytest.raises(ValueError, match="^smoothing: "):
+            LearnConfig(smoothing=smoothing)
+        with pytest.raises(ValueError, match="^smoothing: "):
+            fit_cpts(dag, data, alpha=smoothing)
+    table = fit_cpts(dag, data, alpha=MIN_SMOOTHING).cpts["a"].table
+    assert table[0, 0] == 1.0 and 0.0 < table[0, 1] < MIN_SMOOTHING
 
 
 def test_the_largest_smoothing_fits_the_widest_domain_a_table_accepts():

@@ -30,7 +30,7 @@ from skilltransfer.config import (
     run_directory,
     serialize_config,
 )
-from skilltransfer.errors import MAX_SMOOTHING, ConfigError
+from skilltransfer.errors import MAX_SMOOTHING, MIN_SMOOTHING, ConfigError
 from skilltransfer.game_domain import (
     default_scenario,
     profile_payload,
@@ -172,7 +172,7 @@ def _config_documents(draw, max_ticks=500, max_iterations=60, max_restarts=8):
     if draw(st.booleans()):
         document["learning"] = {
             "max_parents": draw(st.integers(min_value=1, max_value=5)),
-            "smoothing": draw(st.floats(min_value=1e-320, max_value=1e300)),
+            "smoothing": draw(st.floats(min_value=MIN_SMOOTHING, max_value=1e300)),
             "restarts": draw(st.integers(min_value=0, max_value=max_restarts)),
         }
     if draw(st.booleans()):
@@ -426,6 +426,26 @@ def test_smoothing_too_large_for_finite_cpt_rows_exits_two(tmp_path):
     assert rejected.exit_code == 2
     assert rejected.stderr.startswith("error: config: learning.smoothing:")
     assert largest.exit_code == 0, largest.stderr
+
+
+def test_smoothing_too_small_for_positive_cpt_entries_exits_two(tmp_path):
+    # 5e-324 once underflowed a CPT entry to zero, so a test row had zero
+    # probability under every class and identify exited 4.
+    results = {}
+    for smoothing in (5e-324, MIN_SMOOTHING):
+        path = tmp_path / "config.json"
+        document = {
+            "scenario": {"ticks_per_session": 200},
+            "learning": {"smoothing": smoothing},
+            "output_dir": str(tmp_path / "runs"),
+        }
+        path.write_text(json.dumps(document), encoding="utf-8")
+        results[smoothing] = _invoke(["identify", "--config", path, "--seed", "0"])
+    rejected, smallest = results[5e-324], results[MIN_SMOOTHING]
+    assert rejected.exit_code == 2
+    assert rejected.stderr.startswith("error: config: learning.smoothing:")
+    assert len(rejected.stderr.splitlines()) == 1
+    assert smallest.exit_code == 0, smallest.stderr
 
 
 def test_report_without_a_trace_exits_two(quick_config):

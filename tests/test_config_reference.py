@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from skilltransfer.bayes import LearnConfig
 from skilltransfer.behavior_data import CONTEXT_FIELDS
 from skilltransfer.config import ExperimentConfig, ProfilesConfig, parse_config, serialize_config
-from skilltransfer.errors import MAX_SMOOTHING, ConfigError
+from skilltransfer.errors import MAX_SMOOTHING, MIN_SMOOTHING, ConfigError
 from skilltransfer.game_domain import Scenario, default_scenario, profile_payload, table1_profiles
 from skilltransfer.transfer_loop import DatasetConfig, TransferParams
 
@@ -144,7 +144,7 @@ def _reference_parse_config(text: str) -> ExperimentConfig:
     learning = LearnConfig(
         max_parents=r.integer(learning_obj, "max_parents", "learning.", 3, low=1),
         smoothing=r.number(
-            learning_obj, "smoothing", "learning.", 1.0, 0.0, MAX_SMOOTHING, low_open=True
+            learning_obj, "smoothing", "learning.", 1.0, MIN_SMOOTHING, MAX_SMOOTHING
         ),
         restarts=r.integer(learning_obj, "restarts", "learning.", 5, low=0),
     )
@@ -199,7 +199,7 @@ _VALID = {
     },
     "learning": {
         "max_parents": st.integers(1, 10),
-        "smoothing": st.floats(0.0, MAX_SMOOTHING, exclude_min=True),
+        "smoothing": st.floats(MIN_SMOOTHING, MAX_SMOOTHING),
         "restarts": st.integers(0, 10),
     },
     "transfer": {
@@ -219,7 +219,8 @@ _JUNK = st.one_of(
     st.integers(-3, 60),
     st.floats(-0.5, 1.5),
     st.sampled_from(
-        [0.0, -0.0, 0.5, 0.55, 1.0, 2.0, 1e308, MAX_SMOOTHING, float("inf"), float("nan")]
+        [0.0, -0.0, 0.5, 0.55, 1.0, 2.0, 1e308, MAX_SMOOTHING, MIN_SMOOTHING, 5e-324,
+         float("inf"), float("nan")]
     ),
 )
 _UNKNOWN_KEYS = st.lists(
