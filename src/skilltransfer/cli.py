@@ -8,9 +8,10 @@ trace. Outputs land in one directory per run named by the config hash
 and seed, so identical invocations overwrite themselves with identical
 bytes.
 
-Exit codes: 0 success, 2 configuration error, 3 data validation error,
+Exit codes: 0 success, 2 configuration error, 3 malformed trace,
 4 unexpected anomaly. Summary lines are stable ``key=value`` pairs on
-stdout; errors go to stderr with stable one-line prefixes.
+stdout (``report`` prints its text instead); errors go to stderr with
+stable one-line prefixes.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .behavior_data import (
-    PlayerId,
-    to_dataset,
-    train_size,
-    validate_session,
-    write_dataset_csv,
-    write_session_jsonl,
-)
+from .behavior_data import to_dataset, train_size, write_dataset_csv, write_session_jsonl
 from .config import (
     ExperimentConfig,
     load_config,
@@ -63,23 +57,12 @@ def _fail(prefix: str, message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _load(config_path: str, seed: int | None, out: str | None) -> ExperimentConfig:
-    config = load_config(config_path)
-    violation = None if seed is None else range_violation("seed", seed)
-    if violation:
-        raise ConfigError(f"seed: {violation}")
-    overrides = {"seed": seed, "output_dir": out}
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _make_run_dir(config: ExperimentConfig) -> Path:
-    run_dir = run_directory(config)
+def _make_run_dir(run_dir: Path) -> None:
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # a ValueError: the path holds a NUL character
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise ConfigError(f"output_dir: cannot create {run_dir}: {reason}") from exc
-    return run_dir
 
 
 def _write(path: Path, content: str | Callable[[Path], None]) -> None:
@@ -94,17 +77,6 @@ def _write(path: Path, content: str | Callable[[Path], None]) -> None:
             content(path)
     except OSError as exc:
         raise ConfigError(f"output_dir: cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _prepare_run_dir(config: ExperimentConfig) -> Path:
-    run_dir = _make_run_dir(config)
-    _write(run_dir / "config.json", serialize_config(config))
-    return run_dir
-
-
-def _echo(quiet: bool, line: str) -> None:
-    if not quiet:
-        click.echo(line)
 
 
 def _require_split_rows(config: ExperimentConfig) -> None:
@@ -123,18 +95,7 @@ def _require_split_rows(config: ExperimentConfig) -> None:
 
 
 def _simulate_sessions(config: ExperimentConfig):
-    expert, learner = resolve_profiles(config)
-    logs = simulate_pair(expert, learner, config.scenario, config.seed, 0)
-    for log in logs:
-        violations = validate_session(log)
-        if violations:
-            first = violations[0]
-            raise DataValidationError(
-                f"{log.player.value} session, tick {first.tick}, "
-                f"rule {first.rule}: {first.message} "
-                f"({len(violations)} violation(s) total)"
-            )
-    return logs
+    return simulate_pair(*resolve_profiles(config), config.scenario, config.seed, 0)
 
 
 @click.group()
@@ -143,17 +104,43 @@ def main() -> None:
     """Behavior identification and transfer between two simulated players."""
 
 
-def _command(fn):
-    """Register ``fn`` as a subcommand with the shared options, its errors mapped to exit codes."""
+#: What a command returns: its files by name, each text or a writer called
+#: with the path, and the summary it prints, newline included.
+Output = tuple[dict[str, str | Callable[[Path], None]], str]
+
+
+def _command(fn: Callable[..., Output]):
+    """Register ``fn(config, run_dir, **options)`` as a subcommand with the shared options.
+
+    The runner reads the config with the ``--seed`` and ``--out`` overrides and
+    calls ``fn``. Only then does it make the run directory and write
+    ``config.json`` and the returned files, in order; it prints the summary
+    unless ``--quiet``. Errors map to exit codes.
+    """
 
     @wraps(fn)
-    def guarded(*args, **kwargs):
+    def guarded(config_path: str, seed: int | None, out: str | None, quiet: bool, **options):
         try:
-            fn(*args, **kwargs)
+            config = load_config(config_path)
+            violation = None if seed is None else range_violation("seed", seed)
+            if violation:
+                raise ConfigError(f"seed: {violation}")
+            overrides = {"seed": seed, "output_dir": out}
+            config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+            run_dir = run_directory(config)
+            files, summary = fn(config, run_dir, **options)
+            _make_run_dir(run_dir)
+            for name, content in {"config.json": serialize_config(config), **files}.items():
+                _write(run_dir / name, content)
+            if not quiet:
+                click.echo(summary, nl=False)
         except ConfigError as exc:
             _fail("config", "; ".join(exc.violations), EXIT_CONFIG)
         except DataValidationError as exc:
             _fail("data", str(exc), EXIT_DATA)
+        except MemoryError as exc:  # numpy refuses an array of one entry per tick
+            _fail("config", f"scenario.ticks_per_session: too long to fit in memory ({exc})",
+                  EXIT_CONFIG)
         except Exception as exc:  # never expected; defensive
             _fail("anomaly", f"{type(exc).__name__}: {exc}", EXIT_ANOMALY)
 
@@ -168,71 +155,63 @@ def _command(fn):
 
 
 @_command
-def simulate(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
+def simulate(config: ExperimentConfig, run_dir: Path) -> Output:
     """Write one session log per player."""
-    config = _load(config_path, seed, out)
     logs = _simulate_sessions(config)
-    run_dir = _prepare_run_dir(config)
-    names = {PlayerId.ID1: "expert.jsonl", PlayerId.ID2: "learner.jsonl"}
-    for log in logs:
-        _write(run_dir / names[log.player], partial(write_session_jsonl, log))
+    files = {
+        name: partial(write_session_jsonl, log)
+        for name, log in zip(("expert.jsonl", "learner.jsonl"), logs)
+    }
     ticks = config.scenario.ticks_per_session
-    _echo(quiet, f"simulate files=2 ticks_per_session={ticks} run_dir={run_dir}")
+    return files, f"simulate files=2 ticks_per_session={ticks} run_dir={run_dir}\n"
 
 
 @_command
-def dataset(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
+def dataset(config: ExperimentConfig, run_dir: Path) -> Output:
     """Write the aggregated classification table."""
-    config = _load(config_path, seed, out)
     _require_split_rows(config)
-    logs = _simulate_sessions(config)
-    data = to_dataset(logs, config.dataset.window)
-    run_dir = _prepare_run_dir(config)
-    _write(run_dir / "dataset.csv", partial(write_dataset_csv, data))
-    _echo(quiet, f"dataset rows={data.n_rows} window={config.dataset.window} run_dir={run_dir}")
+    data = to_dataset(_simulate_sessions(config), config.dataset.window)
+    summary = f"dataset rows={data.n_rows} window={config.dataset.window} run_dir={run_dir}\n"
+    return {"dataset.csv": partial(write_dataset_csv, data)}, summary
 
 
 @_command
-def identify(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
+def identify(config: ExperimentConfig, run_dir: Path) -> Output:
     """Learn the identity classifier and report held-out accuracy."""
-    config = _load(config_path, seed, out)
     _require_split_rows(config)
     expert, learner = resolve_profiles(config)
     result = run_identification(
         expert, learner, config.scenario,
         dataset=config.dataset, learn=config.learning, seed=config.seed,
     )
-    run_dir = _prepare_run_dir(config)
-    _write(run_dir / "network.json", partial(write_bayesnet, result.network))
     summary = (
         f"identify accuracy={result.accuracy!r} "
         f"attributes={'|'.join(a.column for a in result.attributes)} "
         f"train_rows={result.train_rows} test_rows={result.test_rows} "
-        f"run_dir={run_dir}"
+        f"run_dir={run_dir}\n"
     )
-    _write(run_dir / "identify.txt", summary + "\n")
-    _echo(quiet, summary)
+    files = {"network.json": partial(write_bayesnet, result.network), "identify.txt": summary}
+    return files, summary
 
 
 @_command
-def transfer(config_path: str, seed: int | None, out: str | None, quiet: bool) -> None:
+def transfer(config: ExperimentConfig, run_dir: Path) -> Output:
     """Run the transfer loop; write its trace and behavior curves."""
-    config = _load(config_path, seed, out)
     _require_split_rows(config)
     expert, learner = resolve_profiles(config)
     params = TransferConfig(config.scenario, config.transfer, config.dataset, config.learning)
     trace = run_transfer(expert, learner, params, config.seed)
-    run_dir = _prepare_run_dir(config)
-    _write(run_dir / "trace.csv", trace_to_csv(trace))
-    _write(run_dir / "trace.json", trace_to_json(trace))
-    _write(run_dir / "curves.csv", curves_to_csv(trace))
+    files = {
+        "trace.csv": trace_to_csv(trace),
+        "trace.json": trace_to_json(trace),
+        "curves.csv": curves_to_csv(trace),
+    }
     last = trace.iterations[-1]
-    _echo(
-        quiet,
+    return files, (
         f"transfer iterations={len(trace.iterations)} "
         f"terminal_reason={trace.terminal_reason.value} "
         f"final_accuracy={last.accuracy!r} final_divergence={last.divergence!r} "
-        f"run_dir={run_dir}",
+        f"run_dir={run_dir}\n"
     )
 
 
@@ -266,13 +245,8 @@ def _render_report(trace: TransferTrace) -> str:
     "--trace", "trace_path", type=click.Path(), default=None,
     help="Trace JSON to summarize (default: the run directory's trace).",
 )
-def report(
-    config_path: str, seed: int | None, out: str | None, quiet: bool,
-    trace_path: str | None,
-) -> None:
+def report(config: ExperimentConfig, run_dir: Path, trace_path: str | None) -> Output:
     """Summarize a transfer trace in plain text."""
-    config = _load(config_path, seed, out)
-    run_dir = run_directory(config)
     trace_file = Path(trace_path) if trace_path else run_dir / "trace.json"
     if not trace_file.is_file():
         raise ConfigError([f"trace: file not found: {trace_file} (run `transfer` first?)"])
@@ -280,11 +254,8 @@ def report(
         trace = trace_from_json(trace_file.read_text(encoding="utf-8"))
     except MALFORMED_DOCUMENT as exc:
         raise DataValidationError(f"trace {trace_file}: {type(exc).__name__}: {exc}") from exc
-    _make_run_dir(config)
     text = _render_report(trace)
-    _write(run_dir / "report.txt", text)
-    if not quiet:
-        click.echo(text, nl=False)
+    return {"report.txt": text}, text
 
 
 if __name__ == "__main__":

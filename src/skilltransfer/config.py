@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .bayes import LearnConfig
-from .errors import BOUNDS, ConfigError, range_violation
+from .errors import BOUNDS, ConfigError, is_integer, range_violation
 from .game_domain import LINKAGE_STRENGTH, PlayerProfile, Scenario, read_profile, table1_profiles
 from .transfer_loop import DatasetConfig, TransferParams
 
@@ -92,14 +92,14 @@ class _Reader:
         """``obj[name]``, or ``default`` when absent or invalid; ``key`` is its path.
 
         The kind comes from ``BOUNDS[name]``: no entry, a string; an integer
-        minimum, an integer; otherwise a number, read as a float (an integer
+        bound, an integer; otherwise a number, read as a float (an integer
         beyond the float range as an infinity). Bounded values must lie in range.
         """
         value = obj.get(name, default)
         bound = BOUNDS.get(name)
         if bound is None:
             kind, types = "a string", str
-        elif isinstance(bound, int):
+        elif is_integer(bound):
             kind, types = "an integer", int
         else:
             kind, types = "a number", (int, float)

@@ -11,6 +11,7 @@ text.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import fields
 
@@ -32,7 +33,7 @@ class ConfigError(Exception):
 
 
 class DataValidationError(Exception):
-    """Session data violates a structural or feasibility rule."""
+    """A trace file is malformed; raised when a command reads one."""
 
 
 #: What reading a malformed profile or trace document raises; ``json.loads``
@@ -59,13 +60,15 @@ MAX_SMOOTHING = sys.float_info.max / (2 * MAX_DOMAIN)
 #: 2**53, where counts are exact, rounds to at least the least subnormal.
 MIN_SMOOTHING = sys.float_info.min
 
-Bound = int | tuple[float, float, bool, bool]
+Bound = int | tuple[int, int] | tuple[float, float, bool, bool]
 
-#: Numeric ranges by field name, which is unique across config sections:
-#: an integer's minimum, or a number's ``(low, high, low_open, high_open)``.
+#: Numeric ranges by field name, which is unique across config sections: an
+#: integer's minimum or ``(minimum, maximum)``, or a number's
+#: ``(low, high, low_open, high_open)``.
 BOUNDS: dict[str, Bound] = {
     "seed": 0,
-    "ticks_per_session": 0,
+    # Ticks 0 to 10**18 - 1 have at most the 18 digits a log line's tick may have.
+    "ticks_per_session": (0, 10**18),
     **{f: (0.0, 1.0, False, False) for f in CONTEXT_FIELDS},
     "linkage_strength": (0.0, 1.0, True, False),
     "window": 1,
@@ -79,6 +82,11 @@ BOUNDS: dict[str, Bound] = {
 }
 
 
+def is_integer(bound: Bound) -> bool:
+    """Whether ``bound`` is an integer's: a minimum or a ``(minimum, maximum)`` pair."""
+    return isinstance(bound, int) or len(bound) == 2
+
+
 def range_violation(bound: str | Bound, value: float) -> str | None:
     """Why ``value`` lies outside ``bound``, or None when it lies inside.
 
@@ -87,8 +95,11 @@ def range_violation(bound: str | Bound, value: float) -> str | None:
     """
     if isinstance(bound, str):
         bound = BOUNDS[bound]
-    if isinstance(bound, int):
-        return None if value >= bound else f"{value} is below the minimum {bound}"
+    if is_integer(bound):
+        low, high = (bound, math.inf) if isinstance(bound, int) else bound
+        if not value >= low:
+            return f"{value} is below the minimum {low}"
+        return None if value <= high else f"{value} is above the maximum {high}"
     low, high, low_open, high_open = bound
     low_ok = value > low if low_open else value >= low
     high_ok = value < high if high_open else value <= high

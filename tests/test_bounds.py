@@ -13,7 +13,7 @@ import pytest
 from skilltransfer.bayes import Dag, LearnConfig, fit_cpts, learn_structure
 from skilltransfer.behavior_data import DataSet
 from skilltransfer.config import ExperimentConfig, ProfilesConfig, parse_config, serialize_config
-from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, MIN_SMOOTHING, ConfigError
+from skilltransfer.errors import BOUNDS, MAX_SMOOTHING, MIN_SMOOTHING, ConfigError, is_integer
 from skilltransfer.game_domain import ConditionKey, Scenario, default_scenario, table1_profiles
 from skilltransfer.transfer_loop import DatasetConfig, TransferParams, nudge_profile
 
@@ -48,8 +48,12 @@ def _owner(name: str):
 
 def _edges(bound) -> tuple[list, list[tuple[float, str]]]:
     """Closed boundary values, and values just outside with the reader's text."""
-    if isinstance(bound, int):
-        return [bound], [(bound - 1, f"{bound - 1} is below the minimum {bound}")]
+    if is_integer(bound):
+        low, high = (bound, None) if isinstance(bound, int) else bound
+        outside = [(low - 1, f"{low - 1} is below the minimum {low}")]
+        if high is None:
+            return [low], outside
+        return [low, high], [*outside, (high + 1, f"{high + 1} is above the maximum {high}")]
     low, high, low_open, high_open = bound
     text = f"outside {'(' if low_open else '['}{low}, {high}{')' if high_open else ']'}"
     inside, outside = [], []

@@ -592,6 +592,57 @@ def test_an_output_file_whose_name_is_a_directory_exits_two(quick_config, comman
     assert result.stderr == f"error: config: output_dir: cannot write {blocked}: Is a directory\n"
 
 
+_COMMANDS = ("simulate", "dataset", "identify", "transfer", "report")
+
+
+def test_each_command_writes_exactly_its_documented_files(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"scenario": {"ticks_per_session": 100}}), encoding="utf-8")
+    documented = {
+        "simulate": {"config.json", "expert.jsonl", "learner.jsonl"},
+        "dataset": {"config.json", "dataset.csv"},
+        "identify": {"config.json", "network.json", "identify.txt"},
+        "transfer": {"config.json", "trace.csv", "trace.json", "curves.csv"},
+        "report": {"config.json", "report.txt"},
+    }
+    for command in _COMMANDS:
+        out = tmp_path / command
+        args = [command, "--config", config_path, "--out", out]
+        if command == "report":
+            args += ["--trace", *(tmp_path / "transfer").glob("*/trace.json")]
+        result = _invoke(args)
+        assert result.exit_code == 0, (command, result.stderr)
+        (run_dir,) = out.iterdir()
+        assert {p.name for p in run_dir.iterdir()} == documented[command], command
+
+
+@pytest.mark.parametrize("ticks", [2**70, 2**63 - 1])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_more_ticks_than_the_bound_exit_two(tmp_path, command, ticks):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"scenario": {"ticks_per_session": ticks}}), encoding="utf-8")
+    result = _invoke([command, "--config", config_path, "--out", tmp_path / "runs"])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr == (
+        f"error: config: scenario.ticks_per_session: {ticks} is above the maximum {10**18}\n"
+    )
+
+
+def test_a_session_too_long_to_fit_in_memory_exits_two(tmp_path):
+    # 10**18 ticks ask for 8e18 bytes of uniforms at once, more than any
+    # address space holds, so the request fails before memory is touched.
+    config_path = tmp_path / "config.json"
+    document = {"scenario": {"ticks_per_session": 10**18}}
+    config_path.write_text(json.dumps(document), encoding="utf-8")
+    result = _invoke(["simulate", "--config", config_path, "--out", tmp_path / "runs"])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith(
+        "error: config: scenario.ticks_per_session: too long to fit in memory ("
+    )
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_a_config_file_that_is_not_utf8_exits_two(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_bytes(b"\xff\xfe")

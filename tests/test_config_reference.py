@@ -54,13 +54,16 @@ class _ReferenceReader:
             return default
         return value
 
-    def integer(self, obj, key, path, default, low):
+    def integer(self, obj, key, path, default, low, high=None):
         value = obj.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             self.complain(f"{path}{key}", f"expected an integer, got {value!r}")
             return default
         if value < low:
             self.complain(f"{path}{key}", f"{value} is below the minimum {low}")
+            return default
+        if high is not None and value > high:
+            self.complain(f"{path}{key}", f"{value} is above the maximum {high}")
             return default
         return value
 
@@ -97,7 +100,8 @@ def _reference_parse_config(text: str) -> ExperimentConfig:
     base = default_scenario()
     scenario = Scenario(
         ticks_per_session=r.integer(
-            scenario_obj, "ticks_per_session", "scenario.", base.ticks_per_session, low=0
+            scenario_obj, "ticks_per_session", "scenario.", base.ticks_per_session,
+            low=0, high=10**18,
         ),
         **{
             f: r.number(scenario_obj, f, "scenario.", getattr(base, f), 0.0, 1.0)
@@ -309,6 +313,7 @@ def test_config_reader_matches_the_field_by_field_reference(profile_file, docume
         '{"profiles": {"source": "x", "learner_path": "a.json", "linkage_strength": 0}}',
         '{"profiles": {"expert_path": null, "learner_path": "a.json"}}',
         '{"scenario": {"scenario_id": "default", "ticks_per_session": -1}}',
+        '{"scenario": {"ticks_per_session": 1000000000000000001}}',
     ],
 )
 def test_config_reader_matches_the_reference_on_hand_picked_documents(text):
