@@ -595,27 +595,6 @@ def test_an_output_file_whose_name_is_a_directory_exits_two(quick_config, comman
 _COMMANDS = ("simulate", "dataset", "identify", "transfer", "report")
 
 
-def test_each_command_writes_exactly_its_documented_files(tmp_path):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"scenario": {"ticks_per_session": 100}}), encoding="utf-8")
-    documented = {
-        "simulate": {"config.json", "expert.jsonl", "learner.jsonl"},
-        "dataset": {"config.json", "dataset.csv"},
-        "identify": {"config.json", "network.json", "identify.txt"},
-        "transfer": {"config.json", "trace.csv", "trace.json", "curves.csv"},
-        "report": {"config.json", "report.txt"},
-    }
-    for command in _COMMANDS:
-        out = tmp_path / command
-        args = [command, "--config", config_path, "--out", out]
-        if command == "report":
-            args += ["--trace", *(tmp_path / "transfer").glob("*/trace.json")]
-        result = _invoke(args)
-        assert result.exit_code == 0, (command, result.stderr)
-        (run_dir,) = out.iterdir()
-        assert {p.name for p in run_dir.iterdir()} == documented[command], command
-
-
 @pytest.mark.parametrize("ticks", [2**70, 2**63 - 1])
 @pytest.mark.parametrize("command", _COMMANDS)
 def test_more_ticks_than_the_bound_exit_two(tmp_path, command, ticks):
