@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_data import CLASS_COLUMN, DataSet
-from .errors import check_fields, check_range
+from .errors import check_fields, check_range, json_number
 from .seeds import derive_rng
 
 _IMPROVEMENT_EPS = 1e-9
@@ -566,21 +566,34 @@ def bayesnet_to_json(net: BayesNet) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _strings(value: object, what: str) -> tuple[str, ...]:
+    """``value``, a JSON list of strings, as a tuple; ``what`` names it in the error."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def bayesnet_from_json(text: str) -> BayesNet:
+    """The network of :func:`bayesnet_to_json` text.
+
+    Nodes, edges, parents and domains must be JSON lists of strings, and
+    CPT entries JSON numbers.
+    """
     payload = json.loads(text)
-    nodes = tuple(payload["nodes"])
-    dag = Dag(nodes=nodes, edges=frozenset((p, c) for p, c in payload["edges"]))
-    domains = {n: tuple(v) for n, v in payload["domains"].items()}
+    nodes = _strings(payload["nodes"], "nodes")
+    dag = Dag(nodes=nodes, edges=frozenset(_strings(e, "edge") for e in payload["edges"]))
+    domains = {n: _strings(v, f"{n}: domain") for n, v in payload["domains"].items()}
     cpts: dict[str, Cpt] = {}
     for node in nodes:
         entry = payload["cpts"][node]
-        parents = tuple(entry["parents"])
+        parents = _strings(entry["parents"], f"{node}: parents")
         # Rows are keyed as the writer keys them, in the writer's row order.
         keys = [",".join(a) for a in product(*(domains[p] for p in parents))]
         rows = entry["rows"]
         if sorted(rows) != sorted(keys):
             raise ValueError(f"{node}: CPT rows must be keyed by the parents' value tuples")
-        table = np.array([rows[key] for key in keys], dtype=float)
+        what = f"{node}: CPT entry"
+        table = np.array([[json_number(p, what) for p in rows[key]] for key in keys], dtype=float)
         cpts[node] = Cpt(node=node, parents=parents, table=table)
     return BayesNet(dag=dag, cpts=cpts, domains=domains)
 

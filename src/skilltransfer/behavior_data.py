@@ -11,9 +11,11 @@ windows of ticks become one row each, with the player identity in the
 class column.
 
 The JSONL and CSV readers accept whatever their general parsers
-(``json.loads`` per line, ``csv.reader``) accept. A line in the form the
-writers emit decodes by table lookup; any other line goes through the
-general parser, so both paths give the same values and the same errors.
+(``json.loads`` per line, ``csv.reader``) accept, except that a JSONL
+tick must be a JSON integer and a context flag a JSON boolean. A line in
+the form the writers emit decodes by table lookup; any other line goes
+through the general parser, so both paths give the same values and the
+same errors.
 """
 
 from __future__ import annotations
@@ -587,13 +589,20 @@ _CODE_OF_FLAGS = {
 def _parse_line(line: str) -> tuple[int, int, int, int]:
     """Tick, player index, context code and behavior value of one JSONL line.
 
-    Context flags are read by truthiness. A malformed line raises
-    ``ValueError``, ``KeyError``, ``TypeError`` or ``AttributeError``.
+    The tick must be a JSON integer and each context flag a JSON boolean.
+    A malformed line raises ``ValueError``, ``KeyError``, ``TypeError`` or
+    ``AttributeError``.
     """
+    from .errors import json_number  # errors imports this module
+
     payload = json.loads(line)
-    context = _CODE_OF_FLAGS[tuple(map(bool, _read_flags(payload["context"])))]
+    flags = _read_flags(payload["context"])
+    for name, flag in zip(CONTEXT_FIELDS, flags):
+        if not isinstance(flag, bool):
+            raise ValueError(f"context.{name}: expected true or false, got {flag!r}")
+    context = _CODE_OF_FLAGS[flags]
     player = _PLAYER_INDEX[PlayerId(payload["player"])]
-    tick = int(payload["tick"])
+    tick = json_number(payload["tick"], "tick", integer=True)
     return tick, player, context, AttributeId.from_column(payload["behavior"]).value
 
 

@@ -193,9 +193,7 @@ def nudge_profile(
     is a fixed point.
     """
     check_range("eta", eta, "learning_rate")
-    if set(learner.distributions) != set(expert.distributions):
-        raise ValueError("profiles declare different condition keys")
-    new_distributions = {k: dict(d) for k, d in learner.distributions.items()}
+    new_distributions = dict(learner.distributions)
     for key in keys:
         q = learner.distributions[key]
         p = expert.distributions[key]
@@ -206,12 +204,9 @@ def nudge_profile(
             value = (1.0 - eta) * q.get(behavior, 0.0) + eta * p.get(behavior, 0.0)
             if value > 0.0:
                 mixed[behavior] = value
+        # Each input sums to 1 only within the profile tolerance; the
+        # division renormalizes, and the constructor checks the result.
         total = sum(mixed.values())
-        if abs(total - 1.0) >= _DIFFERENCE_EPS:
-            raise ValueError(
-                f"nudged distribution for {key.value} sums to {total!r}; "
-                "inputs were not normalized"
-            )
         new_distributions[key] = {b: v / total for b, v in mixed.items()}
     return PlayerProfile(profile_id=learner.profile_id, distributions=new_distributions)
 

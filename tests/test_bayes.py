@@ -1134,3 +1134,42 @@ def test_bayesnet_json_rejects_parent_values_whose_joined_keys_collide():
     net = fit_cpts(Dag(nodes=data.columns, edges=frozenset({("p", "c"), ("q", "c")})), data)
     with pytest.raises(ValueError, match="^c: "):
         bayesnet_to_json(net)
+
+
+def _small_net_payload() -> dict:
+    data = DataSet(
+        columns=("a", "c"),
+        domains={"a": ("x", "y"), "c": BINARY},
+        codes=np.random.default_rng(3).integers(0, 2, size=(40, 2)),
+    )
+    net = fit_cpts(Dag(nodes=data.columns, edges=frozenset({("a", "c")})), data)
+    return json.loads(bayesnet_to_json(net))
+
+
+def _set(payload: dict, path: tuple, value) -> dict:
+    *sections, key = path
+    target = payload
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("cpts", "a", "rows", "", 0), "0.5", "a: CPT entry: expected a number, got '0.5'"),
+        (("cpts", "c", "rows", "y", 1), True, "c: CPT entry: expected a number, got True"),
+        (("domains", "a"), "xy", "a: domain: expected a list of strings, got 'xy'"),
+        (("cpts", "c", "parents"), "a", "c: parents: expected a list of strings, got 'a'"),
+        (("nodes",), ["a", 3], "nodes: expected a list of strings, got ['a', 3]"),
+        (("edges", 0), "ac", "edge: expected a list of strings, got 'ac'"),
+    ],
+)
+def test_bayesnet_json_reads_only_numbers_and_lists_of_strings(path, value, message):
+    # "0.5" and true read as 0.5 and 1.0, the domain "xy" as ("x", "y") and
+    # the edge "ac" as a -> c.
+    text = json.dumps(_set(_small_net_payload(), path, value))
+    with pytest.raises(ValueError) as err:
+        bayesnet_from_json(text)
+    assert str(err.value) == message

@@ -150,7 +150,7 @@ def _reference_parse_config(text: str) -> ExperimentConfig:
         smoothing=r.number(
             learning_obj, "smoothing", "learning.", 1.0, MIN_SMOOTHING, MAX_SMOOTHING
         ),
-        restarts=r.integer(learning_obj, "restarts", "learning.", 5, low=0),
+        restarts=r.integer(learning_obj, "restarts", "learning.", 5, low=0, high=10**4),
     )
 
     transfer_obj = r.section(document, "transfer", "transfer")

@@ -121,12 +121,9 @@ def test_the_pinned_output_files_keep_their_bytes(tmp_path, document, command, s
 
 
 def test_the_built_in_pair_read_from_profile_files_writes_the_pinned_network(tmp_path):
-    paths = {}
-    for role, profile in zip(("expert", "learner"), table1_profiles()):
-        paths[f"{role}_path"] = str(tmp_path / f"{role}.json")
-        Path(paths[f"{role}_path"]).write_text(
-            json.dumps(profile_payload(profile)), encoding="utf-8"
-        )
+    paths = {f"{role}_path": str(tmp_path / f"{role}.json") for role in ("expert", "learner")}
+    for path, profile in zip(paths.values(), table1_profiles()):
+        Path(path).write_text(json.dumps(profile_payload(profile)), encoding="utf-8")
     run_dir, _ = _run(tmp_path, {**_100K, "profiles": paths}, "identify", 1, "--quiet")
     (pinned,) = [row[4] for row in PINS if row[:4] == (_100K, "identify", 1, "network.json")]
     assert _sha256(run_dir / "network.json") == pinned

@@ -293,7 +293,7 @@ _tick_texts = st.one_of(
     ),
 )
 
-#: Context flag values other than JSON booleans; read by truthiness.
+#: Context flag values, JSON booleans or not; the readers accept only booleans.
 _flag_values = st.sampled_from([True, False, 1, 0, "x", "", None, [], [0], 0.0, 2.5])
 
 
@@ -390,3 +390,27 @@ def test_jsonl_decoding_table_covers_every_parsed_triple():
         assert behavior_data._parse_line('{"tick": 0,' + suffix)[1:] == tuple(table[:, key])
     for triple, key in triples.items():
         assert triple == tuple(table[:, key])
+
+
+@pytest.mark.parametrize(
+    "tick, soldier, message",
+    [
+        (5.7, True, "tick: expected an integer, got 5.7"),
+        (True, True, "tick: expected an integer, got True"),
+        (5, "no", "context.soldier_present: expected true or false, got 'no'"),
+    ],
+)
+def test_jsonl_reader_rejects_non_integer_ticks_and_non_boolean_flags(
+    tmp_path, tick, soldier, message
+):
+    # These read as tick 5, tick 1 and a present soldier, so the facing_sol
+    # line passed validation with no soldier in sight.
+    context = next(code for code, c in enumerate(CONTEXTS) if c.soldier_present)
+    payload = json.loads(behavior_data._json_line(5, 0, context, AttributeId.FACING_SOL.value))
+    payload["tick"] = tick
+    payload["context"]["soldier_present"] = soldier
+    path = tmp_path / "session.jsonl"
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_session_jsonl(path)
+    assert str(err.value) == message

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,37 @@ def test_nudge_rejects_out_of_range_rates(table1_pair):
     for eta in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="eta"):
             nudge_profile(learner, expert, [ConditionKey.OBSTACLE], eta)
+
+
+def _summing_to_the_tolerance(profile: PlayerProfile) -> PlayerProfile:
+    """``profile`` with each key's last probability raised until the key sums
+    to the largest float within 1e-9 of 1, which ``PlayerProfile`` accepts."""
+    distributions = {}
+    for key, dist in profile.distributions.items():
+        *head, (last, _) = dist.items()
+        others = sum(p for _, p in head)
+        p = 1.0 + 1e-9 - others
+        while abs(others + p - 1.0) > 1e-9:
+            p = math.nextafter(p, 0.0)
+        while abs(others + math.nextafter(p, 2.0) - 1.0) <= 1e-9:
+            p = math.nextafter(p, 2.0)
+        distributions[key] = {**dict(head), last: p}
+    return PlayerProfile(profile.profile_id, distributions)
+
+
+def test_profiles_summing_to_the_tolerance_nudge_and_transfer(table1_pair):
+    # At rate 0.5 the person_facing mixture summed to 1.000000001 and the
+    # nudge raised "inputs were not normalized" where a division sufficed.
+    expert, learner = map(_summing_to_the_tolerance, table1_pair)
+    assert max(sum(d.values()) for d in learner.distributions.values()) > 1.0 + 9e-10
+    for eta in (0.25, 0.3, 0.5):
+        nudged = nudge_profile(learner, expert, list(ConditionKey), eta)
+        for key, dist in nudged.distributions.items():
+            if learner.distributions[key] != expert.distributions[key]:
+                assert sum(dist.values()) == pytest.approx(1.0, abs=1e-15)
+    config = TransferConfig(scenario=_scenario(ticks_per_session=2000))
+    trace = run_transfer(expert, learner, config, seed=0)
+    assert trace.terminal_reason is TerminalReason.THRESHOLD_REACHED
 
 
 @settings(max_examples=100, deadline=None)
