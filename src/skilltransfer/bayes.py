@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .behavior_data import CLASS_COLUMN, DataSet
+from .behavior_data import CLASS_COLUMN, DataSet, check_distinct_values
 from .errors import check_fields, check_range, json_number
 from .seeds import derive_rng
 
@@ -131,6 +131,7 @@ class BayesNet:
         for node in self.dag.nodes:
             if node not in self.domains:
                 raise ValueError(f"no domain for node {node!r}")
+            check_distinct_values(node, self.domains[node])
             if node not in self.cpts:
                 raise ValueError(f"no CPT for node {node!r}")
             cpt = self.cpts[node]
@@ -573,15 +574,23 @@ def _strings(value: object, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _edge(value: object) -> tuple[str, ...]:
+    """``value``, a JSON ``[parent, child]`` pair of strings, as a tuple."""
+    edge = _strings(value, "edge")
+    if len(edge) != 2:
+        raise ValueError(f"edge: expected a [parent, child] pair, got {value!r}")
+    return edge
+
+
 def bayesnet_from_json(text: str) -> BayesNet:
     """The network of :func:`bayesnet_to_json` text.
 
-    Nodes, edges, parents and domains must be JSON lists of strings, and
-    CPT entries JSON numbers.
+    Nodes, parents and domains must be JSON lists of strings, edges
+    ``[parent, child]`` pairs of strings, and CPT entries JSON numbers.
     """
     payload = json.loads(text)
     nodes = _strings(payload["nodes"], "nodes")
-    dag = Dag(nodes=nodes, edges=frozenset(_strings(e, "edge") for e in payload["edges"]))
+    dag = Dag(nodes=nodes, edges=frozenset(_edge(e) for e in payload["edges"]))
     domains = {n: _strings(v, f"{n}: domain") for n, v in payload["domains"].items()}
     cpts: dict[str, Cpt] = {}
     for node in nodes:

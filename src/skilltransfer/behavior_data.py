@@ -307,6 +307,16 @@ def validate_session(log: SessionLog) -> list[Violation]:
     return violations
 
 
+def check_distinct_values(name: str, domain: Sequence[str]) -> None:
+    """Raise ``ValueError`` when ``domain`` lists a value twice.
+
+    A value's code is its one position in the domain.
+    """
+    repeated = [v for k, v in enumerate(domain) if v in domain[:k]]
+    if repeated:
+        raise ValueError(f"domain of {name!r} lists {repeated[0]!r} twice")
+
+
 class DataSet:
     """Immutable categorical table stored as one integer code matrix.
 
@@ -344,10 +354,7 @@ class DataSet:
                     f"domain of {name!r} has {len(domains[name])} values, "
                     f"at most {MAX_DOMAIN} fit the int8 codes"
                 )
-            # A value's code is its one position in the domain.
-            repeated = [v for k, v in enumerate(domains[name]) if v in domains[name][:k]]
-            if repeated:
-                raise ValueError(f"domain of {name!r} lists {repeated[0]!r} twice")
+            check_distinct_values(name, domains[name])
         if (rows is None) == (codes is None):
             raise ValueError("give exactly one of rows and codes")
         if rows is not None:

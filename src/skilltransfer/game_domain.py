@@ -22,9 +22,11 @@ scenario's context probabilities into one joint (context, behavior) law per
 session and draws every tick from it in one call, one uniform per tick,
 into one context-code and one behavior-value column, which the
 :class:`~skilltransfer.behavior_data.SessionLog` packs into its record
-array. Feasibility is read from the one table,
-:data:`~skilltransfer.behavior_data.FEASIBILITY`. The random stream
-layout is documented in :mod:`skilltransfer.seeds`.
+array. A tick is the first pair whose cumulative mass exceeds its uniform;
+``run_session`` finds that pair through an exact guide table, so the
+stream layout does not depend on how the lookup is done. Feasibility is
+read from the one table, :data:`~skilltransfer.behavior_data.FEASIBILITY`.
+The random stream layout is documented in :mod:`skilltransfer.seeds`.
 """
 
 from __future__ import annotations
@@ -209,6 +211,41 @@ _CODE_FIELDS = (np.arange(len(CONTEXTS))[:, None] >> np.arange(len(CONTEXT_FIELD
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
+#: Context code and ``AttributeId`` value of each pair of the joint law, code-major.
+_PAIR_CONTEXTS = np.repeat(np.arange(len(CONTEXTS), dtype=np.uint8), len(EVENT_ATTRIBUTES))
+_PAIR_BEHAVIORS = np.tile(_EVENT_VALUES, len(CONTEXTS))
+
+
+#: Equal buckets of [0, 1] in the guide table; a power of two, so a bucket
+#: edge ``j / _GUIDE`` and a uniform's bucket ``floor(u * _GUIDE)`` are exact.
+_GUIDE = 1 << 14
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, arange(_GUIDE + 1) / _GUIDE, "right")``, as ``int16``.
+
+    Entry ``j`` counts the CDF entries ``c <= j / _GUIDE``, that is those with
+    ``ceil(c * _GUIDE) <= j``: a cumulative count of those ceilings.
+    """
+    edges = np.ceil(cdf * _GUIDE).astype(np.intp)
+    return np.cumsum(np.bincount(edges, minlength=_GUIDE + 1), dtype=np.int16)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, "right")`` as ``int16``, exactly.
+
+    ``cdf`` is nondecreasing in [0, 1] with fewer than 2**15 entries, and
+    every ``u`` lies in [0, 1). A uniform in bucket ``j`` exceeds every entry
+    the guide counts at ``j`` and no other, unless an entry falls inside its
+    bucket; only those uniforms are searched (indexed search: Chen and Asau
+    1974; Devroye 1986, section III.2).
+    """
+    guide = _guide_table(cdf)
+    buckets = (u * _GUIDE).astype(np.int32)
+    pairs = guide[buckets]
+    split = np.flatnonzero(np.diff(guide)[buckets])
+    pairs[split] = np.searchsorted(cdf, u[split], side="right")
+    return pairs
 
 
 def run_session(
@@ -224,20 +261,22 @@ def run_session(
             "behavior for a context the scenario can produce"
         )
     # Inverse CDF of the joint law of (context code, behavior index), code-major:
-    # each context's weight times its behavior law. A pair without mass repeats
-    # the entry before it, so ``side="right"`` never lands on it, and dividing by
-    # the last entry makes it exactly 1.0, past every uniform in [0, 1).
+    # each context's weight times its behavior law. A tick is the first pair
+    # whose cumulative mass exceeds its uniform; a pair without mass repeats the
+    # entry before it, so it is never that pair, and dividing by the last entry
+    # makes it exactly 1.0, past every uniform in [0, 1). ``_inverse_cdf`` finds
+    # the pair through an exact guide table.
     weights = np.where(_CODE_FIELDS, p, 1.0 - p).prod(axis=1)
     cdf = np.cumsum(weights[:, None] * law)
     cdf /= cdf[-1]
     ticks = scenario.ticks_per_session
-    pairs = np.searchsorted(cdf, derive_rng(seed).random(ticks), side="right")
+    pairs = _inverse_cdf(cdf, derive_rng(seed).random(ticks))
     return SessionLog(
         player,
         ticks=np.arange(ticks),
         players=np.full(ticks, PLAYERS.index(player), dtype=np.int8),
-        contexts=(pairs // len(EVENT_ATTRIBUTES)).astype(np.uint8),
-        behaviors=_EVENT_VALUES[pairs % len(EVENT_ATTRIBUTES)],
+        contexts=_PAIR_CONTEXTS[pairs],
+        behaviors=_PAIR_BEHAVIORS[pairs],
     )
 
 

@@ -23,7 +23,8 @@ index) pairs, laid out row-major: pair ``code * 9 + b`` for the context
 code of ``CONTEXTS`` and behavior ``b`` in ``EVENT_ATTRIBUTES`` order,
 with mass equal to the context's probability times the behavior's
 probability under it. The tick is the first pair whose cumulative mass,
-divided by the total, exceeds ``u``.
+divided by the total, exceeds ``u``. ``run_session`` finds that pair
+through an exact guide table; the rule, not the lookup, fixes the layout.
 
 Every tick reads exactly one double, so a session of T ticks is the
 first T ticks of any longer session with the same seed, and a replay

@@ -1164,6 +1164,14 @@ def _set(payload: dict, path: tuple, value) -> dict:
         (("cpts", "c", "parents"), "a", "c: parents: expected a list of strings, got 'a'"),
         (("nodes",), ["a", 3], "nodes: expected a list of strings, got ['a', 3]"),
         (("edges", 0), "ac", "edge: expected a list of strings, got 'ac'"),
+        (
+            ("edges", 0),
+            ["a", "c", "x"],
+            "edge: expected a [parent, child] pair, got ['a', 'c', 'x']",
+        ),
+        (("edges", 0), ["a"], "edge: expected a [parent, child] pair, got ['a']"),
+        (("edges", 0), [], "edge: expected a [parent, child] pair, got []"),
+        (("domains", "c"), ["0", "0"], "domain of 'c' lists '0' twice"),
     ],
 )
 def test_bayesnet_json_reads_only_numbers_and_lists_of_strings(path, value, message):

@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,10 +26,13 @@ from skilltransfer.behavior_data import (
 from skilltransfer.errors import ConfigError
 from skilltransfer.game_domain import (
     _FEASIBLE,
+    _GUIDE,
     _KEY_SUPPORT,
     ConditionKey,
     PlayerProfile,
     Scenario,
+    _guide_table,
+    _inverse_cdf,
     active_keys,
     profile_from_json,
     profile_payload,
@@ -277,6 +281,42 @@ def test_degenerate_scenarios_never_draw_a_pair_without_mass(probabilities, whic
     assert validate_session(log) == []
     reachable = {CONTEXTS.index(context) for context, _ in oracles.context_weights(scenario)}
     assert set(log.contexts.tolist()) <= reachable
+
+
+#: CDF entries and uniforms: any double in [0, 1), and those the guide table is
+#: most likely to get wrong, zero, the bucket edges ``k / _GUIDE`` and the
+#: largest double below 1.0.
+_EDGE_VALUES = st.one_of(
+    st.just(0.0),
+    st.integers(0, _GUIDE - 1).map(lambda k: k / _GUIDE),
+    st.just(np.nextafter(1.0, 0.0)),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def _cdfs(draw) -> np.ndarray:
+    """Sorted entries in [0, 1]: leading zeros, repeated runs (pairs without
+    mass), bucket edges, and often a last entry of 1.0."""
+    entries = st.one_of(_EDGE_VALUES, st.just(1.0))
+    runs = draw(st.lists(st.tuples(entries, st.integers(1, 4)), min_size=1, max_size=40))
+    cdf = np.sort(np.repeat([v for v, _ in runs], [n for _, n in runs]))
+    return np.append(cdf, 1.0) if draw(st.booleans()) else cdf
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf=_cdfs(), extra=st.lists(_EDGE_VALUES, max_size=40))
+def test_the_guide_table_lookup_is_the_binary_search(cdf, extra):
+    # Every uniform on or next to a CDF entry, plus 0.0, the bucket edges and
+    # the largest double below 1.0.
+    near = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], near, extra])
+    u = u[u < 1.0]
+    grid = np.arange(_GUIDE + 1) / _GUIDE
+    assert np.array_equal(_guide_table(cdf), np.searchsorted(cdf, grid, side="right"))
+    pairs = _inverse_cdf(cdf, u)
+    assert pairs.dtype == np.int16
+    assert np.array_equal(pairs, np.searchsorted(cdf, u, side="right"))
 
 
 def test_a_drawn_dead_row_is_a_config_error():
