@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_data import CLASS_COLUMN, DataSet, check_distinct_values
-from .errors import check_fields, check_range, json_number
+from .errors import check_fields, check_range, json_number, json_strings
 from .seeds import derive_rng
 
 _IMPROVEMENT_EPS = 1e-9
@@ -547,13 +547,17 @@ def accuracy(net: BayesNet, test: DataSet) -> float:
 
 # --- persistence ----------------------------------------------------------
 
+def _row_keys(domains: Mapping[str, Sequence[str]], parents: Sequence[str]) -> list[str]:
+    """CPT row keys in row order: parent assignments, the first varying slowest, joined."""
+    return [",".join(a) for a in product(*(domains[p] for p in parents))]
+
+
 def bayesnet_to_json(net: BayesNet) -> str:
     """Canonical JSON text with a lossless round trip."""
     cpts = {}
     for node in net.dag.nodes:
         cpt = net.cpts[node]
-        # Parent assignments in row order: the first parent varies slowest.
-        keys = [",".join(a) for a in product(*(net.domains[p] for p in cpt.parents))]
+        keys = _row_keys(net.domains, cpt.parents)
         rows = {key: [float(p) for p in row] for key, row in zip(keys, cpt.table)}
         if len(rows) < len(keys):
             raise ValueError(f"{node}: two parent value tuples join to one CPT row key")
@@ -567,16 +571,9 @@ def bayesnet_to_json(net: BayesNet) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _strings(value: object, what: str) -> tuple[str, ...]:
-    """``value``, a JSON list of strings, as a tuple; ``what`` names it in the error."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{what}: expected a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def _edge(value: object) -> tuple[str, ...]:
     """``value``, a JSON ``[parent, child]`` pair of strings, as a tuple."""
-    edge = _strings(value, "edge")
+    edge = json_strings(value, "edge")
     if len(edge) != 2:
         raise ValueError(f"edge: expected a [parent, child] pair, got {value!r}")
     return edge
@@ -589,15 +586,14 @@ def bayesnet_from_json(text: str) -> BayesNet:
     ``[parent, child]`` pairs of strings, and CPT entries JSON numbers.
     """
     payload = json.loads(text)
-    nodes = _strings(payload["nodes"], "nodes")
+    nodes = json_strings(payload["nodes"], "nodes")
     dag = Dag(nodes=nodes, edges=frozenset(_edge(e) for e in payload["edges"]))
-    domains = {n: _strings(v, f"{n}: domain") for n, v in payload["domains"].items()}
+    domains = {n: json_strings(v, f"{n}: domain") for n, v in payload["domains"].items()}
     cpts: dict[str, Cpt] = {}
     for node in nodes:
         entry = payload["cpts"][node]
-        parents = _strings(entry["parents"], f"{node}: parents")
-        # Rows are keyed as the writer keys them, in the writer's row order.
-        keys = [",".join(a) for a in product(*(domains[p] for p in parents))]
+        parents = json_strings(entry["parents"], f"{node}: parents")
+        keys = _row_keys(domains, parents)
         rows = entry["rows"]
         if sorted(rows) != sorted(keys):
             raise ValueError(f"{node}: CPT rows must be keyed by the parents' value tuples")

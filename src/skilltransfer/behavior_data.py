@@ -25,7 +25,7 @@ import io
 import json
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import cache, partial
 from itertools import product
@@ -83,12 +83,12 @@ DATASET_COLUMNS: tuple[str, ...] = ATTRIBUTE_COLUMNS + (CLASS_COLUMN,)
 OCCURRED = "occurred"
 ABSENT = "absent"
 
-#: Value domains for the standard dataset schema.
+#: Value domains for the standard dataset schema; a class code is a player index.
 DOMAINS: dict[str, tuple[str, ...]] = {
     **{a.column: (OCCURRED, ABSENT) for a in AttributeId},
     AttributeId.LOCATION.column: ("indoor", "outdoor"),
     AttributeId.MOVEMENT.column: ("none", "walk", "run"),
-    CLASS_COLUMN: (PlayerId.ID1.value, PlayerId.ID2.value),
+    CLASS_COLUMN: tuple(p.value for p in PLAYERS),
 }
 
 
@@ -107,11 +107,15 @@ class StimulusContext:
 
 CONTEXT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(StimulusContext))
 
-#: Every possible context, interned and indexed by its code: bit ``i`` of
-#: the code is the field ``CONTEXT_FIELDS[i]``.
+#: Entry ``[code, i]`` is bit ``i`` of a context code: the field ``CONTEXT_FIELDS[i]``.
+CONTEXT_BITS: np.ndarray = (
+    np.arange(1 << len(CONTEXT_FIELDS))[:, None] >> np.arange(len(CONTEXT_FIELDS)) & 1 == 1
+)
+CONTEXT_BITS.flags.writeable = False
+
+#: Every possible context, interned and indexed by its code.
 CONTEXTS: tuple[StimulusContext, ...] = tuple(
-    StimulusContext(**{f: bool(code >> i & 1) for i, f in enumerate(CONTEXT_FIELDS)})
-    for code in range(1 << len(CONTEXT_FIELDS))
+    StimulusContext(*bits) for bits in CONTEXT_BITS.tolist()
 )
 
 
@@ -139,13 +143,10 @@ UNCONDITIONAL_BEHAVIORS: tuple[AttributeId, ...] = tuple(
 
 
 def _feasibility_table() -> np.ndarray:
-    codes = np.arange(len(CONTEXTS))
     table = np.zeros((max(a.value for a in AttributeId) + 1, len(CONTEXTS)), dtype=bool)
     for behavior in EVENT_ATTRIBUTES:
-        needed = sum(
-            1 << CONTEXT_FIELDS.index(f) for f in FEASIBILITY_REQUIREMENTS.get(behavior, ())
-        )
-        table[behavior.value] = codes & needed == needed
+        needed = [CONTEXT_FIELDS.index(f) for f in FEASIBILITY_REQUIREMENTS.get(behavior, ())]
+        table[behavior.value] = CONTEXT_BITS[:, needed].all(axis=1)
     table.flags.writeable = False
     return table
 
@@ -172,6 +173,20 @@ _COLUMNS: tuple[tuple[str, type, range | None], ...] = (
 RECORD_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _COLUMNS])
 
 
+def _check_codes(what: str, raw: np.ndarray, valid: range | None) -> None:
+    """Raise ``ValueError`` unless ``raw`` holds integers, each in ``valid`` if given.
+
+    Compared in intp, the dtype later stages use: kernels for a narrower
+    dtype would be one more set of numpy code pages resident all run.
+    """
+    if raw.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {raw.dtype}")
+    if valid is not None:
+        wide = raw.astype(np.intp)
+        if (wide < valid.start).any() or (wide >= valid.stop).any():
+            raise ValueError(f"{what} outside [{valid.start}, {valid.stop})")
+
+
 def _packed_records(columns: Sequence[np.ndarray]) -> np.ndarray:
     """The checked columns packed into one read-only ``RECORD_DTYPE`` array."""
     raws = []
@@ -179,14 +194,7 @@ def _packed_records(columns: Sequence[np.ndarray]) -> np.ndarray:
         raw = np.asarray(column)
         if raw.ndim != 1:
             raise ValueError(f"{name} must be one-dimensional, got shape {raw.shape}")
-        if raw.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be integers, got dtype {raw.dtype}")
-        if valid is not None:
-            # Compared in intp, like DataSet codes, to keep one set of
-            # comparison kernels resident.
-            wide = raw.astype(np.intp)
-            if (wide < valid.start).any() or (wide >= valid.stop).any():
-                raise ValueError(f"{name} codes outside [{valid.start}, {valid.stop})")
+        _check_codes(f"{name} codes", raw, valid)
         raws.append(raw)
     lengths = [len(raw) for raw in raws]
     if len(set(lengths)) > 1:
@@ -360,7 +368,14 @@ class DataSet:
         if rows is not None:
             matrix = _encode_rows(columns, domains, rows)
         else:
-            matrix = _checked_codes(columns, domains, codes)
+            matrix = np.asarray(codes)
+            if matrix.ndim != 2 or matrix.shape[1] != len(columns):
+                raise ValueError(
+                    f"codes must have shape (n_rows, {len(columns)}), got {matrix.shape}"
+                )
+            for j, name in enumerate(columns):
+                _check_codes(f"codes of column {name!r}", matrix[:, j], range(len(domains[name])))
+            matrix = matrix.astype(np.int8)
         matrix.flags.writeable = False
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "domains", domains)
@@ -450,24 +465,6 @@ def _encode_rows(
     return np.array(flat, dtype=np.int8).reshape(len(rows), len(columns))
 
 
-def _checked_codes(
-    columns: tuple[str, ...], domains: Mapping[str, tuple[str, ...]], codes: np.ndarray
-) -> np.ndarray:
-    raw = np.asarray(codes)
-    if raw.ndim != 2 or raw.shape[1] != len(columns):
-        raise ValueError(f"codes must have shape (n_rows, {len(columns)}), got {raw.shape}")
-    if raw.dtype.kind not in "iu":
-        raise ValueError(f"codes must be integers, got dtype {raw.dtype}")
-    # Compared one column at a time in intp, the dtype the later stages
-    # use: int8 comparison kernels would be one more set of numpy code
-    # pages resident for the whole run.
-    for j, name in enumerate(columns):
-        column = raw[:, j].astype(np.intp)
-        if (column < 0).any() or (column >= len(domains[name])).any():
-            raise ValueError(f"codes of column {name!r} outside [0, {len(domains[name])})")
-    return raw.astype(np.int8)
-
-
 #: Column positions of the attributes ``to_dataset`` does not read off as
 #: occurred/absent, and the codes it writes into them.
 _LOCATION = AttributeId.LOCATION.value - 1
@@ -501,7 +498,7 @@ def _window_codes(log: SessionLog, window: int) -> np.ndarray:
     codes[:, _MOVEMENT] = np.where(
         (walk >= run) & (walk >= still), _WALK, np.where(run >= still, _RUN, _NONE)
     )
-    codes[:, -1] = DOMAINS[CLASS_COLUMN].index(log.player.value)
+    codes[:, -1] = _PLAYER_INDEX[log.player]
     return codes
 
 
@@ -566,10 +563,11 @@ def _json_fragment(value: object) -> str:
     return json.dumps(value, separators=(", ", ": "))
 
 
-#: Pre-rendered JSON for every value a record line can hold but its tick,
-#: indexed by player index, context code and behavior value.
+#: A record line's text up to its tick, and pre-rendered JSON for every value
+#: it can hold but its tick, indexed by player index, context code and behavior value.
+_TICK_HEAD = '{"tick": '
 _PLAYER_JSON = tuple(_json_fragment(p.value) for p in PLAYERS)
-_CONTEXT_JSON = tuple(_json_fragment({f: getattr(c, f) for f in CONTEXT_FIELDS}) for c in CONTEXTS)
+_CONTEXT_JSON = tuple(_json_fragment(asdict(c)) for c in CONTEXTS)
 _BEHAVIOR_JSON = {a.value: _json_fragment(a.column) for a in AttributeId}
 
 
@@ -581,24 +579,22 @@ def _json_line(tick: int, player: int, context: int, behavior: int) -> str:
     from pre-rendered parts.
     """
     return (
-        f'{{"tick": {tick:d}, "player": {_PLAYER_JSON[player]}, '
+        f'{_TICK_HEAD}{tick:d}, "player": {_PLAYER_JSON[player]}, '
         f'"context": {_CONTEXT_JSON[context]}, "behavior": {_BEHAVIOR_JSON[behavior]}}}'
     )
 
 
 #: The context code of the seven ``bool`` flags, in ``CONTEXT_FIELDS`` order.
 _read_flags = itemgetter(*CONTEXT_FIELDS)
-_CODE_OF_FLAGS = {
-    tuple(getattr(c, f) for f in CONTEXT_FIELDS): code for code, c in enumerate(CONTEXTS)
-}
+_CODE_OF_FLAGS = {tuple(bits): code for code, bits in enumerate(CONTEXT_BITS.tolist())}
 
 
 def _parse_line(line: str) -> tuple[int, int, int, int]:
     """Tick, player index, context code and behavior value of one JSONL line.
 
-    The tick must be a JSON integer and each context flag a JSON boolean.
-    A malformed line raises ``ValueError``, ``KeyError``, ``TypeError`` or
-    ``AttributeError``.
+    The tick must be a JSON integer that fits ``int64`` and each context
+    flag a JSON boolean. A malformed line raises ``ValueError``,
+    ``KeyError``, ``TypeError`` or ``AttributeError``.
     """
     from .errors import json_number  # errors imports this module
 
@@ -610,6 +606,8 @@ def _parse_line(line: str) -> tuple[int, int, int, int]:
     context = _CODE_OF_FLAGS[flags]
     player = _PLAYER_INDEX[PlayerId(payload["player"])]
     tick = json_number(payload["tick"], "tick", integer=True)
+    if not -(1 << 63) <= tick < 1 << 63:
+        raise ValueError(f"tick: {tick} does not fit int64")
     return tick, player, context, AttributeId.from_column(payload["behavior"]).value
 
 
@@ -620,10 +618,9 @@ def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
             handle.write(line + "\n")
 
 
-#: A canonical line up to its first comma. A tick of at most eighteen
-#: digits fits ``int64``; a longer one takes the general path.
-_CANONICAL_HEAD = re.compile(r'\{"tick": (?:0|-?[1-9][0-9]{0,17})')
-_TICK_AT = len('{"tick": ')
+#: A canonical line up to its first comma, its tick the group. A tick of
+#: at most eighteen digits fits ``int64``; a longer one takes the general path.
+_CANONICAL_HEAD = re.compile(re.escape(_TICK_HEAD) + "(0|-?[1-9][0-9]{0,17})")
 
 
 @cache
@@ -658,8 +655,8 @@ def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> S
         for line in handle:
             head, _, tail = line.partition(",")
             key = suffix_keys.get(tail)
-            if key is not None and _CANONICAL_HEAD.fullmatch(head):
-                tick = int(head[_TICK_AT:])
+            if key is not None and (canonical := _CANONICAL_HEAD.fullmatch(head)):
+                tick = int(canonical[1])
             elif line.strip():
                 tick, *triple = _parse_line(line)
                 key = triple_keys[tuple(triple)]

@@ -50,6 +50,13 @@ def json_number(value: object, what: str, integer: bool = False) -> int | float:
     return value
 
 
+def json_strings(value: object, what: str) -> tuple[str, ...]:
+    """``value``, a JSON list of strings, as a tuple; ``what`` names it in the error."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what}: expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
 #: Largest smoothing whose CPT rows still sum to a finite value: a row
 #: holds at most one cell per value of the widest domain a ``DataSet``
 #: accepts, each cell the smoothing plus a count, so half the float range

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior_data import (
+    CONTEXT_BITS,
     CONTEXT_FIELDS,
     CONTEXTS,
     EVENT_ATTRIBUTES,
@@ -206,8 +207,6 @@ _EVENT_VALUES = np.array([b.value for b in EVENT_ATTRIBUTES], dtype=np.int8)
 
 #: ``_GOVERNS[code, k]``: key ``_GOVERNING[k]`` governs context ``CONTEXTS[code]``.
 _GOVERNS = np.array([[k in active_keys(c) for k in _GOVERNING] for c in CONTEXTS])
-#: Per context code, whether each ``CONTEXT_FIELDS`` entry is present.
-_CODE_FIELDS = (np.arange(len(CONTEXTS))[:, None] >> np.arange(len(CONTEXT_FIELDS))) & 1 == 1
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
@@ -255,7 +254,7 @@ def run_session(
     law, dead = profile._law
     p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
     # A context is reachable when its present fields have p > 0 and its absent ones p < 1.
-    if dead[np.where(_CODE_FIELDS, p > 0.0, p < 1.0).all(axis=1)].any():
+    if dead[np.where(CONTEXT_BITS, p > 0.0, p < 1.0).all(axis=1)].any():
         raise ConfigError(
             f"profile {profile.profile_id!r}: default condition has no feasible "
             "behavior for a context the scenario can produce"
@@ -266,7 +265,7 @@ def run_session(
     # entry before it, so it is never that pair, and dividing by the last entry
     # makes it exactly 1.0, past every uniform in [0, 1). ``_inverse_cdf`` finds
     # the pair through an exact guide table.
-    weights = np.where(_CODE_FIELDS, p, 1.0 - p).prod(axis=1)
+    weights = np.where(CONTEXT_BITS, p, 1.0 - p).prod(axis=1)
     cdf = np.cumsum(weights[:, None] * law)
     cdf /= cdf[-1]
     ticks = scenario.ticks_per_session

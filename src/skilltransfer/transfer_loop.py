@@ -43,7 +43,7 @@ from .behavior_data import (
     split,
     to_dataset,
 )
-from .errors import check_fields, check_range, json_number
+from .errors import check_fields, check_range, json_number, json_strings
 from .game_domain import (
     ConditionKey,
     Distribution,
@@ -187,17 +187,18 @@ def nudge_profile(
 ) -> PlayerProfile:
     """Blend the learner toward the expert on the given condition keys.
 
-    Each affected distribution becomes (1 - eta) * learner + eta * expert.
-    With eta = 1 the key copies the expert outright; a key whose two
-    distributions already match is left untouched, so an expert learner
-    is a fixed point.
+    Each affected distribution becomes (1 - eta) * learner + eta * expert,
+    renormalized. With eta = 1 the key copies the expert's distribution
+    exactly, with no renormalization; a key whose two distributions
+    already match is left untouched, so an expert learner is a fixed point.
     """
     check_range("eta", eta, "learning_rate")
     new_distributions = dict(learner.distributions)
     for key in keys:
         q = learner.distributions[key]
         p = expert.distributions[key]
-        if q == p:
+        if q == p or eta == 1.0:
+            new_distributions[key] = p
             continue
         mixed: Distribution = {}
         for behavior in sorted(set(q) | set(p), key=lambda a: a.value):
@@ -357,9 +358,15 @@ def trace_from_json(text: str) -> TransferTrace:
                 json_number(entry["divergence"], f"divergence at position {position}")
             ),
             targeted_attributes=tuple(
-                AttributeId.from_column(c) for c in entry["targeted_attributes"]
+                AttributeId.from_column(c)
+                for c in json_strings(
+                    entry["targeted_attributes"], f"targeted_attributes at position {position}"
+                )
             ),
-            nudged_keys=tuple(ConditionKey(k) for k in entry["nudged_keys"]),
+            nudged_keys=tuple(
+                ConditionKey(k)
+                for k in json_strings(entry["nudged_keys"], f"nudged_keys at position {position}")
+            ),
             learner_profile=profile_from_payload(entry["learner_profile"]),
         )
         for position, entry in enumerate(payload["iterations"], 1)

@@ -824,6 +824,15 @@ def _impossible_trace(**changes) -> str:
         pytest.param({"divergence": [0.1, True]},
                      "divergence at position 2: expected a number, got True",
                      id="bool-divergence"),
+        pytest.param({"nudged_keys": [{"obstacle": 1}]},
+                     "nudged_keys at position 1: expected a list of strings, got {'obstacle': 1}",
+                     id="object-nudged-keys"),
+        pytest.param({"targeted_attributes": [""]},
+                     "targeted_attributes at position 1: expected a list of strings, got ''",
+                     id="string-targeted-attributes"),
+        pytest.param({"targeted_attributes": [[], {}]},
+                     "targeted_attributes at position 2: expected a list of strings, got {}",
+                     id="object-targeted-attributes"),
     ],
 )
 def test_report_on_an_impossible_trace_exits_three(quick_config, tmp_path, changes, needle):

@@ -414,3 +414,23 @@ def test_jsonl_reader_rejects_non_integer_ticks_and_non_boolean_flags(
     with pytest.raises(ValueError) as err:
         read_session_jsonl(path)
     assert str(err.value) == message
+
+
+def _one_line_log(tmp_path, tick: int):
+    path = tmp_path / "session.jsonl"
+    line = behavior_data._json_line(tick, 0, 0, AttributeId.MOVEMENT.value)
+    path.write_text(line + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("tick", [_INT64_MAX, -_INT64_MAX - 1])
+def test_jsonl_ticks_at_the_int64_edges_read_back(tmp_path, tick):
+    assert read_session_jsonl(_one_line_log(tmp_path, tick)).ticks.tolist() == [tick]
+
+
+@pytest.mark.parametrize("tick", [_INT64_MAX + 1, -_INT64_MAX - 2, 10**30])
+def test_jsonl_reader_rejects_ticks_outside_int64(tmp_path, tick):
+    # These raised OverflowError when the tick column was built.
+    with pytest.raises(ValueError) as err:
+        read_session_jsonl(_one_line_log(tmp_path, tick))
+    assert str(err.value) == f"tick: {tick} does not fit int64"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from skilltransfer.bayes import bayesnet_to_json
 from skilltransfer.behavior_data import AttributeId, PlayerId
-from skilltransfer.game_domain import ConditionKey, PlayerProfile, Scenario
+from skilltransfer.game_domain import ConditionKey, PlayerProfile, Scenario, table1_profiles
 from skilltransfer.transfer_loop import (
     DatasetConfig,
     IterationRecord,
@@ -158,8 +158,11 @@ def test_half_rate_nudge_lands_on_the_midpoint(table1_pair):
     )
 
 
-def test_full_rate_nudge_copies_the_expert(table1_pair):
-    expert, learner = table1_pair
+@pytest.mark.parametrize("strength", [0.1, 0.4, 0.7])
+def test_full_rate_nudge_copies_the_expert(strength):
+    # At 0.1 the expert's person_facing key sums to 1 - 2**-52, and
+    # renormalizing moved every entry of the copy.
+    expert, learner = table1_profiles(strength)
     copied = nudge_profile(learner, expert, list(ConditionKey), eta=1.0)
     assert copied.distributions == expert.distributions
     assert copied.profile_id == learner.profile_id
