@@ -8,7 +8,7 @@ legality from boolean masks and reachability, and deltas read from one
 table of family scores, the only store of them. BIC is a sum of
 per-family local scores, so a move's delta reads only the families it
 touches. Those the table lacks at a step are counted together, across
-all children, in one call whose bounded passes each take one integer
+all children, in one call whose bounded passes each take one float64
 product and one ``bincount``. Moves are ranked in a fixed order, adds by
 column then deletes and reverses by edge name, and an exact tie goes to
 the first, so the learned graph is that of a sequential scan. Inference
@@ -184,9 +184,9 @@ class _FamilyScorer:
         self._rank = np.argsort(self._name_order)
         self._named_cards = self._cards[self._name_order]
         rows, self.copies = data._distinct_rows()
-        # Widened once, because cell indices overflow int8 arithmetic, with
-        # the columns in name order, the order of a family's strides.
-        self.codes = rows[:, self._name_order].astype(np.int64)
+        # As float64 once, with the columns in name order, the order of a
+        # family's strides: :meth:`_count` multiplies them through BLAS.
+        self.codes = rows[:, self._name_order].astype(np.float64)
         self.n = data.n_rows
         self._log_n = math.log(self.n)
 
@@ -227,7 +227,11 @@ class _FamilyScorer:
 
     def _count(self, strides: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """The families' count cells, one block after another, as exact floats."""
-        idx = strides @ self.codes.T
+        # A float64 product, which numpy hands to BLAS, is exact in any
+        # order of addition: the operands are small integers and every cell
+        # index is below cells.sum(), the length bincount allocates anyway,
+        # so far below 2**53.
+        idx = (strides.astype(np.float64) @ self.codes.T).astype(np.intp)
         idx += (np.cumsum(cells) - cells)[:, None]
         weights = self.copies[None].repeat(len(cells), axis=0).ravel()
         # The sums are integers below 2**53, so the float cells are exact.
@@ -344,12 +348,16 @@ class _Climber:
         live = np.arange(len(starts))
         while live.size:
             step = adj[live]
-            # Repeated boolean squaring: after k squarings ``reach`` holds the
-            # paths of 1 to 2**k edges. The last product holds those of 2 to
+            # Repeated squaring: after k squarings ``reach`` holds the paths
+            # of 1 to 2**k edges. The last product holds those of 2 to
             # 2**k >= n edges, so it is every path of two or more edges.
+            # Each product counts two-hop paths as a float64 product, which
+            # numpy hands to BLAS; a count is at most n, so it is exact in
+            # any order of addition, and nonzero exactly where a path is.
             reach = step
             for _ in range(max(1, (n - 1).bit_length())):
-                longer = reach @ reach
+                hops = reach.astype(np.float64)
+                longer = hops @ hops > 0
                 reach = step | longer
             if reach[:, nodes, nodes].any():
                 raise ValueError("graph contains a cycle")

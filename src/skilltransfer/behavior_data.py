@@ -174,13 +174,16 @@ RECORD_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _COLUMNS])
 
 
 def _check_codes(what: str, raw: np.ndarray, valid: range | None) -> None:
-    """Raise ``ValueError`` unless ``raw`` holds integers, each in ``valid`` if given.
+    """Raise ``ValueError`` unless ``raw`` holds integers within int64, each in ``valid`` if given.
 
     Compared in intp, the dtype later stages use: kernels for a narrower
     dtype would be one more set of numpy code pages resident all run.
     """
     if raw.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {raw.dtype}")
+    # Only uint64 holds values past int64, which a cast would wrap.
+    if not np.can_cast(raw.dtype, np.int64) and (raw >= np.uint64(1 << 63)).any():
+        raise ValueError(f"{what} outside the int64 range")
     if valid is not None:
         wide = raw.astype(np.intp)
         if (wide < valid.start).any() or (wide >= valid.stop).any():

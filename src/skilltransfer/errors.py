@@ -82,8 +82,8 @@ BOUNDS: dict[str, Bound] = {
     "split_ratio": (0.0, 1.0, True, True),
     "max_parents": 1,
     "smoothing": (MIN_SMOOTHING, MAX_SMOOTHING, False, False),
-    # One restart holds about 15 KB of search state and takes about 0.4 ms at
-    # 40 ticks; 10**4 restarts peak near 235 MB and 4 s, 10**5 near 1.6 GB.
+    # One restart holds about 15 KB of search state and takes about 0.35 ms
+    # at 40 ticks; 10**4 restarts peak near 235 MB and 3.5 s, 10**5 near 1.6 GB.
     "restarts": (0, 10**4),
     "learning_rate": (0.0, 1.0, True, False),
     "stop_threshold": (0.5, 1.0, False, True),

@@ -584,6 +584,44 @@ def test_lockstep_climbs_on_the_standard_schema_match_the_reference(base_scenari
     assert bayes._Climber(bayes._FamilyScorer(data), 3).climb_all(starts) == want
 
 
+@pytest.mark.parametrize("seed, max_parents", [(0, 1), (1, 2), (2, 4), (3, 4)])
+def test_lockstep_climbs_on_the_widest_table_match_the_reference(seed, max_parents):
+    # The widest table a search takes: reachability takes four squarings,
+    # and the chain start holds a path of 15 edges.
+    k = bayes._MAX_SEARCH_COLUMNS
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{i:02d}" for i in rng.permutation(k))
+    n = 60
+    columns = [rng.integers(0, 2, size=n)]
+    for j in range(1, k):
+        source = columns[int(rng.integers(0, j))]
+        if j % 3 == 0:
+            columns.append(rng.integers(0, 3, size=n))
+        elif j % 3 == 1:
+            columns.append(source.copy())
+        else:
+            flips = rng.random(n) < 0.2
+            columns.append(np.where(flips, rng.integers(0, source.max() + 1, size=n), source))
+    domains = {
+        name: tuple(f"v{i}" for i in range(max(2, int(column.max()) + 1)))
+        for name, column in zip(names, columns)
+    }
+    data = DataSet(columns=names, domains=domains, codes=np.stack(columns, axis=1))
+    chain = set(zip(names, names[1:]))
+    starts = [set(), chain]
+    starts += [bayes._random_start(names, max_parents, rng) for _ in range(4)]
+    reference = _MemoScorer(data)
+    want = [_reference_climb(reference, max_parents, start) for start in starts]
+    climber = bayes._Climber(bayes._FamilyScorer(data), max_parents)
+    assert climber.climb_all(starts) == want
+    assert _scored_families(climber) <= set(reference.scores)
+
+    ring = [names[i] for i in rng.permutation(k)]
+    cyclic = set(zip(ring, ring[1:] + ring[:1]))
+    with pytest.raises(ValueError, match="graph contains a cycle"):
+        climber.climb_all(starts[:3] + [cyclic] + starts[3:])
+
+
 def _member_rows(masks, k: int) -> np.ndarray:
     """Each parent bitmask as the 0/1 row over k columns that score_families takes."""
     return np.array(masks, dtype=np.int64)[:, None] >> np.arange(k) & 1

@@ -214,6 +214,15 @@ def test_log_columns_must_be_one_length_of_integers():
     assert validate_session(log) == []
 
 
+def test_log_ticks_must_fit_int64():
+    top = np.array([2**63 - 1], dtype=np.uint64)
+    log = SessionLog(PlayerId.ID1, **_columns(1, ticks=top))
+    assert log.ticks.dtype == np.int64
+    assert log.ticks.tolist() == [2**63 - 1]
+    with pytest.raises(ValueError, match="ticks codes outside the int64 range"):
+        SessionLog(PlayerId.ID1, **_columns(1, ticks=top + 1))
+
+
 def test_a_log_is_one_read_only_record_array(base_scenario, table1_pair):
     expert, _ = table1_pair
     log = run_session(replace(base_scenario, ticks_per_session=1000), expert, PlayerId.ID1, 3)
