@@ -191,15 +191,41 @@ class _FamilyScorer:
         self._log_n = math.log(self.n)
 
     def family_counts(self, families: Sequence[tuple[str, Sequence[str]]]) -> list[np.ndarray]:
-        """Each (node, parents) family's count matrix, as exact floats, all from one count.
+        """Each (node, parents) family's count matrix, as exact floats.
 
         A matrix has one row per parent assignment, the parents in name
         order and the first most significant, and one column per node value.
+        The families are counted together, in the passes of :meth:`_passes`,
+        each over only the columns its families use: a net spans every
+        column, and on a wide table one product over all of them would
+        pass BLAS's threading cutoff and run slower on two threads than on one.
         """
         children = np.array([self.index[node] for node, _ in families], dtype=np.int64)
         strides, cells = self._layout(children, self._members([ps for _, ps in families]))
-        blocks = np.split(self._count(strides, cells), np.cumsum(cells)[:-1])
+        blocks: list[np.ndarray] = []
+        for p in self._passes(cells):
+            used = strides[p].any(axis=0)
+            # A slice where every column is used, as in the one pass of a
+            # narrow table's net, so that nothing is copied.
+            cols = slice(None) if used.all() else used
+            counts = self._count(strides[p][:, cols], cells[p], self.codes[:, cols])
+            blocks += np.split(counts, np.cumsum(cells[p])[:-1])
         return [block.reshape(-1, r) for block, r in zip(blocks, self._cards[children].tolist())]
+
+    def _passes(self, cells: np.ndarray) -> Iterator[slice]:
+        """Runs of consecutive families to count together, given their count cells.
+
+        A run takes at most ``_PASS_CELLS`` row indices plus count cells,
+        unless one family alone needs more.
+        """
+        start, size = 0, 0
+        for f, need in enumerate((cells + len(self.copies)).tolist()):
+            if f > start and size + need > _PASS_CELLS:
+                yield slice(start, f)
+                start, size = f, 0
+            size += need
+        if len(cells):
+            yield slice(start, len(cells))
 
     def _members(self, parent_sets: Sequence[Sequence[str]]) -> np.ndarray:
         """Each parent set as a 0/1 row over :attr:`variables`."""
@@ -225,13 +251,16 @@ class _FamilyScorer:
         strides[np.arange(len(children)), self._rank[children]] = 1
         return strides, r * suffix[:, 0]
 
-    def _count(self, strides: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """The families' count cells, one block after another, as exact floats."""
+    def _count(self, strides: np.ndarray, cells: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """The families' count cells, one block after another, as exact floats.
+
+        ``codes`` holds the columns of :attr:`codes` that ``strides`` spans.
+        """
         # A float64 product, which numpy hands to BLAS, is exact in any
         # order of addition: the operands are small integers and every cell
         # index is below cells.sum(), the length bincount allocates anyway,
         # so far below 2**53.
-        idx = (strides.astype(np.float64) @ self.codes.T).astype(np.intp)
+        idx = (strides.astype(np.float64) @ codes.T).astype(np.intp)
         idx += (np.cumsum(cells) - cells)[:, None]
         weights = self.copies[None].repeat(len(cells), axis=0).ravel()
         # The sums are integers below 2**53, so the float cells are exact.
@@ -255,19 +284,13 @@ class _FamilyScorer:
         strides, cells = self._layout(children, member)
         r = self._cards[children]
         scores = np.empty(len(children))
-        start, size = 0, 0
-        for f, need in enumerate((cells + len(self.copies)).tolist()):
-            if f > start and size + need > _PASS_CELLS:
-                scores[start:f] = self._score_pass(strides[start:f], cells[start:f], r[start:f])
-                start, size = f, 0
-            size += need
-        if len(children):
-            scores[start:] = self._score_pass(strides[start:], cells[start:], r[start:])
+        for p in self._passes(cells):
+            scores[p] = self._score_pass(strides[p], cells[p], r[p])
         return scores
 
     def _score_pass(self, strides: np.ndarray, cells: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The scores of the families of one pass, with child cardinalities ``r``."""
-        counts = self._count(strides, cells)
+        counts = self._count(strides, cells, self.codes)
         ends = np.cumsum(cells)
         # The nonzero cells in row-major order, and the row total of each,
         # found by its (family, parent row) id.

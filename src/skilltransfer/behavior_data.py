@@ -15,7 +15,8 @@ The JSONL and CSV readers accept whatever their general parsers
 tick must be a JSON integer and a context flag a JSON boolean. A line in
 the form the writers emit decodes by table lookup; any other line goes
 through the general parser, so both paths give the same values and the
-same errors.
+same errors. The JSONL writer renders its lines from the same table of
+line texts that the reader decodes by.
 """
 
 from __future__ import annotations
@@ -579,7 +580,8 @@ def _json_line(tick: int, player: int, context: int, behavior: int) -> str:
 
     Same text as ``json.dumps`` of the ``tick``/``player``/``context``/
     ``behavior`` object with ``", "`` and ``": "`` separators, assembled
-    from pre-rendered parts.
+    from pre-rendered parts. :func:`_line_table` renders every line's text
+    after its tick through this function, for the writer and the reader.
     """
     return (
         f'{_TICK_HEAD}{tick:d}, "player": {_PLAYER_JSON[player]}, '
@@ -614,13 +616,6 @@ def _parse_line(line: str) -> tuple[int, int, int, int]:
     return tick, player, context, AttributeId.from_column(payload["behavior"]).value
 
 
-def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
-    columns = (log.ticks, log.players, log.contexts, log.behaviors)
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in map(_json_line, *(column.tolist() for column in columns)):
-            handle.write(line + "\n")
-
-
 #: A canonical line up to its first comma, its tick the group. A tick of
 #: at most eighteen digits fits ``int64``; a longer one takes the general path.
 _CANONICAL_HEAD = re.compile(re.escape(_TICK_HEAD) + "(0|-?[1-9][0-9]{0,17})")
@@ -631,8 +626,11 @@ def _line_table() -> tuple[dict[str, int], dict[tuple[int, int, int], int], np.n
     """Key indices of every (player index, context code, behavior value) triple.
 
     Returns the key of each canonical line's text after its first comma
-    (newline included), the key of each triple, and the ``(3, n_keys)``
-    array whose column ``k`` is key ``k``'s triple. Built on first use.
+    (newline included), with the texts in key order; the key of each
+    triple; and the ``(3, n_keys)`` array whose column ``k`` is key ``k``'s
+    triple. The reader decodes a line by its text, and
+    :func:`write_session_jsonl` renders a line from its key's text. Built
+    on first use, not at import.
     """
     triples = list(product(range(len(PLAYERS)), range(len(CONTEXTS)), sorted(_BEHAVIOR_JSON)))
     lines = (_json_line(0, *triple) for triple in triples)
@@ -640,6 +638,34 @@ def _line_table() -> tuple[dict[str, int], dict[tuple[int, int, int], int], np.n
     table = np.array(triples).T
     table.flags.writeable = False
     return suffixes, {triple: key for key, triple in enumerate(triples)}, table
+
+
+#: Lines of a session log that :func:`write_session_jsonl` joins into one write.
+_WRITE_LINES = 1 << 10
+
+
+def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
+    """Write a session log as JSONL, one line per tick, in stream order.
+
+    A line is ``{"tick": T, "player": P, "context": {...}, "behavior": B}``
+    with the context's seven flags in ``CONTEXT_FIELDS`` order and a
+    ``"\\n"`` ending: the text of ``json.dumps`` of that object with
+    ``", "`` and ``": "`` separators. Each tick's key in :func:`_line_table`
+    is found by one gather over the player, context and behavior columns,
+    and each block of ``_WRITE_LINES`` lines is joined from the keys'
+    texts and handed to the file in one write.
+    """
+    suffix_keys, _, table = _line_table()
+    suffixes = list(suffix_keys)
+    # key_of[player, context, behavior] is the triple's key.
+    key_of = np.zeros(tuple(table.max(axis=1) + 1), dtype=np.intp)
+    key_of[tuple(table)] = np.arange(table.shape[1])
+    keys = key_of[log.players, log.contexts, log.behaviors]
+    with open(path, "w", encoding="utf-8") as handle:
+        for start in range(0, len(keys), _WRITE_LINES):
+            block = slice(start, start + _WRITE_LINES)
+            lines = zip(log.ticks[block].tolist(), keys[block].tolist())
+            handle.write("".join([f"{_TICK_HEAD}{tick},{suffixes[key]}" for tick, key in lines]))
 
 
 def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> SessionLog:

@@ -1219,3 +1219,30 @@ def test_bayesnet_json_reads_only_numbers_and_lists_of_strings(path, value, mess
     with pytest.raises(ValueError) as err:
         bayesnet_from_json(text)
     assert str(err.value) == message
+
+
+def test_family_counts_over_many_passes_match_a_direct_count_per_family():
+    # 2,000 distinct rows put about four families in a pass, and each pass
+    # multiplies only the columns its own families use.
+    rng = np.random.default_rng(11)
+    columns = tuple(f"c{i:02d}" for i in range(70))
+    domains = {c: BINARY for c in columns}
+    data = DataSet(columns=columns, domains=domains, codes=rng.integers(0, 2, (2000, 70)))
+    families = [(columns[0], ())] + [(columns[i], (columns[i - 1],)) for i in range(1, 70)]
+    for node in rng.choice(columns, 10).tolist():
+        others = [c for c in columns if c != node]
+        families.append((node, rng.choice(others, 3, replace=False).tolist()))
+    scorer = bayes._FamilyScorer(data)
+    widths = []
+    count = scorer._count
+
+    def spy(strides, cells, codes):
+        widths.append(codes.shape[1])
+        return count(strides, cells, codes)
+
+    with mock.patch.object(scorer, "_count", spy):
+        got = scorer.family_counts(families)
+    assert len(widths) > 1 and max(widths) < len(columns)
+    assert len(got) == len(families)
+    for (node, parents), counts in zip(families, got):
+        assert np.array_equal(counts, _reference_family_counts(data, node, sorted(parents)))

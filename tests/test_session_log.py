@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,3 +447,69 @@ def test_jsonl_reader_rejects_ticks_outside_int64(tmp_path, tick):
     with pytest.raises(ValueError) as err:
         read_session_jsonl(_one_line_log(tmp_path, tick))
     assert str(err.value) == f"tick: {tick} does not fit int64"
+
+
+def _writer_edge_log(n_lines: int) -> SessionLog:
+    """A log of ``n_lines`` seeded rows.
+
+    Its ticks take both int64 edges and negative values, and its rows take
+    both players, every context code and every behavior value, as far as
+    ``n_lines`` leaves room.
+    """
+    rng = np.random.default_rng(n_lines)
+    ticks = rng.integers(-_INT64_MAX - 1, _INT64_MAX, n_lines, endpoint=True, dtype=np.int64)
+    edges = np.array([-_INT64_MAX - 1, _INT64_MAX, -1, 0], dtype=np.int64)
+    ticks[: len(edges)] = edges[:n_lines]
+    spread = lambda values: rng.permutation(np.resize(values, n_lines))
+    return SessionLog(
+        PlayerId.ID2,
+        ticks=rng.permutation(ticks),
+        players=spread(np.arange(len(PLAYERS))),
+        contexts=spread(np.arange(len(CONTEXTS))),
+        behaviors=spread([a.value for a in AttributeId]),
+    )
+
+
+@pytest.mark.parametrize("n_lines", [0, 1, 1023, 1024, 1025, 2049])
+def test_jsonl_writer_matches_json_dumps_across_block_edges(tmp_path, n_lines):
+    log = _writer_edge_log(n_lines)
+    if n_lines > len(CONTEXTS):
+        assert set(log.players.tolist()) == {0, 1}
+        assert set(log.contexts.tolist()) == set(range(len(CONTEXTS)))
+        assert set(log.behaviors.tolist()) == {a.value for a in AttributeId}
+        assert {-_INT64_MAX - 1, _INT64_MAX, -1} <= set(log.ticks.tolist())
+    path = tmp_path / "session.jsonl"
+    write_session_jsonl(log, path)
+    want = [
+        json.dumps(
+            {
+                "tick": tick,
+                "player": PLAYERS[player].value,
+                "context": {name: getattr(CONTEXTS[context], name) for name in CONTEXT_FIELDS},
+                "behavior": AttributeId(behavior).column,
+            },
+            separators=(", ", ": "),
+        )
+        + "\n"
+        for tick, player, context, behavior in zip(
+            log.ticks.tolist(), log.players.tolist(), log.contexts.tolist(), log.behaviors.tolist()
+        )
+    ]
+    assert path.read_bytes().decode("utf-8") == "".join(want)
+    assert read_session_jsonl(path, player=log.player) == log
+
+
+def test_jsonl_line_table_is_built_on_first_use_not_at_import():
+    src = str(Path(behavior_data.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = (
+        "import skilltransfer\n"
+        "from skilltransfer import behavior_data\n"
+        "print(behavior_data._line_table.cache_info().currsize)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
