@@ -15,8 +15,8 @@ The JSONL and CSV readers accept whatever their general parsers
 tick must be a JSON integer and a context flag a JSON boolean. A line in
 the form the writers emit decodes by table lookup; any other line goes
 through the general parser, so both paths give the same values and the
-same errors. The JSONL writer renders its lines from the same table of
-line texts that the reader decodes by.
+same errors. One table holds each JSONL line's text after its tick, by
+(player, context, behavior): the writer gathers from it, the reader looks up.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import io
 import json
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, partial
-from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
@@ -563,30 +562,34 @@ def split(
 
 # --- persistence ---------------------------------------------------------
 
-def _json_fragment(value: object) -> str:
-    return json.dumps(value, separators=(", ", ": "))
-
-
-#: A record line's text up to its tick, and pre-rendered JSON for every value
-#: it can hold but its tick, indexed by player index, context code and behavior value.
+#: A record line's text up to its tick.
 _TICK_HEAD = '{"tick": '
-_PLAYER_JSON = tuple(_json_fragment(p.value) for p in PLAYERS)
-_CONTEXT_JSON = tuple(_json_fragment(asdict(c)) for c in CONTEXTS)
-_BEHAVIOR_JSON = {a.value: _json_fragment(a.column) for a in AttributeId}
+
+#: A line's flat index in :func:`_line_table`: the ``np.ravel_multi_index``
+#: of its (player index, context code, behavior value) in this shape.
+_LINE_SHAPE = tuple(valid.stop for _, _, valid in _COLUMNS[1:])
 
 
-def _json_line(tick: int, player: int, context: int, behavior: int) -> str:
-    """The JSONL line of one row of a log's columns (no trailing newline).
+@cache
+def _line_table() -> tuple[list[str], dict[str, int]]:
+    """Each canonical JSONL line's text after its tick's comma, newline included.
 
-    Same text as ``json.dumps`` of the ``tick``/``player``/``context``/
-    ``behavior`` object with ``", "`` and ``": "`` separators, assembled
-    from pre-rendered parts. :func:`_line_table` renders every line's text
-    after its tick through this function, for the writer and the reader.
+    The list holds them by flat index, with ``""`` where the behavior value
+    names no attribute; the dict maps each nonempty text to its index, and
+    leaves out ``""``, the tail of a line cut after its first comma. Built
+    on first use, not at import.
     """
-    return (
-        f'{_TICK_HEAD}{tick:d}, "player": {_PLAYER_JSON[player]}, '
-        f'"context": {_CONTEXT_JSON[context]}, "behavior": {_BEHAVIOR_JSON[behavior]}}}'
-    )
+    json_of = partial(json.dumps, separators=(", ", ": "))
+    contexts = [json_of(dict(zip(CONTEXT_FIELDS, bits))) for bits in CONTEXT_BITS.tolist()]
+    names = {a.value: json_of(a.column) for a in AttributeId}
+    behaviors = [names.get(value) for value in range(_LINE_SHAPE[2])]
+    texts = [
+        f' "player": {player}, "context": {context}, "behavior": {behavior}}}\n' if behavior else ""
+        for player in [json_of(p.value) for p in PLAYERS]
+        for context in contexts
+        for behavior in behaviors
+    ]
+    return texts, {text: i for i, text in enumerate(texts) if text}
 
 
 #: The context code of the seven ``bool`` flags, in ``CONTEXT_FIELDS`` order.
@@ -620,26 +623,6 @@ def _parse_line(line: str) -> tuple[int, int, int, int]:
 #: at most eighteen digits fits ``int64``; a longer one takes the general path.
 _CANONICAL_HEAD = re.compile(re.escape(_TICK_HEAD) + "(0|-?[1-9][0-9]{0,17})")
 
-
-@cache
-def _line_table() -> tuple[dict[str, int], dict[tuple[int, int, int], int], np.ndarray]:
-    """Key indices of every (player index, context code, behavior value) triple.
-
-    Returns the key of each canonical line's text after its first comma
-    (newline included), with the texts in key order; the key of each
-    triple; and the ``(3, n_keys)`` array whose column ``k`` is key ``k``'s
-    triple. The reader decodes a line by its text, and
-    :func:`write_session_jsonl` renders a line from its key's text. Built
-    on first use, not at import.
-    """
-    triples = list(product(range(len(PLAYERS)), range(len(CONTEXTS)), sorted(_BEHAVIOR_JSON)))
-    lines = (_json_line(0, *triple) for triple in triples)
-    suffixes = {line[line.index(",") + 1 :] + "\n": key for key, line in enumerate(lines)}
-    table = np.array(triples).T
-    table.flags.writeable = False
-    return suffixes, {triple: key for key, triple in enumerate(triples)}, table
-
-
 #: Lines of a session log that :func:`write_session_jsonl` joins into one write.
 _WRITE_LINES = 1 << 10
 
@@ -650,22 +633,17 @@ def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
     A line is ``{"tick": T, "player": P, "context": {...}, "behavior": B}``
     with the context's seven flags in ``CONTEXT_FIELDS`` order and a
     ``"\\n"`` ending: the text of ``json.dumps`` of that object with
-    ``", "`` and ``": "`` separators. Each tick's key in :func:`_line_table`
-    is found by one gather over the player, context and behavior columns,
-    and each block of ``_WRITE_LINES`` lines is joined from the keys'
-    texts and handed to the file in one write.
+    ``", "`` and ``": "`` separators. Each block of ``_WRITE_LINES`` lines
+    is joined from the :func:`_line_table` texts at its ticks' flat indices
+    and handed to the file in one write.
     """
-    suffix_keys, _, table = _line_table()
-    suffixes = list(suffix_keys)
-    # key_of[player, context, behavior] is the triple's key.
-    key_of = np.zeros(tuple(table.max(axis=1) + 1), dtype=np.intp)
-    key_of[tuple(table)] = np.arange(table.shape[1])
-    keys = key_of[log.players, log.contexts, log.behaviors]
+    texts, _ = _line_table()
+    flat = np.ravel_multi_index((log.players, log.contexts, log.behaviors), _LINE_SHAPE)
     with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, len(keys), _WRITE_LINES):
+        for start in range(0, len(flat), _WRITE_LINES):
             block = slice(start, start + _WRITE_LINES)
-            lines = zip(log.ticks[block].tolist(), keys[block].tolist())
-            handle.write("".join([f"{_TICK_HEAD}{tick},{suffixes[key]}" for tick, key in lines]))
+            lines = zip(log.ticks[block].tolist(), flat[block].tolist())
+            handle.write("".join([f"{_TICK_HEAD}{tick},{texts[i]}" for tick, i in lines]))
 
 
 def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> SessionLog:
@@ -673,33 +651,34 @@ def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> S
 
     Blank lines are skipped, and any other line that :func:`_parse_line`
     accepts is read: a line exactly as :func:`write_session_jsonl` writes
-    it decodes by table lookup, any other through ``json.loads``. Player
-    is inferred from the first record unless given explicitly; an empty
-    file, such as a 0-tick session, can only be read with it.
+    it decodes by its text's flat index in :func:`_line_table`, any other
+    through ``json.loads``. Player is inferred from the first record
+    unless given explicitly; an empty file, such as a 0-tick session, can
+    only be read with it.
     """
-    suffix_keys, triple_keys, table = _line_table()
+    _, index_of = _line_table()
     ticks: list[int] = []
-    keys: list[int] = []
+    indices: list[int] = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             head, _, tail = line.partition(",")
-            key = suffix_keys.get(tail)
-            if key is not None and (canonical := _CANONICAL_HEAD.fullmatch(head)):
+            index = index_of.get(tail)
+            if index is not None and (canonical := _CANONICAL_HEAD.fullmatch(head)):
                 tick = int(canonical[1])
             elif line.strip():
                 tick, *triple = _parse_line(line)
-                key = triple_keys[tuple(triple)]
+                index = np.ravel_multi_index(triple, _LINE_SHAPE)
             else:
                 continue
             ticks.append(tick)
-            keys.append(key)
+            indices.append(index)
+    triples = np.unravel_index(np.array(indices, dtype=np.intp), _LINE_SHAPE)
     if player is None:
-        if not keys:
+        if not indices:
             raise ValueError(f"{path}: empty session file and no player given")
-        player = PLAYERS[table[0, keys[0]]]
-    stacked = (np.array(ticks, dtype=np.int64), *table[:, keys])
-    columns = {name: column for (name, _, _), column in zip(_COLUMNS, stacked)}
-    return SessionLog(player, **columns)
+        player = PLAYERS[triples[0][0]]
+    columns = zip(_COLUMNS, (np.array(ticks, dtype=np.int64), *triples))
+    return SessionLog(player, **{name: column for (name, _, _), column in columns})
 
 
 def dataset_to_csv(data: DataSet) -> str:

@@ -427,15 +427,18 @@ def test_split_partition_and_per_class_counts(n1, n2, ratio, seed):
 
 # --- persistence ------------------------------------------------------------
 
-def test_record_json_line_has_the_documented_shape():
+def test_record_json_line_has_the_documented_shape(tmp_path):
     log = _log([_record(5, AttributeId.FIGHTING, obstacle_present=True)])
     row = (5, 0, int(log.contexts[0]), AttributeId.FIGHTING.value)
-    payload = json.loads(behavior_data._json_line(*row))
+    path = tmp_path / "session.jsonl"
+    write_session_jsonl(log, path)
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    payload = json.loads(line)
     assert set(payload) == {"tick", "player", "context", "behavior"}
     assert set(payload["context"]) == set(CONTEXT_FIELDS)
     assert payload["context"]["obstacle_present"] is True
     assert payload["behavior"] == "fighting"
-    assert behavior_data._parse_line(behavior_data._json_line(*row)) == row
+    assert behavior_data._parse_line(line) == row
 
 
 def test_session_jsonl_round_trip(tmp_path, base_scenario, table1_pair):

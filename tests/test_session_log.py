@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from record_logs import Record, feasible, log_of, records_of
@@ -317,7 +317,8 @@ def _near_canonical_line(draw) -> str:
     player = draw(st.integers(0, len(PLAYERS) - 1))
     context = draw(st.integers(0, len(CONTEXTS) - 1))
     behavior = draw(st.sampled_from(list(AttributeId))).value
-    canonical = behavior_data._json_line(0, player, context, behavior)
+    record = Record(PLAYERS[player], 0, CONTEXTS[context], AttributeId(behavior))
+    canonical = _reference_line(record)
     suffix = canonical[canonical.index(",") :]
     line = '{"tick": ' + tick + suffix
     variants = ["spaces", "reordered", "duplicate", "flags", "case", "player", "junk"]
@@ -356,7 +357,10 @@ def _near_canonical_line(draw) -> str:
         other = draw(st.sampled_from(['"ID3"', '"id1"', "1", "null"]))
         line = line.replace(f'"player": "{PLAYERS[player].value}"', f'"player": {other}')
     elif kind == "junk":
-        line = draw(st.sampled_from(["not json", "{}", '{"tick": 5}', "[]", line[:-1], line + "x"]))
+        # Cut after its first comma, a line leaves an empty tail.
+        cut = line[: line.index(",") + 1]
+        junk = ["not json", "{}", '{"tick": 5}', "[]", line[:-1], line + "x", cut]
+        line = draw(st.sampled_from(junk))
     return line
 
 
@@ -377,6 +381,7 @@ def _outcome(read, path, **kwargs):
 
 
 @settings(max_examples=400, deadline=None)
+@example(lines=[('{"tick": 5,', "\n")], drop_last_terminator=True, player=None)
 @given(
     lines=_session_files,
     drop_last_terminator=st.booleans(),
@@ -395,14 +400,38 @@ def test_jsonl_reader_agrees_with_the_json_loads_reader(
     )
 
 
-def test_jsonl_decoding_table_covers_every_parsed_triple():
-    suffixes, triples, table = behavior_data._line_table()
-    assert len(suffixes) == len(triples) == table.shape[1] == 2 * 128 * 10
-    assert not table.flags.writeable
-    for suffix, key in suffixes.items():
-        assert behavior_data._parse_line('{"tick": 0,' + suffix)[1:] == tuple(table[:, key])
-    for triple, key in triples.items():
-        assert triple == tuple(table[:, key])
+def test_jsonl_line_table_holds_every_triple_once(tmp_path, monkeypatch):
+    grids = np.meshgrid(
+        np.arange(len(PLAYERS)),
+        np.arange(len(CONTEXTS)),
+        [a.value for a in AttributeId],
+        indexing="ij",
+    )
+    players, contexts, behaviors = (grid.ravel() for grid in grids)
+    log = SessionLog(
+        PlayerId.ID1,
+        ticks=np.arange(len(players)),
+        players=players,
+        contexts=contexts,
+        behaviors=behaviors,
+    )
+    assert len(log.ticks) == 2 * 128 * 10
+    path = tmp_path / "session.jsonl"
+    write_session_jsonl(log, path)
+    want = "".join(_reference_line(record) + "\n" for record in records_of(log))
+    assert path.read_bytes().decode("utf-8") == want
+
+    texts, index_of = behavior_data._line_table()
+    assert len(texts) == 2 * 128 * 11
+    nonempty = {text: i for i, text in enumerate(texts) if text}
+    assert index_of == nonempty
+    assert len(nonempty) == len(log.ticks)
+    for text, i in nonempty.items():
+        triple = tuple(int(k) for k in np.unravel_index(i, (2, 128, 11)))
+        assert behavior_data._parse_line('{"tick": 0,' + text)[1:] == triple
+    # Every line decodes by the table, without the general parser.
+    monkeypatch.setattr(behavior_data, "_parse_line", None)
+    assert read_session_jsonl(path) == log
 
 
 @pytest.mark.parametrize(
@@ -419,7 +448,8 @@ def test_jsonl_reader_rejects_non_integer_ticks_and_non_boolean_flags(
     # These read as tick 5, tick 1 and a present soldier, so the facing_sol
     # line passed validation with no soldier in sight.
     context = next(code for code, c in enumerate(CONTEXTS) if c.soldier_present)
-    payload = json.loads(behavior_data._json_line(5, 0, context, AttributeId.FACING_SOL.value))
+    record = Record(PLAYERS[0], 5, CONTEXTS[context], AttributeId.FACING_SOL)
+    payload = json.loads(_reference_line(record))
     payload["tick"] = tick
     payload["context"]["soldier_present"] = soldier
     path = tmp_path / "session.jsonl"
@@ -431,7 +461,7 @@ def test_jsonl_reader_rejects_non_integer_ticks_and_non_boolean_flags(
 
 def _one_line_log(tmp_path, tick: int):
     path = tmp_path / "session.jsonl"
-    line = behavior_data._json_line(tick, 0, 0, AttributeId.MOVEMENT.value)
+    line = _reference_line(Record(PLAYERS[0], tick, CONTEXTS[0], AttributeId.MOVEMENT))
     path.write_text(line + "\n", encoding="utf-8")
     return path
 
@@ -480,22 +510,8 @@ def test_jsonl_writer_matches_json_dumps_across_block_edges(tmp_path, n_lines):
         assert {-_INT64_MAX - 1, _INT64_MAX, -1} <= set(log.ticks.tolist())
     path = tmp_path / "session.jsonl"
     write_session_jsonl(log, path)
-    want = [
-        json.dumps(
-            {
-                "tick": tick,
-                "player": PLAYERS[player].value,
-                "context": {name: getattr(CONTEXTS[context], name) for name in CONTEXT_FIELDS},
-                "behavior": AttributeId(behavior).column,
-            },
-            separators=(", ", ": "),
-        )
-        + "\n"
-        for tick, player, context, behavior in zip(
-            log.ticks.tolist(), log.players.tolist(), log.contexts.tolist(), log.behaviors.tolist()
-        )
-    ]
-    assert path.read_bytes().decode("utf-8") == "".join(want)
+    want = "".join(_reference_line(record) + "\n" for record in records_of(log))
+    assert path.read_bytes().decode("utf-8") == want
     assert read_session_jsonl(path, player=log.player) == log
 
 
