@@ -9,12 +9,14 @@ table of family scores, the only store of them. BIC is a sum of
 per-family local scores, so a move's delta reads only the families it
 touches. Those the table lacks at a step are counted together, across
 all children, in one call whose bounded passes each take one float64
-product and one ``bincount``. Moves are ranked in a fixed order, adds by
-column then deletes and reverses by edge name, and an exact tie goes to
-the first, so the learned graph is that of a sequential scan. Inference
-is exact: a classification query instantiates every attribute, so the
-class posterior is the factorized joint evaluated once per class value
-and normalized in log space.
+product and one ``bincount`` to count and one ``reduceat`` to sum: a
+0.0 led before each family's log-likelihood terms makes it add them in
+the order of the family's own ``.sum()``, bit for bit. Moves are ranked
+in a fixed order, adds by column then deletes and reverses by edge name,
+and an exact tie goes to the first, so the learned graph is that of a
+sequential scan. Inference is exact: a classification query
+instantiates every attribute, so the class posterior is the factorized
+joint evaluated once per class value and normalized in log space.
 
 Learning, scoring and :func:`accuracy` read a table's distinct integer
 code rows, each with its count: family counts are the exact integers of
@@ -278,8 +280,9 @@ class _FamilyScorer:
         they belong to. Parents in name order fix a family's count layout,
         and with it the float summation order, so that a family has one
         score whatever the order in which a caller names its parents and
-        whatever pass it lands in: its terms are summed by one ``.sum()``
-        over its own nonzero cells in row-major order.
+        whatever pass it lands in: its terms, over its own nonzero cells in
+        row-major order, add up as their own ``.sum()`` would, in the pass's
+        one ``reduceat`` of :func:`_segment_sums`.
         """
         strides, cells = self._layout(children, member)
         r = self._cards[children]
@@ -301,10 +304,25 @@ class _FamilyScorer:
         row = (np.cumsum(q) - q)[family] + (at - (ends - cells)[family]) // r[family]
         totals = np.bincount(row, weights=seen)[row]
         terms = seen * (np.log(seen) - np.log(totals))
-        bounds = np.searchsorted(at, ends).tolist()
-        log_likelihood = np.array([terms[a:b].sum() for a, b in zip([0] + bounds, bounds)])
+        # No family's run of terms is empty: its counts sum to N > 0.
+        log_likelihood = _segment_sums(terms, family, len(cells))
         penalty = 0.5 * self._log_n * q * (r - 1)
         return log_likelihood - penalty
+
+
+def _segment_sums(values: np.ndarray, segment: np.ndarray, n: int) -> np.ndarray:
+    """Each of ``n`` runs of ``values`` summed exactly as its own ``.sum()`` would.
+
+    ``segment`` gives each value's run, nondecreasing, and no run is empty.
+    One ``np.add.reduceat`` sums them all: ``.sum()`` adds the run's
+    pairwise sum to 0.0, while ``reduceat`` adds the pairwise sum of all but
+    the first value to the first, so a 0.0 led before each run makes the two
+    the same float operations in the same order.
+    """
+    runs = np.arange(n)
+    led = np.zeros(len(values) + n)
+    led[np.arange(len(values)) + segment + 1] = values
+    return np.add.reduceat(led, np.searchsorted(segment, runs) + runs)
 
 
 def bic_score(dag: Dag, data: DataSet) -> float:

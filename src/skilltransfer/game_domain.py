@@ -17,10 +17,11 @@ its scenario can produce falls back on a default with no feasible behavior.
 
 No log records which key governed a tick, so the key pick is a mixture that
 is summed out: each profile carries one behavior law per context code, built
-once on first use. ``run_session``, the one simulator, weights it by the
-scenario's context probabilities into one joint (context, behavior) law per
-session and draws every tick from it in one call, one uniform per tick,
-into one context-code and one behavior-value column, which the
+once on first use. :func:`joint_law` weights it by the scenario's context
+probabilities into one joint (context, behavior) law per session;
+``run_session``, the one simulator, draws every tick from that law in one
+call, one uniform per tick, into one context-code and one behavior-value
+column, which the
 :class:`~skilltransfer.behavior_data.SessionLog` packs into its record
 array. A tick is the first pair whose cumulative mass exceeds its uniform;
 ``run_session`` finds that pair through an exact guide table, so the
@@ -247,10 +248,14 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def run_session(
-    scenario: Scenario, profile: PlayerProfile, player: PlayerId, seed: int
-) -> SessionLog:
-    """Simulate one full session; bit-identical for identical arguments."""
+def joint_law(scenario: Scenario, profile: PlayerProfile) -> np.ndarray:
+    """The per-tick law of (context code, behavior) of a session, shape (128, 9).
+
+    Entry ``[code, b]`` is the scenario's probability of context ``code``
+    times the profile's probability of ``EVENT_ATTRIBUTES[b]`` there. Raises
+    :class:`ConfigError` when the scenario can produce a context the
+    profile has no feasible behavior for.
+    """
     law, dead = profile._law
     p = np.array([getattr(scenario, f) for f in CONTEXT_FIELDS])
     # A context is reachable when its present fields have p > 0 and its absent ones p < 1.
@@ -259,14 +264,20 @@ def run_session(
             f"profile {profile.profile_id!r}: default condition has no feasible "
             "behavior for a context the scenario can produce"
         )
-    # Inverse CDF of the joint law of (context code, behavior index), code-major:
-    # each context's weight times its behavior law. A tick is the first pair
-    # whose cumulative mass exceeds its uniform; a pair without mass repeats the
+    weights = np.where(CONTEXT_BITS, p, 1.0 - p).prod(axis=1)
+    return weights[:, None] * law
+
+
+def run_session(
+    scenario: Scenario, profile: PlayerProfile, player: PlayerId, seed: int
+) -> SessionLog:
+    """Simulate one full session; bit-identical for identical arguments."""
+    # Inverse CDF of the joint law, code-major. A tick is the first pair whose
+    # cumulative mass exceeds its uniform; a pair without mass repeats the
     # entry before it, so it is never that pair, and dividing by the last entry
     # makes it exactly 1.0, past every uniform in [0, 1). ``_inverse_cdf`` finds
     # the pair through an exact guide table.
-    weights = np.where(CONTEXT_BITS, p, 1.0 - p).prod(axis=1)
-    cdf = np.cumsum(weights[:, None] * law)
+    cdf = np.cumsum(joint_law(scenario, profile))
     cdf /= cdf[-1]
     ticks = scenario.ticks_per_session
     pairs = _inverse_cdf(cdf, derive_rng(seed).random(ticks))

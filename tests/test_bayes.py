@@ -745,6 +745,52 @@ def test_a_one_row_table_scores_every_family_zero():
             assert score == want == 0.0
 
 
+def test_segment_sums_add_each_run_bit_for_bit_as_its_own_sum():
+    # numpy's pairwise summation unrolls by 8 and recurses past 128 values,
+    # so runs of 7-9, 127-129 and 256-257 sit on its edges. A numpy whose
+    # reduction order differs fails here, not in a moved pin.
+    rng = np.random.default_rng(27)
+    edges = [1, 7, 8, 9, 127, 128, 129, 256, 257, 1100]
+    lengths = rng.permutation(np.concatenate([edges, rng.integers(1, 1101, size=150)]))
+    n = int(lengths.sum())
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+    values[rng.random(n) < 0.1] = 0.0
+    starts = np.cumsum(lengths) - lengths
+    values[starts[0] : starts[0] + lengths[0]] = 0.0
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    got = bayes._segment_sums(values, segment, len(lengths))
+    want = np.array([values[a : a + m].sum() for a, m in zip(starts, lengths)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("pass_cells", [bayes._PASS_CELLS, 1 << 20])
+def test_families_with_over_1024_nonzero_cells_score_as_the_reference(pass_cells):
+    # 12-value columns over 3,000 random rows: each one-parent family has
+    # more than 128 nonzero cells and each two-parent one more than 1,024,
+    # so their sums recurse in numpy's pairwise summation. The larger pass
+    # bound puts every family in one pass.
+    rng = np.random.default_rng(12)
+    names = ("a", "b", "c", "d")
+    domains = {name: tuple(f"v{i}" for i in range(12)) for name in names}
+    data = DataSet(columns=names, domains=domains, codes=rng.integers(0, 12, size=(3000, 4)))
+    families = [
+        (child, parents)
+        for child in range(4)
+        for size in (1, 2)
+        for parents in itertools.combinations([j for j in range(4) if j != child], size)
+    ]
+    children = np.array([child for child, _ in families])
+    member = _member_rows([sum(1 << j for j in parents) for _, parents in families], 4)
+    with mock.patch.object(bayes, "_PASS_CELLS", pass_cells):
+        scores = bayes._FamilyScorer(data).score_families(children, member)
+    reference = _FullTableCounts(data)
+    for (child, parents), score in zip(families, scores.tolist()):
+        named = [names[j] for j in parents]
+        (counts,) = reference.family_counts([(names[child], named)])
+        assert np.count_nonzero(counts) > (128 if len(parents) == 1 else 1024)
+        assert score == _reference_local_score(reference, names[child], named), (child, parents)
+
+
 def test_structure_search_rejects_more_columns_than_its_family_table_takes():
     limit = bayes._MAX_SEARCH_COLUMNS
     columns = [f"c{j:02d}" for j in range(limit + 1)]

@@ -34,6 +34,7 @@ from skilltransfer.game_domain import (
     _guide_table,
     _inverse_cdf,
     active_keys,
+    joint_law,
     profile_from_json,
     profile_payload,
     run_session,
@@ -266,6 +267,18 @@ def test_the_behavior_law_of_each_context_is_the_oracle_mixture(strength):
             ), (profile.profile_id, context)
 
 
+def test_the_joint_law_weights_each_behavior_law_by_its_context(base_scenario):
+    for profile in (*table1_profiles(), _fallback_profile()):
+        law = joint_law(base_scenario, profile)
+        assert law.shape == (len(CONTEXTS), len(EVENT_ATTRIBUTES))
+        want = np.zeros_like(law)
+        for context, weight in oracles.context_weights(base_scenario):
+            dist = oracles.tick_distribution(profile, context)
+            want[CONTEXTS.index(context)] = [weight * dist.get(b, 0.0) for b in EVENT_ATTRIBUTES]
+        assert law.ravel().tolist() == pytest.approx(want.ravel().tolist(), rel=0.0, abs=1e-15)
+        assert law.sum() == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     probabilities=st.lists(
@@ -329,6 +342,8 @@ def test_a_drawn_dead_row_is_a_config_error():
             _scenario(obstacle_present=1.0, horse_available=0.0),
             profile, PlayerId.ID1, seed=0,
         )
+    with pytest.raises(ConfigError, match="default"):
+        joint_law(_scenario(obstacle_present=1.0, horse_available=0.0), profile)
     # The same profile is usable where its dead rows are never drawn: indoor
     # and outdoor ticks move, and a horse makes riding feasible.
     for scenario in (_scenario(), _scenario(obstacle_present=1.0, horse_available=1.0)):
