@@ -450,30 +450,48 @@ class _Climber:
         return got
 
 
+def _random_starts(
+    nodes: tuple[str, ...], max_parents: int, rng: np.random.Generator, count: int
+) -> list[set[tuple[str, str]]]:
+    """``count`` random DAGs, drawn from one ``(count, n, n + 2)`` block of doubles.
+
+    The block's layout is the search stream layout of :mod:`.seeds`; start
+    ``s`` reads only row ``s``. Each start has a uniform topological order,
+    and the node at position ``j`` of it a parent count uniform on
+    ``0..min(j, max_parents)`` and a uniform subset of that many earlier nodes.
+    """
+    n = len(nodes)
+    block = rng.random((count, n, n + 2))
+    order = np.argsort(block[:, :, 0], axis=1, kind="stable")
+    position = np.arange(n)
+    # u * m < m for every double u < 1 and every m up to 2**52.
+    k = (block[:, :, 1] * (np.minimum(position, max_parents) + 1)).astype(np.int64)
+    keys = np.where(position < position[:, None], block[:, :, 2:], np.inf)
+    # Each earlier position's rank among the keys of its row.
+    ranks = np.argsort(np.argsort(keys, axis=2, kind="stable"), axis=2, kind="stable")
+    picked = ranks < k[:, :, None]
+    starts: list[set[tuple[str, str]]] = [set() for _ in range(count)]
+    s, child, parent = np.nonzero(picked)
+    for r, p, c in zip(s.tolist(), order[s, parent].tolist(), order[s, child].tolist()):
+        starts[r].add((nodes[p], nodes[c]))
+    return starts
+
+
 def _random_start(
     nodes: tuple[str, ...], max_parents: int, rng: np.random.Generator
 ) -> set[tuple[str, str]]:
-    """A random DAG: random topological order, random sparse parent sets."""
-    order = [nodes[i] for i in rng.permutation(len(nodes))]
-    edges: set[tuple[str, str]] = set()
-    for position, child in enumerate(order):
-        if position == 0:
-            continue
-        k = int(rng.integers(0, min(position, max_parents) + 1))
-        if k == 0:
-            continue
-        picks = rng.choice(position, size=k, replace=False)
-        edges.update((order[int(p)], child) for p in picks)
-    return edges
+    """One random DAG: the first of :func:`_random_starts`."""
+    return _random_starts(nodes, max_parents, rng, 1)[0]
 
 
 def learn_structure(data: DataSet, config: LearnConfig, seed: int = 0) -> Dag:
     """Greedy BIC hill climbing with random restarts.
 
-    Restart 0 starts from the empty graph; each further restart starts
-    from a random DAG drawn from a stream derived from ``seed``. The
-    best-scoring result wins; exact ties go to the lexicographically
-    smallest edge set. Deterministic for identical inputs.
+    Restart 0 starts from the empty graph; restart ``r >= 1`` starts from
+    start ``r - 1`` of :func:`_random_starts` on ``derive_rng(seed)``, so
+    more restarts try every start that fewer try. The best-scoring result
+    wins; exact ties go to the lexicographically smallest edge set.
+    Deterministic for identical inputs.
     """
     check_range("seed", seed)
     scorer = _FamilyScorer(data)
@@ -482,10 +500,8 @@ def learn_structure(data: DataSet, config: LearnConfig, seed: int = 0) -> Dag:
         for label, size in zip(data.domains[CLASS_COLUMN], sizes[0]):
             if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
-    starts = [set()] + [
-        _random_start(scorer.variables, config.max_parents, derive_rng(seed, restart))
-        for restart in range(1, config.restarts + 1)
-    ]
+    rng = derive_rng(seed)
+    starts = [set()] + _random_starts(scorer.variables, config.max_parents, rng, config.restarts)
     climbs = _Climber(scorer, config.max_parents).climb_all(starts)
     best_edges, _ = min(climbs, key=lambda climb: (-climb[1], tuple(sorted(climb[0]))))
     return Dag(nodes=scorer.variables, edges=best_edges)

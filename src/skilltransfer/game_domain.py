@@ -207,7 +207,7 @@ _GOVERNING: tuple[ConditionKey, ...] = tuple(
 _EVENT_VALUES = np.array([b.value for b in EVENT_ATTRIBUTES], dtype=np.int8)
 
 #: ``_GOVERNS[code, k]``: key ``_GOVERNING[k]`` governs context ``CONTEXTS[code]``.
-_GOVERNS = np.array([[k in active_keys(c) for k in _GOVERNING] for c in CONTEXTS])
+_GOVERNS = np.array([[k in keys for k in _GOVERNING] for keys in map(active_keys, CONTEXTS)])
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T

@@ -30,6 +30,17 @@ Every tick reads exactly one double, so a session of T ticks is the
 first T ticks of any longer session with the same seed, and a replay
 that reads one double per tick from ``derive_rng(seed)``, in any
 grouping, gives back ``run_session``'s ticks one by one.
+
+Search stream layout. ``learn_structure`` keeps one ``derive_rng(seed)``
+Philox stream per search and draws its R random starts (R restarts; the
+empty start needs none) as one ``(R, n, n + 2)`` block of doubles, for n
+columns. Start s reads only row s. Its column 0 holds one order key per
+node, and their stable ``argsort`` is the start's topological order. In
+row j of the other columns, position j of that order reads its parent
+count ``floor(u * (min(j, max_parents) + 1))`` from column 1 and picks
+that many parents among positions i < j by the smallest of their keys in
+columns ``2 + i``. A search of R restarts thus tries the starts of every
+search with fewer, on the same seed.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -217,6 +218,85 @@ def test_structure_search_is_deterministic_and_order_free():
         rows=tuple(data.rows[i] for i in order),
     )
     assert learn_structure(shuffled, LearnConfig(), seed=4) == first
+
+
+def _start_law(names: tuple[str, ...], max_parents: int) -> dict[frozenset, float]:
+    """Each DAG's exact probability under a uniform order, a uniform parent
+    count up to ``min(position, max_parents)`` and a uniform parent subset."""
+    law: dict[frozenset, float] = {}
+    orders = list(itertools.permutations(names))
+    for order in orders:
+        # Each position's choices: (probability, parents).
+        choices = []
+        for j in range(len(order)):
+            counts = min(j, max_parents) + 1
+            choices.append([
+                (1 / counts / math.comb(j, k), subset)
+                for k in range(counts)
+                for subset in itertools.combinations(order[:j], k)
+            ])
+        for picks in itertools.product(*choices):
+            edges = frozenset(
+                (p, child) for child, (_, parents) in zip(order, picks) for p in parents
+            )
+            weight = math.prod(q for q, _ in picks) / len(orders)
+            law[edges] = law.get(edges, 0.0) + weight
+    return law
+
+
+@pytest.mark.parametrize("max_parents", [1, 2, 3])
+def test_random_starts_follow_the_exact_start_law(max_parents):
+    names = ("d", "a", "c", "b")
+    law = _start_law(names, max_parents)
+    assert math.isclose(sum(law.values()), 1.0)
+    draws = 40_000
+    starts = bayes._random_starts(names, max_parents, derive_rng(max_parents), draws)
+    assert len(starts) == draws
+    seen = Counter(frozenset(start) for start in starts)
+    # Every draw is a DAG the law gives mass to.
+    assert set(seen) <= set(law)
+    # Pearson's statistic over every DAG of the law; each expects 11 or
+    # more draws. The bound is the mean plus six standard deviations.
+    chi_square = sum(
+        (seen[dag] - draws * q) ** 2 / (draws * q) for dag, q in law.items()
+    )
+    df = len(law) - 1
+    assert chi_square < df + 6 * math.sqrt(2 * df), (chi_square, df)
+
+
+@pytest.mark.parametrize("max_parents", [0, 1, 3, 6, 40])
+def test_random_starts_are_dags_within_the_parent_bound(max_parents):
+    names = tuple(f"x{i:02d}" for i in np.random.default_rng(3).permutation(16))
+    most = 0
+    for start in bayes._random_starts(names, max_parents, derive_rng(11), 500):
+        dag = Dag(nodes=names, edges=frozenset(start))
+        most = max(most, *(len(dag.parents_of(node)) for node in names))
+    # The bound is reached; above 15, the last node in the order takes every other.
+    assert most == min(max_parents, 15)
+
+
+def test_random_starts_on_degenerate_inputs():
+    rng = derive_rng(2)
+    assert bayes._random_starts(("a", "b", "c"), 2, rng, 0) == []
+    assert bayes._random_starts((), 2, rng, 3) == [set(), set(), set()]
+    assert bayes._random_starts(("a",), 2, rng, 3) == [set(), set(), set()]
+    assert bayes._random_starts(("a", "b", "c"), 0, rng, 3) == [set(), set(), set()]
+    assert len(bayes._random_starts(("a", "b"), 5, rng, 3)) == 3
+    assert bayes._random_start(("a",), 1, rng) == set()
+
+
+def test_fewer_starts_are_the_first_of_more(base_scenario, table1_pair):
+    names = tuple(f"c{i}" for i in range(11))
+    five = bayes._random_starts(names, 3, derive_rng(8), 5)
+    assert five == bayes._random_starts(names, 3, derive_rng(8), 20)[:5]
+    assert bayes._random_start(names, 3, derive_rng(8)) == five[0]
+
+    # So 20 restarts climb from the starts 5 restarts climb from, and more.
+    scenario = replace(base_scenario, ticks_per_session=2000)
+    data = to_dataset(simulate_pair(*table1_pair, scenario, 6, 0), 5)
+    few = learn_structure(data, LearnConfig(restarts=5), seed=4)
+    many = learn_structure(data, LearnConfig(restarts=20), seed=4)
+    assert bic_score(many, data) >= bic_score(few, data)
 
 
 def test_local_score_ignores_the_order_of_the_parents(base_scenario, table1_pair):
@@ -576,9 +656,7 @@ def test_lockstep_climbs_on_the_standard_schema_match_the_reference(base_scenari
     # from eight terms on, differs from the reference's left-to-right sum.
     scenario = replace(base_scenario, ticks_per_session=2000)
     data = to_dataset(simulate_pair(*table1_pair, scenario, 4, 0), 5)
-    starts = [set()] + [
-        bayes._random_start(data.columns, 3, derive_rng(4, restart)) for restart in range(1, 21)
-    ]
+    starts = [set()] + bayes._random_starts(data.columns, 3, derive_rng(4), 20)
     reference = _MemoScorer(data)
     want = [_reference_climb(reference, 3, start) for start in starts]
     assert bayes._Climber(bayes._FamilyScorer(data), 3).climb_all(starts) == want

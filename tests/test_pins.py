@@ -56,13 +56,13 @@ _RESTARTS = {"scenario": {"ticks_per_session": 2000}, "learning": {"restarts": 2
 #: ``command`` writes for the document at the seed has these bytes.
 PINS = [
     (_100K, "identify", 1, "network.json",
-     "e0e62f2a8854c7edaddc092bc89fa8b8235ea9344427dfe1d38342332a1568ab"),
+     "4c2be37dc64767b40dd4555fc04c79f1896ea0888108bc7bb1e7e2d225bc2816"),
     (_100K, "identify", 2, "network.json",
      "f1f38fa09e8f0d7fb7eef0ab6b4c23bc629c9425bc30e807af7912bffa3b48eb"),
     (_100K, "identify", 3, "network.json",
-     "a7394da7c6f7b25abd606e003b3ef21e0dfee5b7d4aae12ea10a2ee3859b821b"),
+     "b5f28a09e7730d96fcd24934081cbfa33a74621412289c353dc1cb879fc74347"),
     (_100K, "identify", 4, "network.json",
-     "63c97741b2d1deaa950ff4d6138b061cdba2450aac76ddaa5cdb95c6ba7622f9"),
+     "ef218548cf00d069b2e9a1a586a949920b968961414e2f13e722a00bda657543"),
     (_100K, "identify", 5, "network.json",
      "0d022c1d01b71b9893e9a54acc857d13f9b14f817e094a5182dce0abd183751b"),
     ({**_100K, "learning": {"max_parents": 6}}, "identify", 1, "network.json",
@@ -70,7 +70,7 @@ PINS = [
     # The smallest smoothing, 2**-1022.
     ({"scenario": {"ticks_per_session": 200}, "learning": {"smoothing": 2.2250738585072014e-308}},
      "identify", 0, "network.json",
-     "f5ee505da2dfd169cb93598220a46162dcbb5e8a491937f02c12f1f09ff4cc7b"),
+     "bfbda2ec52c8f1c431f3d9b9597f5e6242341459495a6f43ca68f0a16b1135db"),
     (_RESTARTS, "transfer", 1, "trace.json",
      "e67820b7e0e4e02272f17c0fe440af8f1ab1edc07987102b67276e1f67375a6a"),
     (_RESTARTS, "transfer", 2, "trace.json",
