@@ -12,11 +12,13 @@ class column.
 
 The JSONL and CSV readers accept whatever their general parsers
 (``json.loads`` per line, ``csv.reader``) accept, except that a JSONL
-tick must be a JSON integer and a context flag a JSON boolean. A line in
-the form the writers emit decodes by table lookup; any other line goes
-through the general parser, so both paths give the same values and the
-same errors. One table holds each JSONL line's text after its tick, by
-(player, context, behavior): the writer gathers from it, the reader looks up.
+tick must be a JSON integer and a context flag a JSON boolean. A CSV
+line in the form the writer emits decodes by table lookup. One renderer
+writes JSONL lines and also checks what the reader decodes: a JSONL file
+exactly as the writer writes it is decoded a block at a time, each block
+accepted only if rendering what was decoded gives its bytes back. Any
+other line or file goes through the general parser, so both paths give
+the same values and the same errors.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, partial
 from operator import itemgetter
+from os.path import commonprefix
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -563,7 +566,7 @@ def split(
 # --- persistence ---------------------------------------------------------
 
 #: A record line's text up to its tick.
-_TICK_HEAD = '{"tick": '
+_TICK_HEAD = b'{"tick": '
 
 #: A line's flat index in :func:`_line_table`: the ``np.ravel_multi_index``
 #: of its (player index, context code, behavior value) in this shape.
@@ -571,25 +574,30 @@ _LINE_SHAPE = tuple(valid.stop for _, _, valid in _COLUMNS[1:])
 
 
 @cache
-def _line_table() -> tuple[list[str], dict[str, int]]:
+def _line_table() -> list[bytes]:
     """Each canonical JSONL line's text after its tick's comma, newline included.
 
-    The list holds them by flat index, with ``""`` where the behavior value
-    names no attribute; the dict maps each nonempty text to its index, and
-    leaves out ``""``, the tail of a line cut after its first comma. Built
-    on first use, not at import.
+    The texts are held by flat index, with ``b""`` where the behavior value
+    names no attribute. Built on first use, not at import.
     """
     json_of = partial(json.dumps, separators=(", ", ": "))
     contexts = [json_of(dict(zip(CONTEXT_FIELDS, bits))) for bits in CONTEXT_BITS.tolist()]
     names = {a.value: json_of(a.column) for a in AttributeId}
     behaviors = [names.get(value) for value in range(_LINE_SHAPE[2])]
-    texts = [
-        f' "player": {player}, "context": {context}, "behavior": {behavior}}}\n' if behavior else ""
+    return [
+        f' "player": {player}, "context": {context}, "behavior": {behavior}}}\n'.encode()
+        if behavior
+        else b""
         for player in [json_of(p.value) for p in PLAYERS]
         for context in contexts
         for behavior in behaviors
     ]
-    return texts, {text: i for i, text in enumerate(texts) if text}
+
+
+def _render_block(ticks: np.ndarray, flat: np.ndarray) -> bytes:
+    """The JSONL lines of these ticks and :func:`_line_table` flat indices."""
+    texts, line = _line_table(), _TICK_HEAD + b"%d,%b"
+    return b"".join([line % (t, texts[i]) for t, i in zip(ticks.tolist(), flat.tolist())])
 
 
 #: The context code of the seven ``bool`` flags, in ``CONTEXT_FIELDS`` order.
@@ -619,12 +627,132 @@ def _parse_line(line: str) -> tuple[int, int, int, int]:
     return tick, player, context, AttributeId.from_column(payload["behavior"]).value
 
 
-#: A canonical line up to its first comma, its tick the group. A tick of
-#: at most eighteen digits fits ``int64``; a longer one takes the general path.
-_CANONICAL_HEAD = re.compile(re.escape(_TICK_HEAD) + "(0|-?[1-9][0-9]{0,17})")
+class _LineLayout(NamedTuple):
+    """Where a canonical line's fields sit, found by comparing :func:`_line_table` texts.
+
+    Offsets count from the byte after the tick's comma and hold while every
+    flag before them is ``false``; each ``true`` before a field moves it
+    one byte back.
+    """
+
+    comma_at: np.ndarray  # each offset the tick's comma can have from the newline
+    digit_weights: np.ndarray  # powers of ten for a tick's last 19 digits, units last
+    player_at: int  # the byte that tells the players apart
+    player_of: np.ndarray  # player index by that byte's value
+    flag_at: tuple[int, ...]  # each flag's first letter, in CONTEXT_FIELDS order
+    true_letter: int
+    name_at: int  # the behavior name's first letter
+    name_end: int  # bytes after the name's last letter, newline included
+    name_keys: np.ndarray  # sorted keys: first letter << 8 | last letter
+    name_values: np.ndarray  # the behavior value of each key
+    shortest: int  # bytes in the shortest and longest lines, newline included
+    longest: int
+
+
+@cache
+def _line_layout() -> _LineLayout:
+    """The layout of :func:`_line_table`'s texts; built on first use, not at import."""
+    texts = _line_table()
+    values = [a.value for a in AttributeId]
+    text = lambda player=0, context=0, value=values[0]: texts[
+        np.ravel_multi_index((player, context, value), _LINE_SHAPE)
+    ]
+    differ = lambda a, b: len(commonprefix([a, b]))
+    base = text()
+    player_at = differ(base, text(player=1))
+    player_of = np.zeros(1 << 8, dtype=np.intp)
+    for index in range(len(PLAYERS)):
+        player_of[text(player=index)[player_at]] = index
+    flag_at = tuple(differ(base, text(context=1 << bit)) for bit in range(len(CONTEXT_FIELDS)))
+    names = [text(value=value) for value in values]
+    name_at = min(differ(base, name) for name in names[1:])
+    name_end = len(commonprefix([name[::-1] for name in names]))
+    keys = sorted((name[name_at] << 8 | name[-name_end - 1], v) for name, v in zip(names, values))
+    tails = [len(t) for t in texts if t]
+    head = len(_TICK_HEAD) + 1  # the tick's comma
+    return _LineLayout(
+        comma_at=np.arange(-max(tails), 1 - min(tails)),
+        digit_weights=np.array([10**power for power in range(18, -1, -1)]),
+        player_at=player_at,
+        player_of=player_of,
+        flag_at=flag_at,
+        true_letter=text(context=1)[flag_at[0]],
+        name_at=name_at,
+        name_end=name_end,
+        name_keys=np.array([key for key, _ in keys]),
+        name_values=np.array([value for _, value in keys]),
+        shortest=head + 1 + min(tails),
+        longest=head + len(str(-(1 << 63))) + max(tails),
+    )
+
+
+def _guess_columns(data: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tick, player, context and behavior columns of the lines ending at ``ends``.
+
+    Each field is read at its :func:`_line_layout` offset as if the line
+    were canonical; nothing is checked. Never raises: every gather index
+    is clipped.
+    """
+    layout = _line_layout()
+    gather = partial(data.take, mode="clip")
+    # A tail's length leaves the tick's comma at one of a few places, and the
+    # bytes at the others are the tick's or the tail's first, never a comma.
+    window = gather(ends[:, None] + layout.comma_at)
+    comma = ends + layout.comma_at[0] + (window == ord(",")).argmax(axis=1)
+    digits_at = np.concatenate(([0], ends[:-1] + 1)) + len(_TICK_HEAD)
+    negative = gather(digits_at) == ord("-")
+    weights = layout.digit_weights
+    width = min(max(int((comma - digits_at).max()), 0), len(weights))
+    places = comma[:, None] + np.arange(-width, 0)
+    digits = gather(places).astype(np.intp) - ord("0")
+    digits[places < (digits_at + negative)[:, None]] = 0
+    ticks = (digits * weights[len(weights) - width :]).sum(axis=1)
+    ticks[negative] *= -1
+
+    tail = comma + 1  # moved back below by each true flag
+    players = layout.player_of[gather(tail + layout.player_at)]
+    contexts = np.zeros(len(ends), dtype=np.intp)
+    for bit, at in enumerate(layout.flag_at):
+        true = gather(tail + at) == layout.true_letter
+        tail -= true
+        contexts |= true << bit
+    keys = gather(tail + layout.name_at).astype(np.intp) << 8 | gather(ends - layout.name_end)
+    found = np.minimum(np.searchsorted(layout.name_keys, keys), len(layout.name_keys) - 1)
+    return ticks, players, contexts, layout.name_values[found]
+
+
+def _decode_block(
+    buffer: bytearray, size: int, newlines: np.ndarray
+) -> tuple[np.ndarray, ...] | None:
+    """Tick, player, context and behavior columns of the block ``buffer[:size]``, or ``None``.
+
+    The columns :func:`_guess_columns` reads are accepted only if
+    :func:`_render_block` renders them back to exactly the block; any block
+    :func:`write_session_jsonl` could not have written gives ``None``, and
+    no block raises. ``newlines`` is scratch space of at least ``size``
+    booleans. Neither it nor the block is copied, so a block takes no fresh
+    memory of its size.
+    """
+    shortest = _line_layout().shortest
+    if size < shortest:
+        return None
+    data = np.frombuffer(buffer, dtype=np.uint8, count=size)
+    ends = np.flatnonzero(np.equal(data, ord("\n"), out=newlines[:size]))
+    if not 0 < len(ends) <= size // shortest:
+        return None
+    columns = _guess_columns(data, ends)
+    rendered = _render_block(columns[0], np.ravel_multi_index(columns[1:], _LINE_SHAPE))
+    if len(rendered) != size or not buffer.startswith(rendered):
+        return None
+    return columns
+
 
 #: Lines of a session log that :func:`write_session_jsonl` joins into one write.
 _WRITE_LINES = 1 << 10
+
+#: Bytes of a session log that :func:`read_session_jsonl` reads at a time;
+#: each block is cut after its last newline.
+_READ_BYTES = 1 << 17
 
 
 def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
@@ -634,51 +762,67 @@ def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
     with the context's seven flags in ``CONTEXT_FIELDS`` order and a
     ``"\\n"`` ending: the text of ``json.dumps`` of that object with
     ``", "`` and ``": "`` separators. Each block of ``_WRITE_LINES`` lines
-    is joined from the :func:`_line_table` texts at its ticks' flat indices
-    and handed to the file in one write.
+    is rendered by :func:`_render_block`, the renderer that also checks
+    what :func:`read_session_jsonl` decodes, and handed to the file in one
+    write.
     """
-    texts, _ = _line_table()
     flat = np.ravel_multi_index((log.players, log.contexts, log.behaviors), _LINE_SHAPE)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "wb") as handle:
         for start in range(0, len(flat), _WRITE_LINES):
             block = slice(start, start + _WRITE_LINES)
-            lines = zip(log.ticks[block].tolist(), flat[block].tolist())
-            handle.write("".join([f"{_TICK_HEAD}{tick},{texts[i]}" for tick, i in lines]))
+            handle.write(_render_block(log.ticks[block], flat[block]))
+
+
+def _read_blocks(path: str | Path) -> list[np.ndarray] | None:
+    """The four columns of a file exactly as the writer writes it, else ``None``.
+
+    Each block is ``_READ_BYTES`` of the file and the rest of the line it
+    cuts, so it holds whole lines, or a line too long to be canonical. Every
+    block is read into one buffer.
+    """
+    longest = _line_layout().longest
+    buffer = bytearray(_READ_BYTES + longest)
+    view, newlines = memoryview(buffer), np.empty(len(buffer), dtype=bool)
+    blocks = [np.empty((4, 0), dtype=np.int64)]
+    with open(path, "rb") as handle:
+        while size := handle.readinto(view[:_READ_BYTES]):
+            if buffer[size - 1] != ord("\n"):
+                line = handle.readline(longest)
+                view[size : size + len(line)] = line
+                size += len(line)
+            if (columns := _decode_block(buffer, size, newlines)) is None:
+                return None
+            blocks.append(columns)
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+def _read_lines(path: str | Path) -> np.ndarray:
+    """The four columns of a JSONL file read line by line through :func:`_parse_line`."""
+    with open(path, encoding="utf-8") as handle:
+        rows = [_parse_line(line) for line in handle if line.strip()]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
 
 
 def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> SessionLog:
     """Load a session log from a JSONL file.
 
     Blank lines are skipped, and any other line that :func:`_parse_line`
-    accepts is read: a line exactly as :func:`write_session_jsonl` writes
-    it decodes by its text's flat index in :func:`_line_table`, any other
-    through ``json.loads``. Player is inferred from the first record
-    unless given explicitly; an empty file, such as a 0-tick session, can
-    only be read with it.
+    accepts is read. A file exactly as :func:`write_session_jsonl` writes
+    it is decoded ``_READ_BYTES`` at a time, each block checked by
+    rendering it again with the writer's :func:`_render_block`; if any
+    block fails, the whole file is read line by line through
+    ``json.loads``, with the same values and errors. Player is inferred
+    from the first record unless given explicitly; an empty file, such as
+    a 0-tick session, can only be read with it.
     """
-    _, index_of = _line_table()
-    ticks: list[int] = []
-    indices: list[int] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            head, _, tail = line.partition(",")
-            index = index_of.get(tail)
-            if index is not None and (canonical := _CANONICAL_HEAD.fullmatch(head)):
-                tick = int(canonical[1])
-            elif line.strip():
-                tick, *triple = _parse_line(line)
-                index = np.ravel_multi_index(triple, _LINE_SHAPE)
-            else:
-                continue
-            ticks.append(tick)
-            indices.append(index)
-    triples = np.unravel_index(np.array(indices, dtype=np.intp), _LINE_SHAPE)
+    columns = _read_blocks(path)
+    if columns is None:
+        columns = _read_lines(path)
     if player is None:
-        if not indices:
+        if not len(columns[0]):
             raise ValueError(f"{path}: empty session file and no player given")
-        player = PLAYERS[triples[0][0]]
-    columns = zip(_COLUMNS, (np.array(ticks, dtype=np.int64), *triples))
-    return SessionLog(player, **{name: column for (name, _, _), column in columns})
+        player = PLAYERS[columns[1][0]]
+    return SessionLog(player, **{name: column for (name, _, _), column in zip(_COLUMNS, columns)})
 
 
 def dataset_to_csv(data: DataSet) -> str:

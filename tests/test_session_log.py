@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -400,6 +401,23 @@ def test_jsonl_reader_agrees_with_the_json_loads_reader(
     )
 
 
+@settings(max_examples=400, deadline=None)
+@example(lines=[('{"tick": 5,', "\n")], drop_last_terminator=True, player=None)
+@given(
+    lines=_session_files,
+    drop_last_terminator=st.booleans(),
+    player=st.sampled_from([None, *PLAYERS]),
+)
+def test_jsonl_reader_agrees_with_the_json_loads_reader_in_64_byte_blocks(
+    tmp_path_factory, lines, drop_last_terminator, player
+):
+    # Shorter than any canonical line, so every line straddles a block edge.
+    agree = test_jsonl_reader_agrees_with_the_json_loads_reader.hypothesis.inner_test
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(behavior_data, "_READ_BYTES", 64)
+        agree(tmp_path_factory, lines, drop_last_terminator, player)
+
+
 def test_jsonl_line_table_holds_every_triple_once(tmp_path, monkeypatch):
     grids = np.meshgrid(
         np.arange(len(PLAYERS)),
@@ -421,17 +439,24 @@ def test_jsonl_line_table_holds_every_triple_once(tmp_path, monkeypatch):
     want = "".join(_reference_line(record) + "\n" for record in records_of(log))
     assert path.read_bytes().decode("utf-8") == want
 
-    texts, index_of = behavior_data._line_table()
+    texts = behavior_data._line_table()
     assert len(texts) == 2 * 128 * 11
     nonempty = {text: i for i, text in enumerate(texts) if text}
-    assert index_of == nonempty
     assert len(nonempty) == len(log.ticks)
+    triples = {}
     for text, i in nonempty.items():
-        triple = tuple(int(k) for k in np.unravel_index(i, (2, 128, 11)))
-        assert behavior_data._parse_line('{"tick": 0,' + text)[1:] == triple
-    # Every line decodes by the table, without the general parser.
+        triples[i] = tuple(int(k) for k in np.unravel_index(i, (2, 128, 11)))
+        assert behavior_data._parse_line('{"tick": 0,' + text.decode())[1:] == triples[i]
+    # Every line decodes by blocks, without the general parser: the whole
+    # log at once, and each slot's line as a file of its own.
     monkeypatch.setattr(behavior_data, "_parse_line", None)
     assert read_session_jsonl(path) == log
+    one = tmp_path / "one.jsonl"
+    for text, i in nonempty.items():
+        one.write_bytes(b'{"tick": %d,%b' % (i, text))
+        read = read_session_jsonl(one)
+        assert read.ticks.tolist() == [i]
+        assert (read.players[0], read.contexts[0], read.behaviors[0]) == triples[i]
 
 
 @pytest.mark.parametrize(
@@ -513,6 +538,80 @@ def test_jsonl_writer_matches_json_dumps_across_block_edges(tmp_path, n_lines):
     want = "".join(_reference_line(record) + "\n" for record in records_of(log))
     assert path.read_bytes().decode("utf-8") == want
     assert read_session_jsonl(path, player=log.player) == log
+
+
+def _log_of_size(size: int) -> SessionLog:
+    """A log whose JSONL file is exactly ``size`` bytes; ``size`` is 64 KB or more.
+
+    Its rows cycle through every line slot in a seeded order. Its ticks, of
+    both signs, take from 1 to 19 digits to make up the length.
+    """
+    texts = behavior_data._line_table()
+    rng = np.random.default_rng(size)
+    choice = random.Random(size)
+    n = size // 256
+    flat = rng.permutation(np.resize([i for i, text in enumerate(texts) if text], n))
+    extra = size - sum(len('{"tick": 0,') + len(texts[i]) for i in flat)
+    assert 0 <= extra <= 18 * n
+    ticks = []
+    for chars in 1 + extra // n + (np.arange(n) < extra % n):
+        negative = chars > 1 and choice.random() < 0.5
+        digits = chars - negative
+        low, high = (10 ** (digits - 1) if digits > 1 else 0), 10**digits
+        tick = choice.randrange(low, min(high, 2**63 + negative))
+        ticks.append(-tick if negative else tick)
+    players, contexts, behaviors = np.unravel_index(flat, (2, 128, 11))
+    return SessionLog(
+        PLAYERS[players[0]],
+        ticks=np.array(ticks, dtype=np.int64),
+        players=players,
+        contexts=contexts,
+        behaviors=behaviors,
+    )
+
+
+def _with_tick(line: str, tick: str) -> str:
+    return '{"tick": ' + tick + line[line.index(",") :]
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_jsonl_reader_across_read_block_edges(tmp_path, blocks, offset):
+    size = blocks * behavior_data._READ_BYTES + offset
+    log = _log_of_size(size)
+    path = tmp_path / "session.jsonl"
+    write_session_jsonl(log, path)
+    assert path.stat().st_size == size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(behavior_data, "_parse_line", None)
+        assert read_session_jsonl(path) == log
+
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    ends = np.cumsum([len(line) for line in lines])
+    middle = int(np.searchsorted(ends, size // 2, side="right"))
+    spaced = lambda line: "{ " + line[1:]
+    edits = {
+        "space in the first block": (0, spaced),
+        "space in a middle block": (middle, spaced),
+        "space in the last block": (len(lines) - 1, spaced),
+        "19-digit tick": (middle, lambda line: _with_tick(line, str(_INT64_MAX))),
+        "tick past int64": (middle, lambda line: _with_tick(line, str(_INT64_MAX + 1))),
+    }
+    edited = {"crlf": text.replace("\n", "\r\n"), "no final newline": text[:-1]}
+    for name, (at, change) in edits.items():
+        edited[name] = "".join([*lines[:at], change(lines[at]), *lines[at + 1 :]])
+    outcomes = {}
+    for name, content in edited.items():
+        path.write_text(content, encoding="utf-8", newline="")
+        outcomes[name] = _outcome(read_session_jsonl, path)
+        assert outcomes[name] == _outcome(_reference_read, path), name
+    assert outcomes["tick past int64"] == (ValueError, f"tick: {_INT64_MAX + 1} does not fit int64")
+    # A 19-digit tick is canonical, so its file still decodes by blocks alone.
+    path.write_text(edited["19-digit tick"], encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(behavior_data, "_parse_line", None)
+        assert read_session_jsonl(path).ticks[middle] == _INT64_MAX
 
 
 def test_jsonl_line_table_is_built_on_first_use_not_at_import():
