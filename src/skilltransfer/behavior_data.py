@@ -15,10 +15,10 @@ The JSONL and CSV readers accept whatever their general parsers
 tick must be a JSON integer and a context flag a JSON boolean. A CSV
 line in the form the writer emits decodes by table lookup. One renderer
 writes JSONL lines and also checks what the reader decodes: a JSONL file
-exactly as the writer writes it is decoded a block at a time, each block
-accepted only if rendering what was decoded gives its bytes back. Any
-other line or file goes through the general parser, so both paths give
-the same values and the same errors.
+is decoded a block at a time, each block accepted only if rendering what
+was decoded gives its bytes back. Any other block is read line by line
+through the general parser, and a file with an error is read again whole
+that way, so both paths give the same values and the same errors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, partial
@@ -434,16 +434,29 @@ class DataSet:
     def _distinct_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct code rows in lexicographic order and their counts, cached.
 
-        One sort orders the rows, the first column most significant, and each
-        row that differs from the one before it starts a group of copies.
+        Each row is packed into 16-bit keys: a column takes the bits of its
+        largest code, the first column the most significant, and a new key
+        starts where the next column would pass 16 bits, so the standard
+        table's 12 bits sort as one key. One sort orders the keys, and each
+        row whose keys differ from the ones before it starts a group of copies.
         """
         if self._distinct is None:
-            # A constant last key, the most significant, lets a table without columns sort.
-            keys = [*self.codes.T[::-1], np.zeros(self.n_rows, dtype=bool)]
-            ordered = self.codes[np.lexsort(keys)]
-            changed = (ordered[1:] != ordered[:-1]).any(axis=1)
+            # A table without columns keeps one constant key, so it still sorts.
+            keys, free = [np.zeros(self.n_rows, dtype=np.uint16)], 16
+            for j, name in enumerate(self.columns):
+                bits = (len(self.domains[name]) - 1).bit_length()
+                if bits > free:
+                    keys.append(np.zeros(self.n_rows, dtype=np.uint16))
+                    free = 16
+                free -= bits
+                keys[-1] <<= bits
+                # Codes are never negative, so their bytes read as uint8 are the codes.
+                keys[-1] |= self.codes[:, j].view(np.uint8)
+            order = np.lexsort(keys[::-1])
+            ordered = np.stack(keys)[:, order]
+            changed = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
             starts = np.flatnonzero(np.r_[self.n_rows > 0, changed])
-            rows, counts = ordered[starts], np.diff(starts, append=self.n_rows)
+            rows, counts = self.codes[order[starts]], np.diff(starts, append=self.n_rows)
             rows.flags.writeable = counts.flags.writeable = False
             object.__setattr__(self, "_distinct", (rows, counts))
         return self._distinct
@@ -479,26 +492,30 @@ _INDOOR, _OUTDOOR = map(DOMAINS[AttributeId.LOCATION.column].index, ("indoor", "
 _NONE, _WALK, _RUN = map(DOMAINS[AttributeId.MOVEMENT.column].index, ("none", "walk", "run"))
 _OCCURRED_CODE = DOMAINS[AttributeId.FIGHTING.column].index(OCCURRED)
 _INDOOR_BIT = 1 << CONTEXT_FIELDS.index("location_indoor")
+#: Each attribute column's AttributeId value: values are 1-based column positions.
+_ATTRIBUTE_VALUES = np.arange(1, len(ATTRIBUTE_COLUMNS) + 1, dtype=np.int16)
 
 
 def _window_codes(log: SessionLog, window: int) -> np.ndarray:
     """Code rows for the full windows of one log."""
     n_windows = len(log.ticks) // window
     n = n_windows * window
-    indoor = (log.contexts[:n] & _INDOOR_BIT).astype(bool)
-    # AttributeId values are 1-based column positions.
-    position = log.behaviors[:n].astype(np.intp) - 1
-    occurred = np.zeros((n_windows, len(ATTRIBUTE_COLUMNS)), dtype=bool)
-    occurred[np.repeat(np.arange(n_windows), window), position] = True
+    behaviors = log.behaviors[:n].reshape(n_windows, window)
+    indoor = (log.contexts[:n] & _INDOOR_BIT).astype(bool).reshape(n_windows, window)
+    # Bit v of a window's mask is set when the behavior of value v occurs in it.
+    seen = np.bitwise_or.reduce(np.left_shift(1, behaviors, dtype=np.int16), axis=1)
+    occurred = seen[:, None] >> _ATTRIBUTE_VALUES & 1
 
     codes = np.empty((n_windows, len(DATASET_COLUMNS)), dtype=np.int8)
-    codes[:, : len(ATTRIBUTE_COLUMNS)] = np.where(occurred, _OCCURRED_CODE, 1 - _OCCURRED_CODE)
-    indoor_ticks = indoor.reshape(n_windows, window).sum(axis=1)
-    codes[:, _LOCATION] = np.where(indoor_ticks * 2 >= window, _INDOOR, _OUTDOOR)
+    # The two codes are 0 and 1, so this gives the occurred code where the bit is set.
+    codes[:, : len(ATTRIBUTE_COLUMNS)] = occurred ^ (1 - _OCCURRED_CODE)
+    # Each count is at most window, so its float64 product is exact.
+    ones = np.ones(window)
+    codes[:, _LOCATION] = np.where(indoor @ ones * 2 >= window, _INDOOR, _OUTDOOR)
     # A movement event indoors reads as walking, outdoors as running.
-    moved = (position == _MOVEMENT).reshape(n_windows, window)
-    walk = (moved & indoor.reshape(n_windows, window)).sum(axis=1)
-    run = moved.sum(axis=1) - walk
+    moved = behaviors == AttributeId.MOVEMENT.value
+    walk = (moved & indoor) @ ones
+    run = moved @ ones - walk
     still = window - walk - run
     # Ties break in listed order: walk beats run beats none.
     codes[:, _MOVEMENT] = np.where(
@@ -774,11 +791,15 @@ def write_session_jsonl(log: SessionLog, path: str | Path) -> None:
 
 
 def _read_blocks(path: str | Path) -> list[np.ndarray] | None:
-    """The four columns of a file exactly as the writer writes it, else ``None``.
+    """The four columns of a JSONL file read a block at a time, or ``None`` on a bad line.
 
     Each block is ``_READ_BYTES`` of the file and the rest of the line it
-    cuts, so it holds whole lines, or a line too long to be canonical. Every
-    block is read into one buffer.
+    cuts, read into one buffer, so it ends where a line ends unless that
+    line is too long to be canonical. A block exactly as the writer writes
+    it is decoded by :func:`_decode_block`. Any other block, with the rest
+    of its last line, is read line by line through :func:`_parse_lines`.
+    Each block starts after a ``"\n"``, which always ends a line, so these
+    are the lines a text reader of the whole file finds there.
     """
     longest = _line_layout().longest
     buffer = bytearray(_READ_BYTES + longest)
@@ -791,15 +812,23 @@ def _read_blocks(path: str | Path) -> list[np.ndarray] | None:
                 view[size : size + len(line)] = line
                 size += len(line)
             if (columns := _decode_block(buffer, size, newlines)) is None:
-                return None
+                block = bytes(view[:size])
+                if not block.endswith(b"\n"):
+                    block += handle.readline()
+                try:
+                    columns = _parse_lines(io.StringIO(block.decode("utf-8"), newline=None))
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    # The text reader decodes in chunks of its own, so it can meet a
+                    # byte that is not UTF-8 before an earlier bad line: the caller
+                    # reads the whole file again for its first error.
+                    return None
             blocks.append(columns)
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
-def _read_lines(path: str | Path) -> np.ndarray:
-    """The four columns of a JSONL file read line by line through :func:`_parse_line`."""
-    with open(path, encoding="utf-8") as handle:
-        rows = [_parse_line(line) for line in handle if line.strip()]
+def _parse_lines(lines: Iterable[str]) -> np.ndarray:
+    """The four columns of JSONL lines; each line not blank goes through :func:`_parse_line`."""
+    rows = [_parse_line(line) for line in lines if line.strip()]
     return np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
 
 
@@ -807,17 +836,20 @@ def read_session_jsonl(path: str | Path, *, player: PlayerId | None = None) -> S
     """Load a session log from a JSONL file.
 
     Blank lines are skipped, and any other line that :func:`_parse_line`
-    accepts is read. A file exactly as :func:`write_session_jsonl` writes
-    it is decoded ``_READ_BYTES`` at a time, each block checked by
-    rendering it again with the writer's :func:`_render_block`; if any
-    block fails, the whole file is read line by line through
-    ``json.loads``, with the same values and errors. Player is inferred
-    from the first record unless given explicitly; an empty file, such as
-    a 0-tick session, can only be read with it.
+    accepts is read. The file is read ``_READ_BYTES`` at a time: a block
+    exactly as :func:`write_session_jsonl` writes it is decoded with numpy
+    and checked by rendering it again with the writer's
+    :func:`_render_block`, and any other block is read line by line
+    through ``json.loads``, with the same values. A file with a line that
+    fails to parse is read again whole, line by line as text, so its first
+    error is the one the text reader meets. Player is inferred from the
+    first record unless given explicitly; an empty file, such as a 0-tick
+    session, can only be read with it.
     """
     columns = _read_blocks(path)
     if columns is None:
-        columns = _read_lines(path)
+        with open(path, encoding="utf-8") as handle:
+            columns = _parse_lines(handle)
     if player is None:
         if not len(columns[0]):
             raise ValueError(f"{path}: empty session file and no player given")

@@ -279,6 +279,27 @@ def test_to_dataset_matches_the_per_window_reference(streams, window):
     assert to_dataset(logs, window).rows == want
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_to_dataset_matches_the_per_window_reference_on_long_windows(seed):
+    # Windows up to 64 ticks, one as long as the log and one past its end.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 301))
+    p_move = rng.choice([0.0, 0.5, 0.9])
+    behaviors = np.where(rng.random(n) < p_move, MOVE.value, rng.integers(1, 11, n))
+    records = [
+        _record(t, AttributeId(int(b)), location_indoor=bool(indoor), person_facing=True)
+        for t, (b, indoor) in enumerate(zip(behaviors, rng.random(n) < rng.random()))
+    ]
+    log = _log(records, player=list(PlayerId)[seed % 2])
+    for window in (int(rng.integers(9, 65)), n, n + int(rng.integers(1, 65))):
+        want = tuple(
+            _reference_row(records[start : start + window], log.player)
+            for start in range(0, n - window + 1, window)
+        )
+        assert to_dataset([log], window).rows == want, window
+    assert to_dataset([log], window).n_rows == 0  # the last window is past the log's end
+
+
 # --- DataSet ----------------------------------------------------------------
 
 def test_dataset_from_rows_equals_the_one_from_codes():
@@ -344,6 +365,44 @@ def test_a_table_without_columns_has_one_distinct_empty_row_per_nonempty_table(
     assert rows.shape == (want_rows, 0) and rows.dtype == np.int8
     assert counts.tolist() == want_counts and counts.dtype == np.int64
     assert not rows.flags.writeable and not counts.flags.writeable
+
+
+#: Column domain sizes whose packed codes end exactly at a 16-bit key edge or
+#: just past it, and the standard schema's.
+_KEY_EDGE_SIZES = {
+    "16 binary": [2] * 16,
+    "17 binary": [2] * 17,
+    "two 128-value and two binary": [128, 128, 2, 2],
+    "two 128-value and three binary": [128, 128, 2, 2, 2],
+    "70 binary": [2] * 70,
+    "standard": [len(DOMAINS[name]) for name in DATASET_COLUMNS],
+}
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 600])
+@pytest.mark.parametrize("sizes", _KEY_EDGE_SIZES.values(), ids=_KEY_EDGE_SIZES.keys())
+def test_distinct_rows_are_numpy_unique_rows_and_counts(sizes, n_rows):
+    rng = np.random.default_rng([len(sizes), n_rows])
+    base = np.array([rng.integers(size) for size in sizes])
+    # Rows that differ from one base row in each single column, so every key's
+    # every column tells some rows apart; the all-largest and all-zero rows too.
+    changed = np.repeat(base[None], len(sizes), axis=0)
+    changed[np.arange(len(sizes)), np.arange(len(sizes))] = (base + 1) % sizes
+    pool = np.concatenate(
+        [[base], changed, [np.subtract(sizes, 1)], [np.zeros(len(sizes), dtype=int)]]
+    )
+    codes = pool[rng.integers(len(pool), size=n_rows)]
+    columns = tuple(f"c{j}" for j in range(len(sizes)))
+    domains = {name: tuple(map(str, range(size))) for name, size in zip(columns, sizes)}
+    data = DataSet(columns=columns, domains=domains, codes=codes)
+    rows, counts = data._distinct_rows()
+    # For non-negative int8 codes, numpy's row order is lexicographic.
+    want_rows, want_counts = np.unique(data.codes, axis=0, return_counts=True)
+    assert rows.dtype == np.int8 and counts.dtype == np.int64
+    assert rows.shape == want_rows.shape and counts.shape == want_counts.shape
+    assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+    assert not rows.flags.writeable and not counts.flags.writeable
+    assert data._distinct_rows()[0] is rows
 
 
 # --- split ------------------------------------------------------------------

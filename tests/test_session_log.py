@@ -614,6 +614,62 @@ def test_jsonl_reader_across_read_block_edges(tmp_path, blocks, offset):
         assert read_session_jsonl(path).ticks[middle] == _INT64_MAX
 
 
+def _block_firsts(lines: list[str]) -> list[int]:
+    """The first line of each block read_session_jsonl reads, and the line count last.
+
+    A block ends at the first line end at least ``_READ_BYTES`` past its start.
+    """
+    ends = np.cumsum([len(line.encode()) for line in lines])
+    firsts = [0]
+    while firsts[-1] < len(lines):
+        start = ends[firsts[-1] - 1] if firsts[-1] else 0
+        last = int(np.searchsorted(ends, start + behavior_data._READ_BYTES))
+        firsts.append(min(last + 1, len(lines)))
+    return firsts
+
+
+def test_jsonl_reader_parses_lines_only_in_the_blocks_that_fail(
+    tmp_path, base_scenario, table1_pair, monkeypatch
+):
+    expert, _ = table1_pair
+    log = run_session(replace(base_scenario, ticks_per_session=20_000), expert, PlayerId.ID1, 6)
+    path = tmp_path / "session.jsonl"
+    write_session_jsonl(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    parsed = []
+    parse_line = behavior_data._parse_line
+
+    def counted(line):
+        parsed.append(line)
+        return parse_line(line)
+
+    spaced = lambda line: "{ " + line[1:]
+    for at in (0, len(lines) // 2, len(lines) - 1):
+        edited = [*lines[:at], spaced(lines[at]), *lines[at + 1 :]]
+        path.write_text("".join(edited), encoding="utf-8")
+        want = _reference_read(path)
+        parsed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(behavior_data, "_parse_line", counted)
+            assert read_session_jsonl(path) == want == log
+        firsts = _block_firsts(edited)
+        block = int(np.searchsorted(firsts, at, side="right")) - 1
+        assert parsed == edited[firsts[block] : firsts[block + 1]], at
+
+    # A later bad line or byte gives the error the text reader meets first.
+    middle, later = len(lines) // 2, len(lines) * 3 // 4
+    edited = [*lines[:middle], spaced(lines[middle]), *lines[middle + 1 :]]
+    bad_ticks = [*edited[:later], _with_tick(edited[later], "1.5"), *edited[later + 1 :]]
+    path.write_text("".join(bad_ticks), encoding="utf-8")
+    outcome = _outcome(read_session_jsonl, path)
+    assert outcome[0] is ValueError and outcome == _outcome(_reference_read, path)
+    data = "".join(edited).encode()
+    cut = len(data) * 3 // 4
+    path.write_bytes(data[:cut] + b"\xff" + data[cut + 1 :])
+    outcome = _outcome(read_session_jsonl, path)
+    assert outcome[0] is UnicodeDecodeError and outcome == _outcome(_reference_read, path)
+
+
 def test_jsonl_line_table_is_built_on_first_use_not_at_import():
     src = str(Path(behavior_data.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
