@@ -8,7 +8,9 @@ defines the vocabulary and the one feasibility table,
 :data:`FEASIBILITY`, validates logs, and aggregates them into the
 categorical table that the network classifier consumes: fixed-width
 windows of ticks become one row each, with the player identity in the
-class column.
+class column. Each window is reduced to its behavior bits and its indoor,
+walk and run counts, and ``_row_codes``, the one statement of the window
+rules, turns those into the row.
 
 The JSONL and CSV readers accept whatever their general parsers
 (``json.loads`` per line, ``csv.reader``) accept, except that a JSONL
@@ -484,43 +486,66 @@ def _encode_rows(
     return np.array(flat, dtype=np.int8).reshape(len(rows), len(columns))
 
 
-#: Column positions of the attributes ``to_dataset`` does not read off as
+#: Column positions of the attributes ``_row_codes`` does not read off as
 #: occurred/absent, and the codes it writes into them.
 _LOCATION = AttributeId.LOCATION.value - 1
 _MOVEMENT = AttributeId.MOVEMENT.value - 1
 _INDOOR, _OUTDOOR = map(DOMAINS[AttributeId.LOCATION.column].index, ("indoor", "outdoor"))
 _NONE, _WALK, _RUN = map(DOMAINS[AttributeId.MOVEMENT.column].index, ("none", "walk", "run"))
-_OCCURRED_CODE = DOMAINS[AttributeId.FIGHTING.column].index(OCCURRED)
+_OCCURRED_CODE, _ABSENT_CODE = map(DOMAINS[AttributeId.FIGHTING.column].index, (OCCURRED, ABSENT))
 _INDOOR_BIT = 1 << CONTEXT_FIELDS.index("location_indoor")
-#: Each attribute column's AttributeId value: values are 1-based column positions.
-_ATTRIBUTE_VALUES = np.arange(1, len(ATTRIBUTE_COLUMNS) + 1, dtype=np.int16)
+
+#: Row ``m`` is the code row of a window whose behavior bits are ``m``: column
+#: ``j`` reads occurred when bit ``j`` is set, that is when the behavior of
+#: ``AttributeId`` value ``j + 1`` occurred. The location, movement and class
+#: cells are placeholders for ``_row_codes`` and its callers to write over.
+_OCCURRED_ROWS = np.where(
+    np.arange(1 << len(ATTRIBUTE_COLUMNS))[:, None] >> np.arange(len(DATASET_COLUMNS)) & 1,
+    _OCCURRED_CODE,
+    _ABSENT_CODE,
+).astype(np.int8)
+_OCCURRED_ROWS.flags.writeable = False
+
+
+def _row_codes(
+    seen: np.ndarray, indoor: np.ndarray, walk: np.ndarray, run: np.ndarray, window: int
+) -> np.ndarray:
+    """Code rows of windows of ``window`` ticks from their statistics, one row per window.
+
+    Bit ``v`` of ``seen`` is set when the behavior of ``AttributeId`` value
+    ``v`` occurs in the window; ``indoor`` counts its indoor ticks, ``walk``
+    its movement events indoors and ``run`` those outdoors. No other code
+    applies the window rules: a behavior column reads occurred when its
+    bit is set; location is indoor when at least half the ticks are (ties
+    go to indoor); movement is the most frequent of walk, run and none
+    (the ticks without a movement event), with ties broken in that order.
+    The rows are a fresh array whose class column is the caller's to fill.
+    """
+    codes = _OCCURRED_ROWS.take(seen >> 1, axis=0)
+    codes[:, _LOCATION] = np.where(indoor * 2 >= window, _INDOOR, _OUTDOOR)
+    still = window - walk - run
+    codes[:, _MOVEMENT] = np.where(
+        (walk >= run) & (walk >= still), _WALK, np.where(run >= still, _RUN, _NONE)
+    )
+    return codes
 
 
 def _window_codes(log: SessionLog, window: int) -> np.ndarray:
-    """Code rows for the full windows of one log."""
+    """Code rows for the full windows of one log: their statistics, through ``_row_codes``."""
     n_windows = len(log.ticks) // window
     n = n_windows * window
     behaviors = log.behaviors[:n].reshape(n_windows, window)
     indoor = (log.contexts[:n] & _INDOOR_BIT).astype(bool).reshape(n_windows, window)
     # Bit v of a window's mask is set when the behavior of value v occurs in it.
-    seen = np.bitwise_or.reduce(np.left_shift(1, behaviors, dtype=np.int16), axis=1)
-    occurred = seen[:, None] >> _ATTRIBUTE_VALUES & 1
-
-    codes = np.empty((n_windows, len(DATASET_COLUMNS)), dtype=np.int8)
-    # The two codes are 0 and 1, so this gives the occurred code where the bit is set.
-    codes[:, : len(ATTRIBUTE_COLUMNS)] = occurred ^ (1 - _OCCURRED_CODE)
+    # The bits are laid out tick position by window, so the OR runs over whole rows.
+    bits = np.left_shift(1, behaviors.T, dtype=np.int16, order="C")
+    seen = np.bitwise_or.reduce(bits, axis=0)
     # Each count is at most window, so its float64 product is exact.
     ones = np.ones(window)
-    codes[:, _LOCATION] = np.where(indoor @ ones * 2 >= window, _INDOOR, _OUTDOOR)
     # A movement event indoors reads as walking, outdoors as running.
     moved = behaviors == AttributeId.MOVEMENT.value
     walk = (moved & indoor) @ ones
-    run = moved @ ones - walk
-    still = window - walk - run
-    # Ties break in listed order: walk beats run beats none.
-    codes[:, _MOVEMENT] = np.where(
-        (walk >= run) & (walk >= still), _WALK, np.where(run >= still, _RUN, _NONE)
-    )
+    codes = _row_codes(seen, indoor @ ones, walk, moved @ ones - walk, window)
     codes[:, -1] = _PLAYER_INDEX[log.player]
     return codes
 
@@ -533,7 +558,9 @@ def to_dataset(logs: Sequence[SessionLog], window: int) -> DataSet:
     column reads ``occurred`` when that behavior appears at least once in
     the window. Location is the modal location over the window (ties go
     to indoor). Movement is the most frequent of walk, run, and none,
-    with ties broken in that order.
+    with ties broken in that order. ``_row_codes`` is the one statement
+    of these rules: each window is reduced to its behavior bits and its
+    indoor, walk and run counts, and those go through it.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -555,8 +582,9 @@ def split(
     """Stratified train/test split, deterministic in ``seed``.
 
     Each class contributes ``round(ratio * class_size)`` rows to the
-    train side (half-up rounding). Within each side the original row
-    order is preserved.
+    train side (half-up rounding). Each side takes its rows by index, in
+    increasing order, so within each side the original row order is
+    preserved.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be inside (0, 1), got {ratio}")
@@ -575,7 +603,9 @@ def split(
         shuffled = rng.permutation(len(indices))
         train[indices[shuffled[: train_size(len(indices), ratio)]]] = True
     make = lambda mask: DataSet(
-        columns=data.columns, domains=dict(data.domains), codes=data.codes[mask]
+        columns=data.columns,
+        domains=dict(data.domains),
+        codes=data.codes.take(np.flatnonzero(mask), axis=0),
     )
     return make(train), make(~train)
 

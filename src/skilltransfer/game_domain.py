@@ -211,9 +211,14 @@ _GOVERNS = np.array([[k in keys for k in _GOVERNING] for keys in map(active_keys
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
-#: Context code and ``AttributeId`` value of each pair of the joint law, code-major.
-_PAIR_CONTEXTS = np.repeat(np.arange(len(CONTEXTS), dtype=np.uint8), len(EVENT_ATTRIBUTES))
-_PAIR_BEHAVIORS = np.tile(_EVENT_VALUES, len(CONTEXTS))
+#: Context code and ``AttributeId`` value of each pair of the joint law, code-major,
+#: as one record per pair, so a tick's two columns come from one gather.
+_PAIRS = np.empty(
+    len(CONTEXTS) * len(EVENT_ATTRIBUTES), dtype=[("contexts", np.uint8), ("behaviors", np.int8)]
+)
+_PAIRS["contexts"] = np.arange(len(CONTEXTS)).repeat(len(EVENT_ATTRIBUTES))
+_PAIRS["behaviors"] = np.tile(_EVENT_VALUES, len(CONTEXTS))
+_PAIRS.flags.writeable = False
 
 
 #: Equal buckets of [0, 1] in the guide table; a power of two, so a bucket
@@ -238,12 +243,15 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     every ``u`` lies in [0, 1). A uniform in bucket ``j`` exceeds every entry
     the guide counts at ``j`` and no other, unless an entry falls inside its
     bucket; only those uniforms are searched (indexed search: Chen and Asau
-    1974; Devroye 1986, section III.2).
+    1974; Devroye 1986, section III.2). One gather reads a marked copy of
+    the guide: entry ``j`` is the guide's count at ``j``, or -1, which no
+    count is, where an entry falls inside bucket ``j`` and the uniform must
+    be searched.
     """
     guide = _guide_table(cdf)
-    buckets = (u * _GUIDE).astype(np.int32)
-    pairs = guide[buckets]
-    split = np.flatnonzero(np.diff(guide)[buckets])
+    marked = np.where(np.diff(guide) == 0, guide[:-1], np.int16(-1))
+    pairs = marked.take((u * _GUIDE).astype(np.int32))
+    split = np.flatnonzero(pairs < 0)
     pairs[split] = np.searchsorted(cdf, u[split], side="right")
     return pairs
 
@@ -280,13 +288,13 @@ def run_session(
     cdf = np.cumsum(joint_law(scenario, profile))
     cdf /= cdf[-1]
     ticks = scenario.ticks_per_session
-    pairs = _inverse_cdf(cdf, derive_rng(seed).random(ticks))
+    drawn = _PAIRS.take(_inverse_cdf(cdf, derive_rng(seed).random(ticks)))
     return SessionLog(
         player,
         ticks=np.arange(ticks),
         players=np.full(ticks, PLAYERS.index(player), dtype=np.int8),
-        contexts=_PAIR_CONTEXTS[pairs],
-        behaviors=_PAIR_BEHAVIORS[pairs],
+        contexts=drawn["contexts"],
+        behaviors=drawn["behaviors"],
     )
 
 

@@ -300,6 +300,39 @@ def test_to_dataset_matches_the_per_window_reference_on_long_windows(seed):
     assert to_dataset([log], window).n_rows == 0  # the last window is past the log's end
 
 
+@pytest.mark.parametrize("window", range(1, 9))
+def test_row_codes_follow_the_window_rules_for_every_window_statistic(window):
+    # Every 10-bit behavior mask with every feasible (indoor, walk, run):
+    # walk <= indoor and run <= window - indoor.
+    stats = [
+        (indoor, walk, run)
+        for indoor in range(window + 1)
+        for walk in range(indoor + 1)
+        for run in range(window - indoor + 1)
+    ]
+    masks = np.arange(1 << len(ATTRIBUTE_COLUMNS))
+    mask = np.repeat(masks, len(stats))
+    indoor, walk, run = np.tile(np.array(stats).T, len(masks))
+    # The rules, restated: bit v - 1 of a mask is the behavior of value v; a
+    # window is indoor when at least half its ticks are; movement is the first
+    # of walk, run and none with the largest count.
+    want = {
+        a.column: np.where(mask >> (a.value - 1) & 1 == 1, OCCURRED, ABSENT) for a in AttributeId
+    }
+    want["location"] = np.where(indoor * 2 >= window, "indoor", "outdoor")
+    counts = np.stack([walk, run, window - walk - run])
+    want["movement"] = np.array(["walk", "run", "none"])[counts.argmax(axis=0)]
+    # Statistics come as the float64 counts windowing takes, or as integers.
+    for dtype in (np.float64, np.intp):
+        codes = behavior_data._row_codes(
+            mask << 1, *(np.asarray(a, dtype=dtype) for a in (indoor, walk, run)), window
+        )
+        assert codes.shape == (len(mask), len(DATASET_COLUMNS)) and codes.dtype == np.int8
+        for j, column in enumerate(ATTRIBUTE_COLUMNS):
+            got = np.array(DOMAINS[column])[codes[:, j]]
+            assert np.array_equal(got, want[column]), (column, dtype)
+
+
 # --- DataSet ----------------------------------------------------------------
 
 def test_dataset_from_rows_equals_the_one_from_codes():
@@ -482,6 +515,25 @@ def test_split_partition_and_per_class_counts(n1, n2, ratio, seed):
     train_counts = Counter(_column(train, CLASS_COLUMN))
     assert train_counts["ID1"] == int(ratio * n1 + 0.5)
     assert train_counts["ID2"] == int(ratio * n2 + 0.5)
+
+
+@pytest.mark.parametrize("seed, ratio", [(0, 0.5), (1, 0.3), (2, 0.8), (3, 0.5)])
+def test_each_split_side_keeps_the_table_order(seed, ratio):
+    # Two 128-value columns give every row its own position in the table, so
+    # each side is an order-preserving subsequence when its positions increase.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 2000))
+    position = np.arange(n)
+    domains = {"high": tuple(map(str, range(128))), "low": tuple(map(str, range(128)))}
+    domains[CLASS_COLUMN] = DOMAINS[CLASS_COLUMN]
+    codes = np.column_stack([position // 128, position % 128, rng.random(n) < 0.4])
+    data = DataSet(columns=("high", "low", CLASS_COLUMN), domains=domains, codes=codes)
+    sides = [
+        side.codes[:, 0].astype(int) * 128 + side.codes[:, 1] for side in split(data, ratio, seed)
+    ]
+    for side in sides:
+        assert (np.diff(side) > 0).all()
+    assert np.array_equal(np.sort(np.concatenate(sides)), position)
 
 
 # --- persistence ------------------------------------------------------------
