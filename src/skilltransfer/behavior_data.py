@@ -17,10 +17,10 @@ The JSONL and CSV readers accept whatever their general parsers
 tick must be a JSON integer and a context flag a JSON boolean. A CSV
 line in the form the writer emits decodes by table lookup. One renderer
 writes JSONL lines and also checks what the reader decodes: a JSONL file
-is decoded a block at a time, each block accepted only if rendering what
-was decoded gives its bytes back. Any other block is read line by line
-through the general parser, and a file with an error is read again whole
-that way, so both paths give the same values and the same errors.
+is decoded a block of lines at a time, each block accepted only if
+rendering what was decoded gives its bytes back. Any other block is read
+line by line through the general parser, and a file with an error is
+read again whole that way, so both paths give the same values and errors.
 """
 
 from __future__ import annotations
@@ -562,8 +562,9 @@ def to_dataset(logs: Sequence[SessionLog], window: int) -> DataSet:
     of these rules: each window is reduced to its behavior bits and its
     indoor, walk and run counts, and those go through it.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    from .errors import check_range  # errors imports this module
+
+    check_range("window", window)
     logs = list(logs)
     if not logs:
         raise ValueError("no session logs given")
@@ -586,8 +587,10 @@ def split(
     increasing order, so within each side the original row order is
     preserved.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"split ratio must be inside (0, 1), got {ratio}")
+    from .errors import check_range  # errors imports this module
+
+    check_range("split_ratio", ratio)
+    check_range("seed", seed)
     labels = data.codes[:, data.column_index(CLASS_COLUMN)].astype(np.intp)
     domain = data.domains[CLASS_COLUMN]
     sizes = np.bincount(labels, minlength=len(domain))
@@ -692,8 +695,7 @@ class _LineLayout(NamedTuple):
     name_end: int  # bytes after the name's last letter, newline included
     name_keys: np.ndarray  # sorted keys: first letter << 8 | last letter
     name_values: np.ndarray  # the behavior value of each key
-    shortest: int  # bytes in the shortest and longest lines, newline included
-    longest: int
+    shortest: int  # bytes in the shortest line, newline included
 
 
 @cache
@@ -729,7 +731,6 @@ def _line_layout() -> _LineLayout:
         name_keys=np.array([key for key, _ in keys]),
         name_values=np.array([value for _, value in keys]),
         shortest=head + 1 + min(tails),
-        longest=head + len(str(-(1 << 63))) + max(tails),
     )
 
 
@@ -768,28 +769,21 @@ def _guess_columns(data: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]
     return ticks, players, contexts, layout.name_values[found]
 
 
-def _decode_block(
-    buffer: bytearray, size: int, newlines: np.ndarray
-) -> tuple[np.ndarray, ...] | None:
-    """Tick, player, context and behavior columns of the block ``buffer[:size]``, or ``None``.
+def _decode_block(block: bytes) -> tuple[np.ndarray, ...] | None:
+    """Tick, player, context and behavior columns of one block of JSONL lines, or ``None``.
 
     The columns :func:`_guess_columns` reads are accepted only if
-    :func:`_render_block` renders them back to exactly the block; any block
+    :func:`_render_block` renders them back to exactly ``block``; any block
     :func:`write_session_jsonl` could not have written gives ``None``, and
-    no block raises. ``newlines`` is scratch space of at least ``size``
-    booleans. Neither it nor the block is copied, so a block takes no fresh
-    memory of its size.
+    no block raises.
     """
-    shortest = _line_layout().shortest
-    if size < shortest:
-        return None
-    data = np.frombuffer(buffer, dtype=np.uint8, count=size)
-    ends = np.flatnonzero(np.equal(data, ord("\n"), out=newlines[:size]))
-    if not 0 < len(ends) <= size // shortest:
+    data = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    # So that a block of blank lines cannot drive gathers many times its size.
+    if not 0 < len(ends) <= len(block) // _line_layout().shortest:
         return None
     columns = _guess_columns(data, ends)
-    rendered = _render_block(columns[0], np.ravel_multi_index(columns[1:], _LINE_SHAPE))
-    if len(rendered) != size or not buffer.startswith(rendered):
+    if _render_block(columns[0], np.ravel_multi_index(columns[1:], _LINE_SHAPE)) != block:
         return None
     return columns
 
@@ -824,27 +818,18 @@ def _read_blocks(path: str | Path) -> list[np.ndarray] | None:
     """The four columns of a JSONL file read a block at a time, or ``None`` on a bad line.
 
     Each block is ``_READ_BYTES`` of the file and the rest of the line it
-    cuts, read into one buffer, so it ends where a line ends unless that
-    line is too long to be canonical. A block exactly as the writer writes
-    it is decoded by :func:`_decode_block`. Any other block, with the rest
-    of its last line, is read line by line through :func:`_parse_lines`.
-    Each block starts after a ``"\n"``, which always ends a line, so these
+    cuts, so it ends where a line ends, or at the end of the file. A block
+    exactly as the writer writes it is decoded by :func:`_decode_block`.
+    Any other block is read line by line through :func:`_parse_lines`.
+    Each block starts after a ``"\\n"``, which always ends a line, so these
     are the lines a text reader of the whole file finds there.
     """
-    longest = _line_layout().longest
-    buffer = bytearray(_READ_BYTES + longest)
-    view, newlines = memoryview(buffer), np.empty(len(buffer), dtype=bool)
     blocks = [np.empty((4, 0), dtype=np.int64)]
     with open(path, "rb") as handle:
-        while size := handle.readinto(view[:_READ_BYTES]):
-            if buffer[size - 1] != ord("\n"):
-                line = handle.readline(longest)
-                view[size : size + len(line)] = line
-                size += len(line)
-            if (columns := _decode_block(buffer, size, newlines)) is None:
-                block = bytes(view[:size])
-                if not block.endswith(b"\n"):
-                    block += handle.readline()
+        while block := handle.read(_READ_BYTES):
+            if not block.endswith(b"\n"):
+                block += handle.readline()
+            if (columns := _decode_block(block)) is None:
                 try:
                     columns = _parse_lines(io.StringIO(block.decode("utf-8"), newline=None))
                 except (ValueError, KeyError, TypeError, AttributeError):

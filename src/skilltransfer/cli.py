@@ -33,7 +33,7 @@ from .config import (
     run_directory,
     serialize_config,
 )
-from .errors import MALFORMED_DOCUMENT, ConfigError, DataValidationError, range_violation
+from .errors import BOUNDS, MALFORMED_DOCUMENT, ConfigError, DataValidationError, range_violation
 from .game_domain import simulate_pair
 from .transfer_loop import (
     TransferConfig,
@@ -122,7 +122,7 @@ def _command(fn: Callable[..., Output]):
     def guarded(config_path: str, seed: int | None, out: str | None, quiet: bool, **options):
         try:
             config = load_config(config_path)
-            violation = None if seed is None else range_violation("seed", seed)
+            violation = None if seed is None else range_violation(BOUNDS["seed"], seed)
             if violation:
                 raise ConfigError(f"seed: {violation}")
             overrides = {"seed": seed, "output_dir": out}

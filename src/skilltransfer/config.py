@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .bayes import LearnConfig
-from .errors import BOUNDS, ConfigError, is_integer, range_violation
+from .errors import BOUNDS, ConfigError, is_integer, kind_violation, range_violation
 from .game_domain import LINKAGE_STRENGTH, PlayerProfile, Scenario, read_profile, table1_profiles
 from .transfer_loop import DatasetConfig, TransferParams
 
@@ -91,27 +91,20 @@ class _Reader:
     def scalar(self, obj: dict, name: str, key: str, default):
         """``obj[name]``, or ``default`` when absent or invalid; ``key`` is its path.
 
-        The kind comes from ``BOUNDS[name]``: no entry, a string; an integer
-        bound, an integer; otherwise a number, read as a float (an integer
-        beyond the float range as an infinity). Bounded values must lie in range.
+        The kind comes from ``BOUNDS.get(name)`` through :func:`kind_violation`.
+        A number is read as a float (an integer beyond the float range as an
+        infinity) before its range is checked.
         """
         value = obj.get(name, default)
         bound = BOUNDS.get(name)
-        if bound is None:
-            kind, types = "a string", str
-        elif is_integer(bound):
-            kind, types = "an integer", int
-        else:
-            kind, types = "a number", (int, float)
-        if isinstance(value, bool) or not isinstance(value, types):
-            self.complain(key, f"expected {kind}, got {value!r}")
-            return default
-        if kind == "a number":
-            try:
-                value = float(value)
-            except OverflowError:
-                value = math.inf if value > 0 else -math.inf
-        violation = None if bound is None else range_violation(bound, value)
+        violation = kind_violation(bound, value)
+        if violation is None and bound is not None:
+            if not is_integer(bound):
+                try:
+                    value = float(value)
+                except OverflowError:
+                    value = math.inf if value > 0 else -math.inf
+            violation = range_violation(bound, value)
         if violation is not None:
             self.complain(key, violation)
             return default

@@ -4,14 +4,16 @@ The error types map onto the CLI exit codes: configuration problems exit
 with 2, data validation failures with 3, and anything unexpected with 4.
 
 :data:`BOUNDS` holds each bounded parameter's range once, keyed by field
-name. The config reader reports a value outside it as a violation line;
-the library's dataclasses and functions raise ``ValueError`` with the same
-text.
+name, and its kind: an integer for an integer's range, a number for any
+other. The config reader reports a value of another kind, or outside the
+range, as a violation line; the library's dataclasses and functions raise
+``ValueError`` with the same text.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import fields
 
@@ -96,14 +98,30 @@ def is_integer(bound: Bound) -> bool:
     return isinstance(bound, int) or len(bound) == 2
 
 
-def range_violation(bound: str | Bound, value: float) -> str | None:
+def kind_violation(bound: Bound | None, value: object) -> str | None:
+    """Why ``value`` is not of the kind ``bound`` holds, or None when it is.
+
+    No bound holds a string, an integer's bound an integer and any other
+    bound a number. A bool is none of these; a numpy scalar is the kind it
+    stands for.
+    """
+    if bound is None:
+        kind, types = "a string", str
+    elif is_integer(bound):
+        kind, types = "an integer", numbers.Integral
+    else:
+        kind, types = "a number", numbers.Real
+    if isinstance(value, bool) or not isinstance(value, types):
+        return f"expected {kind}, got {value!r}"
+    return None
+
+
+def range_violation(bound: Bound, value: float) -> str | None:
     """Why ``value`` lies outside ``bound``, or None when it lies inside.
 
-    ``bound`` is a key of :data:`BOUNDS` or a bound in the same encoding.
-    NaN lies outside every range.
+    ``bound`` is in the encoding of :data:`BOUNDS`. NaN lies outside every
+    range.
     """
-    if isinstance(bound, str):
-        bound = BOUNDS[bound]
     if is_integer(bound):
         low, high = (bound, math.inf) if isinstance(bound, int) else bound
         if not value >= low:
@@ -120,11 +138,14 @@ def range_violation(bound: str | Bound, value: float) -> str | None:
 
 
 def check_range(name: str, value: float, bound: str | Bound | None = None) -> None:
-    """Raise ``ValueError`` naming ``name`` when ``value`` is outside ``bound``.
+    """Raise ``ValueError`` naming ``name`` when ``value`` is outside ``bound`` or not of its kind.
 
-    ``bound`` defaults to the :data:`BOUNDS` entry of ``name``.
+    ``bound`` defaults to the :data:`BOUNDS` entry of ``name``; a string
+    names another entry.
     """
-    violation = range_violation(name if bound is None else bound, value)
+    if bound is None or isinstance(bound, str):
+        bound = BOUNDS[name if bound is None else bound]
+    violation = kind_violation(bound, value) or range_violation(bound, value)
     if violation is not None:
         raise ValueError(f"{name}: {violation}")
 

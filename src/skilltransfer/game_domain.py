@@ -280,6 +280,7 @@ def run_session(
     scenario: Scenario, profile: PlayerProfile, player: PlayerId, seed: int
 ) -> SessionLog:
     """Simulate one full session; bit-identical for identical arguments."""
+    check_range("seed", seed)
     # Inverse CDF of the joint law, code-major. A tick is the first pair whose
     # cumulative mass exceeds its uniform; a pair without mass repeats the
     # entry before it, so it is never that pair, and dividing by the last entry

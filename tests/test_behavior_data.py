@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import pickle
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -137,8 +138,10 @@ def test_two_logs_make_rows_for_both_players(base_scenario, table1_pair):
 
 
 def test_window_must_be_positive_and_logs_nonempty():
-    with pytest.raises(ValueError, match="window"):
+    with pytest.raises(ValueError, match=r"^window: 0 is below the minimum 1$"):
         to_dataset([_log([])], window=0)
+    with pytest.raises(ValueError, match=r"^window: expected an integer, got 2\.5$"):
+        to_dataset([_log([])], window=2.5)
     with pytest.raises(ValueError, match="no session logs"):
         to_dataset([], window=5)
 
@@ -477,6 +480,13 @@ def test_split_is_seed_deterministic():
     assert split(data, 0.5, seed=9) == split(data, 0.5, seed=9)
 
 
+def test_a_negative_seed_is_named_in_its_range_error(base_scenario, table1_pair):
+    with pytest.raises(ValueError, match=r"^seed: -1 is below the minimum 0$"):
+        split(_synthetic_dataset(10), seed=-1)
+    with pytest.raises(ValueError, match=r"^seed: -1 is below the minimum 0$"):
+        run_session(base_scenario, table1_pair[0], PlayerId.ID1, seed=-1)
+
+
 def test_split_partitions_400_rows_exactly():
     data = _synthetic_dataset(200)
     train, test = split(data, ratio=0.5, seed=0)
@@ -487,7 +497,8 @@ def test_split_partitions_400_rows_exactly():
 def test_split_rejects_bad_ratio_and_tiny_classes():
     data = _synthetic_dataset(10)
     for ratio in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError, match="ratio"):
+        text = f"split_ratio: {ratio} outside (0.0, 1.0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             split(data, ratio)
     lopsided = DataSet(
         columns=DATASET_COLUMNS,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 from functools import reduce
 
@@ -84,6 +85,20 @@ def test_reader_and_library_agree_on_every_range(name):
         assert getattr(section, name) == value
     for value, text in outside:
         with pytest.raises(ValueError, match=f"^{name}: "):
+            owner(value)
+        with pytest.raises(ConfigError) as err:
+            parse_config(_document(path, value))
+        assert err.value.violations == [f"{path}: {text}"]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_reader_and_library_reject_the_same_wrong_kinds(name):
+    path, owner = _PATHS[name], _owner(name)
+    kind = "an integer" if is_integer(BOUNDS[name]) else "a number"
+    wrong = [True, "1", None] + ([1.5] if kind == "an integer" else [])
+    for value in wrong:
+        text = f"expected {kind}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: {text}')}$"):
             owner(value)
         with pytest.raises(ConfigError) as err:
             parse_config(_document(path, value))

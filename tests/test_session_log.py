@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 import os
 import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +37,9 @@ from skilltransfer.behavior_data import (
     validate_session,
     write_session_jsonl,
 )
-from skilltransfer.game_domain import run_session
+from skilltransfer.cli import main
+from skilltransfer.config import parse_config, resolve_profiles
+from skilltransfer.game_domain import run_session, simulate_pair
 
 
 def _reference_violations(player: PlayerId, records) -> list[Violation]:
@@ -668,6 +673,70 @@ def test_jsonl_reader_parses_lines_only_in_the_blocks_that_fail(
     path.write_bytes(data[:cut] + b"\xff" + data[cut + 1 :])
     outcome = _outcome(read_session_jsonl, path)
     assert outcome[0] is UnicodeDecodeError and outcome == _outcome(_reference_read, path)
+
+
+def test_the_block_decoder_never_disagrees_with_the_line_parser(
+    tmp_path, base_scenario, table1_pair
+):
+    expert, _ = table1_pair
+    log = run_session(replace(base_scenario, ticks_per_session=40), expert, PlayerId.ID1, 4)
+    path = tmp_path / "session.jsonl"
+    write_session_jsonl(log, path)
+    text = path.read_bytes()
+    want = np.stack([log.ticks, log.players, log.contexts, log.behaviors])
+    assert np.array_equal(np.stack(behavior_data._decode_block(text)), want)
+    # Each byte becomes another, mostly one the log holds, so that some edits
+    # (a tick's digits, the player's) still give a canonical block.
+    alphabet = sorted(set(text) | set(b"-\r\t\xff"))
+    steps = np.random.default_rng(40).integers(1, len(alphabet), len(text)).tolist()
+    accepted = 0
+    for at, (byte, step) in enumerate(zip(text, steps)):
+        other = alphabet[(alphabet.index(byte) + step) % len(alphabet)]
+        block = text[:at] + bytes([other]) + text[at + 1 :]
+        columns = behavior_data._decode_block(block)
+        if columns is not None:
+            lines = io.StringIO(block.decode("utf-8"), newline=None)
+            assert np.array_equal(np.stack(columns), behavior_data._parse_lines(lines)), at
+            accepted += 1
+    assert accepted
+
+
+def test_a_100k_tick_run_reads_back_by_blocks_in_bounded_memory(tmp_path, monkeypatch):
+    text = json.dumps({"scenario": {"ticks_per_session": 100_000}})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text, encoding="utf-8")
+    command = ["simulate", "--config", str(config_path), "--seed", "3", "--out", str(tmp_path)]
+    assert CliRunner().invoke(main, command).exit_code == 0
+    (run_dir,) = (path for path in tmp_path.iterdir() if path.is_dir())
+    names = ("expert.jsonl", "learner.jsonl")
+    with monkeypatch.context() as patch:
+        # Without the line parser, only the block decoder can read them.
+        patch.setattr(behavior_data, "_parse_line", None)
+        tracemalloc.start()
+        try:
+            logs = [read_session_jsonl(run_dir / names[0])]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        logs.append(read_session_jsonl(run_dir / names[1]))
+    # A reader that held the whole file would peak above its size.
+    assert peak < (run_dir / names[0]).stat().st_size / 2
+    config = parse_config(text)
+    assert logs == list(simulate_pair(*resolve_profiles(config), config.scenario, 3, 0))
+
+    # With one line edited, only the lines of its block go through the parser.
+    lines = (run_dir / names[0]).read_text(encoding="utf-8").splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines[middle] = "{ " + lines[middle][1:]
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(lines), encoding="utf-8")
+    parsed = []
+    parse_line = behavior_data._parse_line
+    monkeypatch.setattr(
+        behavior_data, "_parse_line", lambda line: parsed.append(line) or parse_line(line)
+    )
+    assert read_session_jsonl(edited) == logs[0]
+    assert 0 < len(parsed) < len(lines) / 2
 
 
 def test_jsonl_line_table_is_built_on_first_use_not_at_import():
