@@ -96,7 +96,7 @@ def markov_blanket(dag: Dag, node: str) -> frozenset[str]:
     return frozenset(blanket)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cpt:
     """Conditional probability table for one node.
 
@@ -119,6 +119,14 @@ class Cpt:
             raise ValueError(f"{self.node}: CPT rows must sum to 1")
         if np.any(table < 0):
             raise ValueError(f"{self.node}: negative probability")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cpt):
+            return NotImplemented
+        same = (self.node, self.parents) == (other.node, other.parents)
+        return same and np.array_equal(self.table, other.table)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -500,9 +508,11 @@ def learn_structure(data: DataSet, config: LearnConfig, seed: int = 0) -> Dag:
         for label, size in zip(data.domains[CLASS_COLUMN], sizes[0]):
             if size < 2:
                 raise ValueError(f"class {label!r} has fewer than 2 rows")
+    # No node has n parents, so a larger cap acts as n and stays in numpy's integer range.
+    max_parents = min(config.max_parents, len(scorer.variables))
     rng = derive_rng(seed)
-    starts = [set()] + _random_starts(scorer.variables, config.max_parents, rng, config.restarts)
-    climbs = _Climber(scorer, config.max_parents).climb_all(starts)
+    starts = [set()] + _random_starts(scorer.variables, max_parents, rng, config.restarts)
+    climbs = _Climber(scorer, max_parents).climb_all(starts)
     best_edges, _ = min(climbs, key=lambda climb: (-climb[1], tuple(sorted(climb[0]))))
     return Dag(nodes=scorer.variables, edges=best_edges)
 

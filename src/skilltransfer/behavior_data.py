@@ -533,6 +533,8 @@ def _row_codes(
 def _window_codes(log: SessionLog, window: int) -> np.ndarray:
     """Code rows for the full windows of one log: their statistics, through ``_row_codes``."""
     n_windows = len(log.ticks) // window
+    if n_windows == 0:  # no rows, and no array a window long
+        return _OCCURRED_ROWS[:0]
     n = n_windows * window
     behaviors = log.behaviors[:n].reshape(n_windows, window)
     indoor = (log.contexts[:n] & _INDOOR_BIT).astype(bool).reshape(n_windows, window)

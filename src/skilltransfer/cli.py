@@ -33,7 +33,7 @@ from .config import (
     run_directory,
     serialize_config,
 )
-from .errors import BOUNDS, MALFORMED_DOCUMENT, ConfigError, DataValidationError, range_violation
+from .errors import MALFORMED_DOCUMENT, ConfigError, DataValidationError
 from .game_domain import simulate_pair
 from .transfer_loop import (
     TransferConfig,
@@ -122,11 +122,11 @@ def _command(fn: Callable[..., Output]):
     def guarded(config_path: str, seed: int | None, out: str | None, quiet: bool, **options):
         try:
             config = load_config(config_path)
-            violation = None if seed is None else range_violation(BOUNDS["seed"], seed)
-            if violation:
-                raise ConfigError(f"seed: {violation}")
             overrides = {"seed": seed, "output_dir": out}
-            config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+            try:
+                config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+            except ValueError as exc:  # ExperimentConfig checks the --seed override
+                raise ConfigError(str(exc)) from exc
             run_dir = run_directory(config)
             files, summary = fn(config, run_dir, **options)
             _make_run_dir(run_dir)

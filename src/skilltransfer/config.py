@@ -3,21 +3,20 @@
 Configs are JSON documents. Every field has a documented default, so the
 empty document is a valid config. Validation is exhaustive: all problems
 are collected and reported together, each prefixed with the offending
-field's path, and unknown keys anywhere are rejected. The numeric ranges
-come from :data:`errors.BOUNDS`, which the library checks too, and every
-section but ``profiles`` is the library's own dataclass, defaults included.
+field's path, and unknown keys anywhere are rejected. Each value meets
+:func:`errors.checked`, the rule every section's own check applies, and
+every section but ``profiles`` is the library's own dataclass, defaults included.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .bayes import LearnConfig
-from .errors import BOUNDS, ConfigError, is_integer, kind_violation, range_violation
+from .errors import BOUNDS, ConfigError, check_fields, checked
 from .game_domain import LINKAGE_STRENGTH, PlayerProfile, Scenario, read_profile, table1_profiles
 from .transfer_loop import DatasetConfig, TransferParams
 
@@ -34,6 +33,8 @@ class ProfilesConfig:
     expert_path: str | None = None
     learner_path: str | None = None
 
+    __post_init__ = check_fields
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -44,6 +45,8 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     learning: LearnConfig = field(default_factory=LearnConfig)
     transfer: TransferParams = field(default_factory=TransferParams)
+
+    __post_init__ = check_fields
 
 
 _PROFILE_PATHS = ("profiles.expert_path", "profiles.learner_path")
@@ -70,7 +73,8 @@ class _Reader:
     def read(self, obj: dict, default, path: str):
         """``default`` with each field read from ``obj``, in declaration order.
 
-        Every field of ``default`` is a config key, and sections recurse.
+        Every field of ``default`` is a config key, and sections recurse. A
+        value that :func:`errors.checked` rejects is a violation and keeps the default.
         """
         names = [f.name for f in fields(default)]
         for key in sorted(set(obj) - set(names)):
@@ -84,31 +88,12 @@ class _Reader:
             elif key in _PROFILE_PATHS:
                 value = self.profile_path(obj, name, key)
             else:
-                value = self.scalar(obj, name, key, base)
+                value, violation = checked(BOUNDS.get(name), obj.get(name, base))
+                if violation is not None:
+                    self.complain(key, violation)
+                    value = base
             values[name] = value
         return replace(default, **values)
-
-    def scalar(self, obj: dict, name: str, key: str, default):
-        """``obj[name]``, or ``default`` when absent or invalid; ``key`` is its path.
-
-        The kind comes from ``BOUNDS.get(name)`` through :func:`kind_violation`.
-        A number is read as a float (an integer beyond the float range as an
-        infinity) before its range is checked.
-        """
-        value = obj.get(name, default)
-        bound = BOUNDS.get(name)
-        violation = kind_violation(bound, value)
-        if violation is None and bound is not None:
-            if not is_integer(bound):
-                try:
-                    value = float(value)
-                except OverflowError:
-                    value = math.inf if value > 0 else -math.inf
-            violation = range_violation(bound, value)
-        if violation is not None:
-            self.complain(key, violation)
-            return default
-        return value
 
     def profile_path(self, obj: dict, name: str, path: str) -> str | None:
         """``obj[name]``, an existing file, or None when both profile paths are absent."""

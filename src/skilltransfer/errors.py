@@ -5,9 +5,11 @@ with 2, data validation failures with 3, and anything unexpected with 4.
 
 :data:`BOUNDS` holds each bounded parameter's range once, keyed by field
 name, and its kind: an integer for an integer's range, a number for any
-other. The config reader reports a value of another kind, or outside the
-range, as a violation line; the library's dataclasses and functions raise
-``ValueError`` with the same text.
+other. :func:`checked` is the one rule for a value: the config reader
+reports what it rejects as a violation line, and every config section
+(``ExperimentConfig`` and ``ProfilesConfig`` too) and library function
+raises ``ValueError`` with the same text, a number's as a float's:
+``LearnConfig(smoothing=10**400)`` says ``smoothing: inf outside [...]``.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ Bound = int | tuple[int, int] | tuple[float, float, bool, bool]
 #: ``(low, high, low_open, high_open)``.
 BOUNDS: dict[str, Bound] = {
     "seed": 0,
-    # Ticks 0 to 10**18 - 1 have at most the 18 digits a log line's tick may have.
+    # One 8-byte uniform a tick: to 10**18 ticks numpy's byte count fits int64 and
+    # it raises MemoryError, which the CLI reports; from 2**60 ticks on, ValueError.
     "ticks_per_session": (0, 10**18),
     **{f: (0.0, 1.0, False, False) for f in CONTEXT_FIELDS},
     "linkage_strength": (0.0, 1.0, True, False),
@@ -96,24 +99,6 @@ BOUNDS: dict[str, Bound] = {
 def is_integer(bound: Bound) -> bool:
     """Whether ``bound`` is an integer's: a minimum or a ``(minimum, maximum)`` pair."""
     return isinstance(bound, int) or len(bound) == 2
-
-
-def kind_violation(bound: Bound | None, value: object) -> str | None:
-    """Why ``value`` is not of the kind ``bound`` holds, or None when it is.
-
-    No bound holds a string, an integer's bound an integer and any other
-    bound a number. A bool is none of these; a numpy scalar is the kind it
-    stands for.
-    """
-    if bound is None:
-        kind, types = "a string", str
-    elif is_integer(bound):
-        kind, types = "an integer", numbers.Integral
-    else:
-        kind, types = "a number", numbers.Real
-    if isinstance(value, bool) or not isinstance(value, types):
-        return f"expected {kind}, got {value!r}"
-    return None
 
 
 def range_violation(bound: Bound, value: float) -> str | None:
@@ -137,6 +122,29 @@ def range_violation(bound: Bound, value: float) -> str | None:
     return f"{value} outside {left}{low}, {high}{right}"
 
 
+def checked(bound: Bound | None, value: object) -> tuple[object, str | None]:
+    """``value`` as a field of ``bound`` holds it, and why it may not, or None when it may.
+
+    No bound holds a string, an integer's bound an integer and any other
+    bound a number, never a bool; a numpy scalar is the kind it stands for.
+    A number is held as a float, an integer beyond the float range as an infinity.
+    """
+    if bound is None:
+        kind, types = "a string", str
+    elif is_integer(bound):
+        kind, types = "an integer", numbers.Integral
+    else:
+        kind, types = "a number", numbers.Real
+    if isinstance(value, bool) or not isinstance(value, types):
+        return value, f"expected {kind}, got {value!r}"
+    if types is numbers.Real:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    return value, None if bound is None else range_violation(bound, value)
+
+
 def check_range(name: str, value: float, bound: str | Bound | None = None) -> None:
     """Raise ``ValueError`` naming ``name`` when ``value`` is outside ``bound`` or not of its kind.
 
@@ -145,7 +153,7 @@ def check_range(name: str, value: float, bound: str | Bound | None = None) -> No
     """
     if bound is None or isinstance(bound, str):
         bound = BOUNDS[name if bound is None else bound]
-    violation = kind_violation(bound, value) or range_violation(bound, value)
+    violation = checked(bound, value)[1]
     if violation is not None:
         raise ValueError(f"{name}: {violation}")
 

@@ -55,10 +55,9 @@ ROLE_EXPERT = 1
 ROLE_LEARNER = 2
 
 
-def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Return the Philox generator for the stream named by ``path``."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(ss))
+def derive_rng(seed: int) -> np.random.Generator:
+    """Return the Philox generator seeded by ``seed``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

@@ -146,6 +146,13 @@ def test_window_must_be_positive_and_logs_nonempty():
         to_dataset([], window=5)
 
 
+def test_a_window_longer_than_every_log_gives_no_rows_without_allocating_it():
+    # One double per tick of a 10**12-tick window would be 7.3 TiB.
+    data = to_dataset([_log([_record(t, MOVE) for t in range(50)])], window=10**12)
+    assert data.n_rows == 0
+    assert data.columns == DATASET_COLUMNS
+
+
 def test_location_majority_breaks_ties_indoor():
     records = [
         _record(0, MOVE, location_indoor=True),

@@ -105,6 +105,32 @@ def test_reader_and_library_reject_the_same_wrong_kinds(name):
         assert err.value.violations == [f"{path}: {text}"]
 
 
+@pytest.mark.parametrize("value", [2, -1, 10**400, -(10**400), math.nan],
+                         ids=["2", "-1", "1e400", "-1e400", "nan"])
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_reader_and_library_say_the_same_of_extreme_values(name, value):
+    path, owner = _PATHS[name], _owner(name)
+    try:
+        parse_config(_document(path, value))
+    except ConfigError as err:
+        (line,) = err.violations
+        with pytest.raises(ValueError) as raised:
+            owner(value)
+        assert str(raised.value) == name + line[len(path):]
+    else:
+        owner(value)
+
+
+def test_the_top_level_and_profiles_sections_check_themselves():
+    with pytest.raises(ValueError, match=r"^seed: -1 is below the minimum 0$"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"^linkage_strength: 2\.0 outside \(0\.0, 1\.0\]$"):
+        ProfilesConfig(linkage_strength=2)
+    # Beyond Python's 4,300-digit limit on printing an integer.
+    with pytest.raises(ValueError, match=r"^smoothing: inf outside \["):
+        LearnConfig(smoothing=10**5000)
+
+
 def test_every_section_but_profiles_is_the_library_dataclass():
     config = ExperimentConfig()
     sections = {f.name: type(getattr(config, f.name)) for f in fields(config)}

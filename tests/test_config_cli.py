@@ -607,6 +607,43 @@ def test_more_ticks_than_the_bound_exit_two(tmp_path, command, ticks):
     )
 
 
+#: The integer settings with a minimum and no maximum, by config path.
+_UNBOUNDED_INTEGERS = ("seed", "dataset.window", "learning.max_parents", "transfer.max_iterations")
+
+
+def _nested(path: str, value) -> dict:
+    *sections, key = path.split(".")
+    document = {key: value}
+    for section in reversed(sections):
+        document = {section: document}
+    return document
+
+
+@pytest.mark.parametrize("command", ["identify", "transfer"])
+@pytest.mark.parametrize("path", _UNBOUNDED_INTEGERS)
+def test_an_unbounded_integer_setting_of_two_to_the_63_never_exits_four(tmp_path, command, path):
+    config_path = tmp_path / "config.json"
+    document = {**_nested(path, 2**63), "scenario": {"ticks_per_session": 300}}
+    config_path.write_text(json.dumps(document), encoding="utf-8")
+    result = _invoke([command, "--config", config_path, "--out", tmp_path / "runs"])
+    assert result.exit_code in (0, 2), result.stderr
+    assert result.stderr.count("\n") == (result.exit_code == 2)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_parent_cap_beyond_the_columns_learns_what_a_cap_of_eleven_learns(tmp_path, seed):
+    networks = []
+    for max_parents in (11, 2**63):
+        config_path = tmp_path / f"config-{max_parents}.json"
+        document = {"scenario": {"ticks_per_session": 300}, "seed": seed,
+                    "learning": {"max_parents": max_parents}, "output_dir": str(tmp_path)}
+        config_path.write_text(json.dumps(document), encoding="utf-8")
+        result = _invoke(["identify", "--config", config_path])
+        assert result.exit_code == 0, result.stderr
+        networks.append((_run_dir(config_path) / "network.json").read_bytes())
+    assert networks[0] == networks[1]
+
+
 def test_a_session_too_long_to_fit_in_memory_exits_two(tmp_path):
     # 10**18 ticks ask for 8e18 bytes of uniforms at once, more than any
     # address space holds, so the request fails before memory is touched.

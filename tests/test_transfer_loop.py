@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +260,23 @@ def test_identification_round_shapes_and_determinism(table1_pair):
     assert again.accuracy == result.accuracy
     assert again.attributes == result.attributes
     assert bayesnet_to_json(again.network) == bayesnet_to_json(result.network)
+
+
+def test_identification_results_compare_by_value(table1_pair):
+    expert, learner = table1_pair
+    scenario = _scenario(ticks_per_session=200)
+    result = run_identification(expert, learner, scenario, seed=5)
+    assert result == run_identification(expert, learner, scenario, seed=5)
+    node, cpt = next(iter(result.network.cpts.items()))
+    table = cpt.table.copy()
+    table[0] = 0.0
+    table[0, 0] = 1.0  # smoothed entries are never 0 or 1
+    changed = replace(cpt, table=table)
+    assert changed != cpt
+    network = replace(result.network, cpts={**result.network.cpts, node: changed})
+    assert replace(result, network=network) != result
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cpt)
 
 
 # --- the loop --------------------------------------------------------------------------
