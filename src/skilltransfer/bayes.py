@@ -102,7 +102,8 @@ class Cpt:
 
     ``table`` has one row per parent assignment (mixed-radix order, first
     parent most significant) and one column per node value. Every row
-    sums to one.
+    sums to one. The constructor keeps a read-only copy of the array it is
+    given, so the rows stay as checked.
     """
 
     node: str
@@ -110,7 +111,8 @@ class Cpt:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        table = np.asarray(self.table, dtype=float)
+        table = np.array(self.table, dtype=float)
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise ValueError(f"{self.node}: CPT must be 2-dimensional")
@@ -127,6 +129,10 @@ class Cpt:
         return same and np.array_equal(self.table, other.table)
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        # Pickle and copy through the constructor, which makes the table read-only again.
+        return Cpt, (self.node, self.parents, self.table)
 
 
 @dataclass(frozen=True)

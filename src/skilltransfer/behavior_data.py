@@ -12,6 +12,13 @@ class column. Each window is reduced to its behavior bits and its indoor,
 walk and run counts, and ``_row_codes``, the one statement of the window
 rules, turns those into the row.
 
+Codes are range-checked where they enter the program: the
+:class:`SessionLog` and :class:`DataSet` constructors check every
+column, and the readers, pickling, copying and every caller outside the
+library go through them. The logs the simulator draws and the tables
+:func:`to_dataset` and :func:`split` build hold codes copied from
+tables already in range, so they are adopted without a second check.
+
 The JSONL and CSV readers accept whatever their general parsers
 (``json.loads`` per line, ``csv.reader``) accept, except that a JSONL
 tick must be a JSON integer and a context flag a JSON boolean. A CSV
@@ -196,7 +203,7 @@ def _check_codes(what: str, raw: np.ndarray, valid: range | None) -> None:
 
 
 def _packed_records(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """The checked columns packed into one read-only ``RECORD_DTYPE`` array."""
+    """The checked columns packed into one ``RECORD_DTYPE`` array."""
     raws = []
     for (name, _, valid), column in zip(_COLUMNS, columns):
         raw = np.asarray(column)
@@ -210,7 +217,6 @@ def _packed_records(columns: Sequence[np.ndarray]) -> np.ndarray:
     records = np.empty(lengths[0], dtype=RECORD_DTYPE)
     for (name, _, _), raw in zip(_COLUMNS, raws):
         records[name] = raw
-    records.flags.writeable = False
     return records
 
 
@@ -230,11 +236,14 @@ class SessionLog:
       :data:`CONTEXTS` (bit 0 is ``location_indoor``);
     - ``behaviors`` (``int8``): the behavior's ``AttributeId`` value.
 
-    The columns are passed by keyword and checked for equal lengths and
-    in-range codes. They may hold what a clean session would not
-    (repeated ticks, another player's records, infeasible behaviors);
-    :func:`validate_session` reports those. Equality compares the player
-    and the records.
+    The constructor takes the columns by keyword and checks them for
+    equal lengths and in-range codes; every log read or built from
+    outside the library goes through it. They may hold what a clean
+    session would not (repeated ticks, another player's records,
+    infeasible behaviors); :func:`validate_session` reports those. The
+    simulator's logs are adopted instead: their records are copies of
+    a table of in-range records, so they are not checked again.
+    Equality compares the player and the records.
     """
 
     __slots__ = ("player", "records", "ticks", "players", "contexts", "behaviors")
@@ -248,7 +257,18 @@ class SessionLog:
         contexts: np.ndarray,
         behaviors: np.ndarray,
     ) -> None:
-        records = _packed_records((ticks, players, contexts, behaviors))
+        self._hold(player, _packed_records((ticks, players, contexts, behaviors)))
+
+    @classmethod
+    def _adopt(cls, player: PlayerId, records: np.ndarray) -> SessionLog:
+        """A log of ``records``, a fresh array the caller made in range; unchecked."""
+        log = object.__new__(cls)
+        log._hold(player, records)
+        return log
+
+    def _hold(self, player: PlayerId, records: np.ndarray) -> None:
+        """Keep ``records`` read-only, with a view of each field."""
+        records.flags.writeable = False
         object.__setattr__(self, "player", player)
         object.__setattr__(self, "records", records)
         for name, _, _ in _COLUMNS:
@@ -340,11 +360,16 @@ class DataSet:
     len(columns))``; entry ``[i, j]`` is the position of row ``i``'s
     value in ``domains[columns[j]]``. Value strings exist only at the
     edges: ``rows=`` encodes string rows once (rejecting out-of-domain
-    cells), and :attr:`rows` decodes them back on demand. Internal
-    callers that already hold codes pass ``codes=`` instead. The
-    standard classification table uses ``DATASET_COLUMNS`` and
-    ``DOMAINS``, but the type itself is generic so that small synthetic
-    tables can be built in tests. Equality compares by value.
+    cells), and :attr:`rows` decodes them back on demand. Callers that
+    already hold codes pass ``codes=`` instead, which are checked
+    against the domains and copied. ``domains`` is a fresh ``dict`` of
+    tuples, so later changes to the caller's mapping do not reach the
+    table. The tables :func:`to_dataset` and :func:`split` build are
+    adopted instead: their codes come from tables already in range, so
+    they are not checked again. The standard classification table uses
+    ``DATASET_COLUMNS`` and ``DOMAINS``, but the type itself is generic
+    so that small synthetic tables can be built in tests. Equality
+    compares by value.
     """
 
     __slots__ = ("columns", "domains", "codes", "_rows", "_distinct")
@@ -360,6 +385,7 @@ class DataSet:
         columns = tuple(columns)
         if len(set(columns)) != len(columns):
             raise ValueError("duplicate column names")
+        domains = {name: tuple(values) for name, values in domains.items()}
         for name in columns:
             if name not in domains:
                 raise ValueError(f"no domain declared for column {name!r}")
@@ -384,10 +410,21 @@ class DataSet:
             for j, name in enumerate(columns):
                 _check_codes(f"codes of column {name!r}", matrix[:, j], range(len(domains[name])))
             matrix = matrix.astype(np.int8)
-        matrix.flags.writeable = False
+        self._hold(columns, domains, matrix)
+
+    @classmethod
+    def _adopt(cls, columns: tuple[str, ...], domains: dict, codes: np.ndarray) -> DataSet:
+        """A table of a fresh ``domains`` dict and ``int8`` codes in range; unchecked."""
+        data = object.__new__(cls)
+        data._hold(columns, domains, codes)
+        return data
+
+    def _hold(self, columns: tuple[str, ...], domains: dict, codes: np.ndarray) -> None:
+        """Keep ``codes`` read-only."""
+        codes.flags.writeable = False
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "codes", matrix)
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_distinct", None)
 
@@ -571,7 +608,8 @@ def to_dataset(logs: Sequence[SessionLog], window: int) -> DataSet:
     if not logs:
         raise ValueError("no session logs given")
     codes = np.concatenate([_window_codes(log, window) for log in logs])
-    return DataSet(columns=DATASET_COLUMNS, domains=dict(DOMAINS), codes=codes)
+    # Rows of _OCCURRED_ROWS with in-range location, movement and class codes.
+    return DataSet._adopt(DATASET_COLUMNS, dict(DOMAINS), codes)
 
 
 def train_size(n: int, ratio: float) -> int:
@@ -607,10 +645,9 @@ def split(
         indices = np.flatnonzero(labels == code)
         shuffled = rng.permutation(len(indices))
         train[indices[shuffled[: train_size(len(indices), ratio)]]] = True
-    make = lambda mask: DataSet(
-        columns=data.columns,
-        domains=dict(data.domains),
-        codes=data.codes.take(np.flatnonzero(mask), axis=0),
+    # Rows of a table already checked.
+    make = lambda mask: DataSet._adopt(
+        data.columns, dict(data.domains), data.codes.take(np.flatnonzero(mask), axis=0)
     )
     return make(train), make(~train)
 

@@ -20,10 +20,11 @@ is summed out: each profile carries one behavior law per context code, built
 once on first use. :func:`joint_law` weights it by the scenario's context
 probabilities into one joint (context, behavior) law per session;
 ``run_session``, the one simulator, draws every tick from that law in one
-call, one uniform per tick, into one context-code and one behavior-value
-column, which the
-:class:`~skilltransfer.behavior_data.SessionLog` packs into its record
-array. A tick is the first pair whose cumulative mass exceeds its uniform;
+call, one uniform per tick, as a whole tick record copied from a
+per-player table of the pairs, and the
+:class:`~skilltransfer.behavior_data.SessionLog` adopts those records
+without checking their codes again. A tick is the first pair whose
+cumulative mass exceeds its uniform;
 ``run_session`` finds that pair through an exact guide table, so the
 stream layout does not depend on how the lookup is done. Feasibility is
 read from the one table, :data:`~skilltransfer.behavior_data.FEASIBILITY`.
@@ -48,6 +49,7 @@ from .behavior_data import (
     FEASIBILITY,
     FEASIBILITY_REQUIREMENTS,
     PLAYERS,
+    RECORD_DTYPE,
     UNCONDITIONAL_BEHAVIORS,
     AttributeId,
     PlayerId,
@@ -211,14 +213,14 @@ _GOVERNS = np.array([[k in keys for k in _GOVERNING] for keys in map(active_keys
 #: Per context code, whether each event behavior (``EVENT_ATTRIBUTES`` order)
 #: is feasible there: the event rows of ``FEASIBILITY``, transposed.
 _FEASIBLE = FEASIBILITY[_EVENT_VALUES].T
-#: Context code and ``AttributeId`` value of each pair of the joint law, code-major,
-#: as one record per pair, so a tick's two columns come from one gather.
-_PAIRS = np.empty(
-    len(CONTEXTS) * len(EVENT_ATTRIBUTES), dtype=[("contexts", np.uint8), ("behaviors", np.int8)]
-)
-_PAIRS["contexts"] = np.arange(len(CONTEXTS)).repeat(len(EVENT_ATTRIBUTES))
-_PAIRS["behaviors"] = np.tile(_EVENT_VALUES, len(CONTEXTS))
-_PAIRS.flags.writeable = False
+#: Row ``i`` holds one tick record of player ``PLAYERS[i]`` for each pair of
+#: the joint law, code-major, with tick 0, so a session's records come from
+#: one gather.
+_RECORDS = np.zeros((len(PLAYERS), len(CONTEXTS) * len(EVENT_ATTRIBUTES)), dtype=RECORD_DTYPE)
+_RECORDS["players"] = np.arange(len(PLAYERS))[:, None]
+_RECORDS["contexts"] = np.arange(len(CONTEXTS)).repeat(len(EVENT_ATTRIBUTES))
+_RECORDS["behaviors"] = np.tile(_EVENT_VALUES, len(CONTEXTS))
+_RECORDS.flags.writeable = False
 
 
 #: Equal buckets of [0, 1] in the guide table; a power of two, so a bucket
@@ -289,14 +291,12 @@ def run_session(
     cdf = np.cumsum(joint_law(scenario, profile))
     cdf /= cdf[-1]
     ticks = scenario.ticks_per_session
-    drawn = _PAIRS.take(_inverse_cdf(cdf, derive_rng(seed).random(ticks)))
-    return SessionLog(
-        player,
-        ticks=np.arange(ticks),
-        players=np.full(ticks, PLAYERS.index(player), dtype=np.int8),
-        contexts=drawn["contexts"],
-        behaviors=drawn["behaviors"],
+    records = _RECORDS[PLAYERS.index(player)].take(
+        _inverse_cdf(cdf, derive_rng(seed).random(ticks))
     )
+    records["ticks"] = np.arange(ticks)
+    # Every record is a copy of a table record, so its codes are in range.
+    return SessionLog._adopt(player, records)
 
 
 def simulate_pair(

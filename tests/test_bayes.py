@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
+import pickle
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -995,6 +997,19 @@ def test_cpt_and_net_validation():
             },
             domains={"a": BINARY, "b": BINARY},
         )
+
+
+def test_a_cpt_keeps_a_read_only_copy_of_its_table():
+    source = np.array([[0.5, 0.5], [0.25, 0.75]])
+    cpt = Cpt(node="a", parents=("b",), table=source)
+    source[0, 0] = 7.0  # a write to the caller's array does not reach the CPT
+    assert cpt.table.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    with pytest.raises(ValueError, match="read-only"):
+        cpt.table[0, 0] = 7.0
+    assert cpt.table.sum(axis=1).tolist() == [1.0, 1.0]
+    for clone in (pickle.loads(pickle.dumps(cpt)), copy.copy(cpt), copy.deepcopy(cpt)):
+        assert clone == cpt
+        assert not clone.table.flags.writeable
 
 
 # --- inference -----------------------------------------------------------------------

@@ -7,9 +7,12 @@ import csv
 import io
 import json
 import pickle
+import ast
 import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from skilltransfer.behavior_data import (
     DATASET_COLUMNS,
     DOMAINS,
     OCCURRED,
+    RECORD_DTYPE,
     AttributeId,
     DataSet,
     PlayerId,
@@ -40,7 +44,14 @@ from skilltransfer.behavior_data import (
     write_dataset_csv,
     write_session_jsonl,
 )
-from skilltransfer.game_domain import ConditionKey, PlayerProfile, Scenario, run_session
+from skilltransfer.game_domain import (
+    ConditionKey,
+    PlayerProfile,
+    Scenario,
+    run_session,
+    simulate_pair,
+)
+from skilltransfer.transfer_loop import run_identification
 
 
 def _context(**overrides) -> StimulusContext:
@@ -448,6 +459,17 @@ def test_distinct_rows_are_numpy_unique_rows_and_counts(sizes, n_rows):
     assert data._distinct_rows()[0] is rows
 
 
+def test_a_table_keeps_its_own_copy_of_the_domains():
+    domains = {"a": ("x", "y"), "b": ["p", "q"]}
+    data = DataSet(["a", "b"], domains, codes=[[1, 0], [0, 1]])
+    domains["a"] = ("x",)  # would leave code 1 of column a out of range
+    domains["b"].append("r")
+    assert data.rows == (("y", "p"), ("x", "q"))
+    assert data.domains == {"a": ("x", "y"), "b": ("p", "q")}
+    assert type(data.domains) is dict
+    assert all(type(domain) is tuple for domain in data.domains.values())
+
+
 # --- split ------------------------------------------------------------------
 
 def _synthetic_rows(n_per_class: int):
@@ -552,6 +574,65 @@ def test_each_split_side_keeps_the_table_order(seed, ratio):
     for side in sides:
         assert (np.diff(side) > 0).all()
     assert np.array_equal(np.sort(np.concatenate(sides)), position)
+
+
+# --- adopted logs and tables ------------------------------------------------
+
+def test_adopted_tables_equal_the_checked_tables_of_their_codes(base_scenario, table1_pair):
+    logs = simulate_pair(*table1_pair, replace(base_scenario, ticks_per_session=3000), 5, 0)
+    data = to_dataset(logs, 10)
+    train, test = split(data, 0.5, 3)
+    assert train.n_rows + test.n_rows == data.n_rows == 600
+    for table in (data, train, test):
+        assert table == DataSet(table.columns, table.domains, codes=table.codes)
+        assert table.codes.dtype == np.int8
+        assert not table.codes.flags.writeable
+        assert type(table.domains) is dict
+    # Each table holds a dict of its own, so no table shares one with another.
+    assert data.domains is not DOMAINS
+    assert len({id(table.domains) for table in (data, train, test)}) == 3
+
+
+@pytest.mark.parametrize("ticks", [2000, 100_000])
+def test_identification_checks_no_code_it_made_itself(base_scenario, table1_pair, ticks):
+    scenario = replace(base_scenario, ticks_per_session=ticks)
+    checks = mock.patch.object(
+        behavior_data, "_check_codes", wraps=behavior_data._check_codes
+    )
+    with checks as check:
+        run_identification(*table1_pair, scenario, seed=4)
+    assert check.call_count == 0
+
+
+def test_reading_a_log_checks_each_column_once(tmp_path, base_scenario, table1_pair):
+    scenario = replace(base_scenario, ticks_per_session=500)
+    log = run_session(scenario, table1_pair[1], PlayerId.ID2, 6)
+    write_session_jsonl(log, tmp_path / "log.jsonl")
+    checks = mock.patch.object(
+        behavior_data, "_check_codes", wraps=behavior_data._check_codes
+    )
+    with checks as check:
+        assert read_session_jsonl(tmp_path / "log.jsonl") == log
+    assert check.call_count == len(RECORD_DTYPE.names)
+
+
+def _attribute_owners(node: ast.AST, attribute: str, owner: str = "<module>"):
+    """The innermost enclosing function of each use of ``.attribute`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == attribute:
+            yield owner
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _attribute_owners(child, attribute, inner)
+
+
+def test_only_the_library_builders_adopt_unchecked_codes():
+    adopt, hold = [], []
+    for path in sorted(Path(behavior_data.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        adopt += _attribute_owners(tree, "_adopt")
+        hold += _attribute_owners(tree, "_hold")
+    assert sorted(adopt) == ["run_session", "split", "to_dataset"]
+    assert set(hold) == {"__init__", "_adopt"}
 
 
 # --- persistence ------------------------------------------------------------

@@ -266,6 +266,24 @@ def test_a_log_is_one_read_only_record_array(base_scenario, table1_pair):
     assert empty != log
 
 
+@pytest.mark.parametrize("ticks", [0, 1, 7, 2000])
+def test_a_simulated_log_equals_the_checked_log_of_its_columns(base_scenario, table1_pair, ticks):
+    # run_session adopts its records unchecked; the checked constructor must
+    # accept their columns and give back the same log.
+    scenario = replace(base_scenario, ticks_per_session=ticks)
+    for player, profile in zip(PLAYERS, table1_pair):
+        for seed in (0, 1, 17, 2**32 - 1):
+            log = run_session(scenario, profile, player, seed)
+            columns = {name: log.records[name].copy() for name in RECORD_DTYPE.names}
+            assert log == SessionLog(player, **columns)
+            assert log.ticks.tolist() == list(range(ticks))
+            assert (log.players == PLAYERS.index(player)).all()
+            assert log.records.dtype == RECORD_DTYPE
+            assert not log.records.flags.writeable
+            for name in RECORD_DTYPE.names:
+                assert not getattr(log, name).flags.writeable
+
+
 def test_feasibility_table_agrees_with_the_requirements():
     assert not FEASIBILITY[0].any()
     assert not FEASIBILITY.flags.writeable
